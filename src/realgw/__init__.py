@@ -2,9 +2,10 @@
 
 Subpackages by concern:
 
-* :mod:`realgw.series` -- exact rationals and truncated power series;
-* :mod:`realgw.multicover` -- the unitriangular multiple-cover transform
-  between moduli invariants and integer curve counts (sinh and sin flavors);
+* :mod:`realgw.series` -- exact rationals and their ``p/q`` wire form;
+* :mod:`realgw.multicover` -- the cover coefficients and the unitriangular
+  multiple-cover transform between moduli invariants and integer curve
+  counts (sinh and sin flavors);
 * :mod:`realgw.signs` -- every orientation-comparison statement as a total
   parity predicate over integer descriptors;
 * :mod:`realgw.graphs` -- decorated fixed-point graphs, their sign
@@ -22,7 +23,7 @@ from .multicover import (
     invert_transform,
     multicover_coefficient,
 )
-from .series import PowerSeries, Rational, format_rational, parse_rational
+from .series import Rational, format_rational, parse_rational
 from .signs import Comparison, ModuliDescriptor, Route, virtual_dimension
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "Convention",
     "InvariantVector",
     "ModuliDescriptor",
-    "PowerSeries",
     "Rational",
     "Route",
     "format_rational",

@@ -272,8 +272,6 @@ def _vector_from_doc(doc: dict, key: str) -> tuple[InvariantVector, Convention]:
     for required in ("c1B", "convention", key):
         if required not in doc:
             raise ValueError(f"input document is missing {required!r}")
-    if not isinstance(doc["c1B"], int):
-        raise ValueError("c1B must be an integer")
     convention = Convention.from_string(doc["convention"])
     mapping = doc[key]
     if not isinstance(mapping, dict):
@@ -320,14 +318,17 @@ def _parse_seed_range(text: str) -> range:
     if ".." in text:
         lo, hi = text.split("..", 1)
         try:
-            return range(int(lo), int(hi) + 1)
+            seeds = range(int(lo), int(hi) + 1)
         except ValueError:
             raise ValueError(f"--seeds must look like A..B, got {text!r}")
-    try:
-        n = int(text)
-    except ValueError:
-        raise ValueError(f"--seeds must look like A..B or N, got {text!r}")
-    return range(1, n + 1)
+    else:
+        try:
+            seeds = range(1, int(text) + 1)
+        except ValueError:
+            raise ValueError(f"--seeds must look like A..B or N, got {text!r}")
+    if not seeds:
+        raise ValueError(f"--seeds range {text!r} is empty")
+    return seeds
 
 
 def _bounds_from_kv(text: str | None) -> graphs.GraphBounds:

@@ -12,8 +12,14 @@ exponent h - 1 + <c1,B>/2 and f is sinh or sin.  Since C(h, 0) = 1 the
 relation is unitriangular and inverts exactly over the rationals; the
 recovered E_h are conjecturally integer curve counts.
 
-Everything here is a pure function over immutable data; the even- and
-odd-genus towers never mix (g - h is even throughout).
+Only even powers of t occur, so C(h, j) is read as the u^j coefficient
+(u = t^2) of b(u)^(h - 1 + <c1,B>/2), b(u) = f(t/2)/(t/2).  One table per
+(exponent, convention) holds these coefficients and grows on demand by
+J.C.P. Miller's power recurrence.  Genera are capped at ``MAX_GENUS``.
+
+Apart from that cache of exact values, everything here is a pure function
+over immutable data; the even- and odd-genus towers never mix (g - h is
+even throughout).
 """
 
 from __future__ import annotations
@@ -21,17 +27,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from math import factorial
 from typing import Mapping
 
-from .series import (
-    default_order,
-    format_rational,
-    parse_rational,
-    series_pow,
-    sin_over_half_t,
-    sinh_over_half_t,
-)
+from .series import format_rational, parse_rational
+
+#: Largest genus accepted as a coefficient's cover genus g and as an
+#: ``InvariantVector``'s ``max_genus``; past it a ``ValueError`` is raised
+#: before any work, which bounds the coefficient tables and dense vectors.
+MAX_GENUS = 128
 
 
 class Convention(enum.Enum):
@@ -44,7 +48,7 @@ class Convention(enum.Enum):
     def from_string(cls, name: str) -> "Convention":
         try:
             return cls(name.lower())
-        except ValueError:
+        except (AttributeError, ValueError):  # AttributeError: not a string
             raise ValueError(f"convention must be 'sinh' or 'sin', got {name!r}")
 
 
@@ -57,10 +61,27 @@ def cover_exponent(h: int, c1b: int) -> int:
     return h - 1 + c1b // 2
 
 
-@lru_cache(maxsize=None)
-def _coefficients_up_to(exponent: int, order: int, convention: Convention):
-    base = sinh_over_half_t(order) if convention is Convention.SINH else sin_over_half_t(order)
-    return series_pow(base, exponent).coefficients
+# (exponent, convention) -> [C_0, C_1, ...], the u^j coefficients (u = t^2)
+# of b(u)^exponent, where b(u) = f(t/2)/(t/2) = sum_k a_k u^k with
+# a_k = (+-1)^k / (4^k (2k+1)!).  Each list only ever grows.
+_TABLES: dict[tuple[int, Convention], list[Fraction]] = {}
+
+
+def _extend(table: list[Fraction], exponent: int, convention: Convention, j: int) -> None:
+    """Grow ``table`` through index j by J.C.P. Miller's power recurrence
+    (Knuth, TAOCP Vol. 2, 4.7): since a_0 = 1,
+
+        c_m = (1/m) sum_{k=1..m} ((exponent + 1) k - m) a_k c_{m-k},
+
+    exact for every integer exponent, negative ones included.
+    """
+    sign = -1 if convention is Convention.SIN else 1
+    a = [Fraction(sign**k, 4**k * factorial(2 * k + 1)) for k in range(j + 1)]
+    for m in range(len(table), j + 1):
+        acc = sum(
+            ((exponent + 1) * k - m) * a[k] * table[m - k] for k in range(1, m + 1)
+        )
+        table.append(acc / m)
 
 
 def multicover_coefficient(
@@ -68,16 +89,19 @@ def multicover_coefficient(
 ) -> Fraction:
     """t^(2g) coefficient of (f(t/2)/(t/2))^(h-1+c1b/2), f = sinh or sin.
 
-    The exponent may be negative; the base series is a unit, so the power
-    is taken through the exact series reciprocal.  The cached working
-    series use the default truncation order (REALGW_ORDER overrides it) but
-    never less than 2g, so results are exact regardless.
+    The exponent may be negative.  Coefficients are kept in one table per
+    (exponent, convention), grown on demand, so results are exact and a
+    repeated lookup is a list index.  g is capped at ``MAX_GENUS``.
     """
-    if g < 0:
-        raise ValueError(f"genus g must be >= 0, got {g}")
+    if not 0 <= g <= MAX_GENUS:
+        raise ValueError(f"genus g must be in [0, {MAX_GENUS}], got {g}")
     exponent = cover_exponent(h, c1b)
-    order = max(2 * g, default_order())
-    return _coefficients_up_to(exponent, order, convention)[2 * g]
+    table = _TABLES.get((exponent, convention))
+    if table is None:
+        table = _TABLES[exponent, convention] = [Fraction(1)]
+    if g >= len(table):
+        _extend(table, exponent, convention, g)
+    return table[g]
 
 
 @dataclass(frozen=True)
@@ -101,6 +125,8 @@ class InvariantVector:
             if not self.entries:
                 raise ValueError("empty entries require an explicit max_genus")
             max_genus = max(self.entries)
+        if max_genus > MAX_GENUS:
+            raise ValueError(f"max_genus must be <= {MAX_GENUS}, got {max_genus}")
         bad = [g for g in self.entries if g < 0 or g > max_genus]
         if bad:
             raise ValueError(f"genera {bad} outside [0, {max_genus}]")
@@ -121,13 +147,20 @@ class InvariantVector:
     def from_string_map(
         cls, data: Mapping[str, str], c1b: int, max_genus: int | None = None
     ) -> "InvariantVector":
+        """Read the wire form: ASCII-digit genus keys, p/q string values, an
+        int c1b and an int max_genus >= 0 (default: the largest key)."""
+        if type(c1b) is not int:
+            raise ValueError(f"c1B must be an integer, got {c1b!r}")
+        if max_genus is not None and (type(max_genus) is not int or max_genus < 0):
+            raise ValueError(f"max_genus must be an integer >= 0, got {max_genus!r}")
         entries: dict[int, Fraction] = {}
         for key, raw in data.items():
-            try:
-                genus = int(key)
-            except ValueError:
-                raise ValueError(f"genus key must be an integer string, got {key!r}")
-            entries[genus] = parse_rational(raw) if isinstance(raw, str) else Fraction(raw)
+            if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+                raise ValueError(f"genus key must be a string of ASCII digits, got {key!r}")
+            genus = int(key)
+            if genus in entries:
+                raise ValueError(f"genus {genus} is given twice")
+            entries[genus] = parse_rational(raw)
         if max_genus is None:
             max_genus = max(entries) if entries else 0
         return cls(entries=entries, c1b=c1b, max_genus=max_genus)

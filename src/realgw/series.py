@@ -1,45 +1,21 @@
-"""Exact rational arithmetic and truncated formal power series.
+"""Exact rationals and their ``"p/q"`` wire form.
 
 Rationals are ``fractions.Fraction`` values: arbitrary precision, always
 stored reduced with a positive denominator.  They serialize as the string
-``"p/q"`` (``"p"`` when the denominator is 1).
-
-A :class:`PowerSeries` is a truncated series in one variable t with rational
-coefficients.  The truncation order N is epistemic: coefficients beyond t^N
-are unknown, not zero, so arithmetic never reads past index N and products
-report the smaller of the two operand orders.  No floating point is used
+``"p/q"`` (``"p"`` when the denominator is 1).  No floating point is used
 anywhere in this module.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from fractions import Fraction
-from math import factorial
-from typing import Sequence, Union
+from typing import Union
 
 Rational = Fraction
 RationalLike = Union[int, Fraction]
 
-#: Default truncation order; enough for genus <= 20 in the cover transform.
-DEFAULT_ORDER = 40
-
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-
-
-def default_order() -> int:
-    """Default series truncation order, overridable via ``REALGW_ORDER``."""
-    raw = os.environ.get("REALGW_ORDER")
-    if raw is None:
-        return DEFAULT_ORDER
-    try:
-        order = int(raw)
-    except ValueError:
-        raise ValueError(f"REALGW_ORDER must be an integer >= 0, got {raw!r}")
-    if order < 0:
-        raise ValueError(f"REALGW_ORDER must be an integer >= 0, got {raw!r}")
-    return order
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)
 
 
 def format_rational(value: RationalLike) -> str:
@@ -51,204 +27,11 @@ def format_rational(value: RationalLike) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"``; rejects anything else (floats included)."""
+    """Parse ``"p/q"`` or ``"p"`` with ASCII digits; rejects anything else
+    (floats, bools and non-string values included)."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise ValueError(f"not a p/q rational: {text!r}")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational: {text!r}")
-
-
-def rational_arith(a: RationalLike, b: RationalLike, op: str) -> Fraction:
-    """Exact rational arithmetic; ``op`` is one of add/sub/mul/div."""
-    a, b = Fraction(a), Fraction(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise ZeroDivisionError("rational division by zero")
-        return a / b
-    raise ValueError(f"unknown rational op {op!r}")
-
-
-class PowerSeries:
-    """Truncated power series sum_i c_i t^i with exact rational coefficients.
-
-    Immutable.  Equality is coefficient-wise through the smaller of the two
-    truncation orders (truncation is a statement of ignorance, not a value),
-    so instances are deliberately unhashable.
-    """
-
-    __slots__ = ("_coefficients",)
-
-    def __init__(self, coefficients: Sequence[RationalLike]):
-        if len(coefficients) == 0:
-            raise ValueError("a PowerSeries needs at least the constant term")
-        object.__setattr__(
-            self, "_coefficients", tuple(Fraction(c) for c in coefficients)
-        )
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("PowerSeries is immutable")
-
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coefficients
-
-    @property
-    def order(self) -> int:
-        return len(self._coefficients) - 1
-
-    def coefficient(self, i: int) -> Fraction:
-        """Coefficient of t^i; raises if i lies beyond the truncation order."""
-        if not 0 <= i <= self.order:
-            raise IndexError(f"t^{i} is beyond truncation order {self.order}")
-        return self._coefficients[i]
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coefficient(i)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return self._coefficients[: n + 1] == other._coefficients[: n + 1]
-
-    __hash__ = None  # truncation-aware equality is incompatible with hashing
-
-    def __repr__(self) -> str:
-        inner = ", ".join(format_rational(c) for c in self._coefficients)
-        return f"PowerSeries([{inner}])"
-
-    def truncate(self, order: int) -> "PowerSeries":
-        """Drop coefficients beyond t^order (order must not exceed self.order)."""
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
-        if order > self.order:
-            raise ValueError(
-                f"cannot extend a series (order {self.order}) to order {order}"
-            )
-        return PowerSeries(self._coefficients[: order + 1])
-
-    def to_json_dict(self) -> dict:
-        """JSON form: coefficient strings plus the truncation order."""
-        return {
-            "coefficients": [format_rational(c) for c in self._coefficients],
-            "order": self.order,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "PowerSeries":
-        coeffs = [parse_rational(c) for c in doc["coefficients"]]
-        series = cls(coeffs)
-        if doc.get("order") != series.order:
-            raise ValueError(
-                f"order field {doc.get('order')!r} does not match "
-                f"{len(coeffs)} coefficients"
-            )
-        return series
-
-
-def series_one(order: int) -> PowerSeries:
-    """The constant series 1 at the given truncation order."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return PowerSeries([Fraction(1)] + [Fraction(0)] * order)
-
-
-def series_add(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    n = min(a.order, b.order)
-    return PowerSeries([a[i] + b[i] for i in range(n + 1)])
-
-
-def series_sub(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    n = min(a.order, b.order)
-    return PowerSeries([a[i] - b[i] for i in range(n + 1)])
-
-
-def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Cauchy product truncated at the smaller operand order."""
-    n = min(a.order, b.order)
-    out = [Fraction(0)] * (n + 1)
-    for i in range(n + 1):
-        ai = a[i]
-        if ai == 0:
-            continue
-        for j in range(n + 1 - i):
-            bj = b[j]
-            if bj != 0:
-                out[i + j] += ai * bj
-    return PowerSeries(out)
-
-
-def series_reciprocal(s: PowerSeries) -> PowerSeries:
-    """Multiplicative inverse up to truncation; needs a unit constant term.
-
-    Recurrence: b_0 = 1/a_0 and b_m = -(sum_{k=1..m} a_k b_{m-k}) / a_0.
-    """
-    a0 = s[0]
-    if a0 == 0:
-        raise ValueError("series reciprocal requires a nonzero constant term")
-    n = s.order
-    out = [Fraction(0)] * (n + 1)
-    out[0] = 1 / a0
-    for m in range(1, n + 1):
-        acc = Fraction(0)
-        for k in range(1, m + 1):
-            ak = s[k]
-            if ak != 0:
-                acc += ak * out[m - k]
-        out[m] = -acc / a0
-    return PowerSeries(out)
-
-
-def series_pow(s: PowerSeries, e: int) -> PowerSeries:
-    """Integer power of a series, exact up to the operand's truncation order.
-
-    Negative exponents go through the reciprocal (requires a unit constant
-    term), keeping a single exact code path.
-    """
-    if e < 0:
-        return series_pow(series_reciprocal(s), -e)
-    result = series_one(s.order)
-    base = s
-    while e:
-        if e & 1:
-            result = series_mul(result, base)
-        e >>= 1
-        if e:
-            base = series_mul(base, base)
-    return result
-
-
-def sinh_over_half_t(order: int | None = None) -> PowerSeries:
-    """The series of sinh(t/2)/(t/2): sum_j (t/2)^(2j) / (2j+1)!.
-
-    Only even powers are nonzero; the t^(2j) coefficient is 1/(4^j (2j+1)!).
-    """
-    if order is None:
-        order = default_order()
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    out = [Fraction(0)] * (order + 1)
-    for j in range(order // 2 + 1):
-        out[2 * j] = Fraction(1, 4**j * factorial(2 * j + 1))
-    return PowerSeries(out)
-
-
-def sin_over_half_t(order: int | None = None) -> PowerSeries:
-    """The series of sin(t/2)/(t/2); t^(2g) coefficient is (-1)^g times
-    the sinh variant's."""
-    if order is None:
-        order = default_order()
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    out = [Fraction(0)] * (order + 1)
-    for j in range(order // 2 + 1):
-        out[2 * j] = Fraction((-1) ** j, 4**j * factorial(2 * j + 1))
-    return PowerSeries(out)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from realgw.cli import main
+from realgw.multicover import MAX_GENUS
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -33,12 +34,6 @@ class TestCoeffAndDim:
         code, _, err = run_cli(capsys, ["coeff", "--h", "1", "--c1b", "1", "--g", "0"])
         assert code == 1
         assert "even" in json.loads(err)["error"]
-
-    def test_coeff_honors_env_validation(self, capsys, monkeypatch):
-        monkeypatch.setenv("REALGW_ORDER", "banana")
-        code, _, err = run_cli(capsys, ["coeff", "--h", "1", "--c1b", "0", "--g", "0"])
-        assert code == 1
-        assert "REALGW_ORDER" in json.loads(err)["error"]
 
     def test_dim_example(self, capsys):
         code, out, _ = run_cli(capsys, ["dim", "--g", "0", "--ell", "1", "--n", "3", "--c1b", "4"])
@@ -133,6 +128,33 @@ class TestTransformInvert:
         assert code == 1
         assert "convention" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize(
+        "argv,stdin",
+        [
+            pytest.param(["invert"], '{"c1B":0,"convention":"sinh","gw":{"0":0.1}}', id="float-value"),
+            pytest.param(["invert"], '{"c1B":0,"convention":"sinh","gw":{"0":3}}', id="int-value"),
+            pytest.param(["invert"], '{"c1B":0,"convention":"sinh","gw":{"0":true}}', id="bool-value"),
+            pytest.param(["invert"], '{"c1B":false,"convention":"sinh","gw":{"0":"1"}}', id="bool-c1B"),
+            pytest.param(["invert"], '{"c1B":0.0,"convention":"sinh","gw":{"0":"1"}}', id="float-c1B"),
+            pytest.param(["invert"], '{"c1B":0,"convention":5,"gw":{"0":"1"}}', id="int-convention"),
+            pytest.param(["invert"], '{"c1B":0,"convention":"sinh","gw":{"0":"1"},"max_genus":1.5}', id="float-max_genus"),
+            pytest.param(["invert"], '{"c1B":0,"convention":"sinh","gw":{"0":"1"},"max_genus":true}', id="bool-max_genus"),
+            pytest.param(["invert"], '{"c1B":0,"convention":"sinh","gw":{"0":"1"},"max_genus":-1}', id="negative-max_genus"),
+            pytest.param(["invert"], '{"c1B":0,"convention":"sinh","gw":{"\u0663":"\u0661/\u0662"}}', id="unicode-digits"),
+            pytest.param(["invert"], '{"c1B":0,"convention":"sinh","gw":{"\u0663":"1"}}', id="unicode-key"),
+            pytest.param(["invert"], '{"c1B":0,"convention":"sinh","gw":{"0":"\u0661/\u0662"}}', id="unicode-value"),
+            pytest.param(["invert"], '{"c1B":0,"convention":"sinh","gw":{"+1":"1"}}', id="signed-key"),
+            pytest.param(["invert"], '{"c1B":0,"convention":"sinh","gw":{"3":"1","03":"5"}}', id="duplicate-genus"),
+            pytest.param(["transform"], f'{{"c1B":0,"convention":"sinh","E":{{}},"max_genus":{MAX_GENUS + 1}}}', id="max_genus-past-cap"),
+            pytest.param(["transform"], f'{{"c1B":0,"convention":"sinh","E":{{"{MAX_GENUS + 1}":"1"}}}}', id="key-past-cap"),
+            pytest.param(["coeff", "--h", "0", "--c1b", "0", "--g", str(MAX_GENUS + 1)], None, id="coeff-g-past-cap"),
+        ],
+    )
+    def test_rejects_inexact_or_oversized_input(self, capsys, monkeypatch, argv, stdin):
+        code, out, err = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]
+
     def test_transform_reads_file(self, capsys, tmp_path):
         path = tmp_path / "counts.json"
         path.write_text('{"c1B":0,"convention":"sinh","E":{"0":"1"}}')
@@ -160,6 +182,12 @@ class TestGraphCheck:
         )
         assert code == 0
         assert json.loads(out)["passed"] == 10
+
+    @pytest.mark.parametrize("seeds", ["5..1", "0", "1..x", "many"])
+    def test_bad_seed_range(self, capsys, seeds):
+        code, out, err = run_cli(capsys, ["graph-check", "--seeds", seeds])
+        assert code == 1 and out == ""
+        assert "--seeds" in json.loads(err)["error"]
 
     def test_unknown_bound(self, capsys):
         code, _, err = run_cli(capsys, ["graph-check", "--seeds", "1..2", "--bounds", "max_cats=1"])

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from realgw import multicover
 from realgw.multicover import (
+    MAX_GENUS,
     Convention,
     InvariantVector,
     cover_exponent,
@@ -61,6 +63,36 @@ class TestCoefficient:
                         assert multicover_coefficient(
                             h, c1b, g, conv
                         ) == oracle_cover_coefficient(h, c1b, g, conv.value)
+
+    def test_oracle_beyond_genus_twenty(self):
+        for h in (0, 3, 6):
+            for c1b in (-4, 0, 8):
+                for g in (21, 25, 30):
+                    for conv in (SINH, SIN):
+                        assert multicover_coefficient(
+                            h, c1b, g, conv
+                        ) == oracle_cover_coefficient(h, c1b, g, conv.value)
+
+    def test_growth_order_does_not_matter(self):
+        # exponent 3 - 1 + 4/2 = 4
+        for conv in (SINH, SIN):
+            multicover._TABLES.pop((4, conv), None)
+            multicover_coefficient(3, 4, 30, conv)
+            jumped = list(multicover._TABLES[4, conv])
+            multicover._TABLES.pop((4, conv))
+            stepped = [multicover_coefficient(3, 4, g, conv) for g in range(31)]
+            assert jumped == stepped
+
+    def test_genus_cap(self):
+        sizes = {key: len(table) for key, table in multicover._TABLES.items()}
+        with pytest.raises(ValueError, match=str(MAX_GENUS)):
+            multicover_coefficient(1, 0, MAX_GENUS + 1, SINH)
+        with pytest.raises(ValueError, match=str(MAX_GENUS)):
+            InvariantVector({}, c1b=0, max_genus=MAX_GENUS + 1)
+        with pytest.raises(ValueError, match=str(MAX_GENUS)):
+            InvariantVector({MAX_GENUS + 1: F(1)}, c1b=0)
+        assert {key: len(table) for key, table in multicover._TABLES.items()} == sizes
+        assert MAX_GENUS > 46  # the benchmark's largest transform
 
     def test_odd_c1b_rejected(self):
         with pytest.raises(ValueError):
