@@ -15,31 +15,39 @@ Subpackages by concern:
 * :mod:`realgw.cli` -- the ``realgw`` command.
 """
 
-from .multicover import (
-    Convention,
-    InvariantVector,
-    forward_transform,
-    integrality_check,
-    invert_transform,
-    multicover_coefficient,
-)
-from .series import Rational, format_rational, parse_rational
-from .signs import Comparison, ModuliDescriptor, Route, virtual_dimension
+from importlib import import_module
 
-__all__ = [
-    "Comparison",
-    "Convention",
-    "InvariantVector",
-    "ModuliDescriptor",
-    "Rational",
-    "Route",
-    "format_rational",
-    "forward_transform",
-    "integrality_check",
-    "invert_transform",
-    "multicover_coefficient",
-    "parse_rational",
-    "virtual_dimension",
-]
+# Public name -> the submodule that defines it.  Nothing is imported until a
+# name is first used (PEP 562), so a CLI process loads only the layers its
+# subcommand needs.
+_EXPORTS = {
+    "Comparison": "signs",
+    "Convention": "multicover",
+    "InvariantVector": "multicover",
+    "ModuliDescriptor": "signs",
+    "Rational": "series",
+    "Route": "signs",
+    "format_rational": "series",
+    "forward_transform": "multicover",
+    "integrality_check": "multicover",
+    "invert_transform": "multicover",
+    "multicover_coefficient": "multicover",
+    "parse_rational": "series",
+    "virtual_dimension": "signs",
+}
+_SUBMODULES = ("cli", "graphs", "multicover", "schemas", "series", "signs", "verify")
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name in _EXPORTS:
+        value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

@@ -4,7 +4,8 @@ Subcommands: transform, invert, coeff, sign, dim, graph-check, verify,
 schema.  All numeric output is exact (rationals as p/q strings), JSON goes
 to stdout with sorted keys so identical inputs give byte-identical output.
 Exit codes: 0 success, 1 domain or input error (structured JSON on stderr),
-2 usage error.
+2 usage error, 3 a check ran and found a failure (``graph-check`` found a
+congruence counterexample, or a ``verify`` identity has failures).
 """
 
 from __future__ import annotations
@@ -14,10 +15,13 @@ import json
 import sys
 from typing import Callable
 
-from . import graphs, multicover, schemas, signs, verify
-from .multicover import Convention, InvariantVector
-from .series import format_rational
-from .signs import RelSpinVariant, Route
+import realgw  # each layer is imported on first use, see realgw.__getattr__
+
+from . import schemas
+
+
+# Exit code of a check that ran and found a failure.
+EXIT_CHECK_FAILED = 3
 
 
 def _emit(doc) -> None:
@@ -94,8 +98,8 @@ class _Params:
             return False
         raise ValueError(f"{self.predicate}: {name} must be true or false, got {value!r}")
 
-    def route(self) -> Route:
-        return Route.from_string(self.take_str("variant", "projection"))
+    def route(self) -> realgw.signs.Route:
+        return realgw.signs.Route.from_string(self.take_str("variant", "projection"))
 
     def done(self) -> None:
         if self.raw:
@@ -107,77 +111,77 @@ class _Params:
 def _sign_cvc(p: _Params):
     g, k, d = p.take_int("g"), p.take_int("k"), p.take_int("d")
     p.done()
-    return signs.cvc_parity(g, k, d)
+    return realgw.signs.cvc_parity(g, k, d)
 
 
 def _sign_conj_pullback(p: _Params):
     g, k, d = p.take_int("g"), p.take_int("k"), p.take_int("d")
     p.done()
-    return signs.conj_pullback_parity(g, k, d)
+    return realgw.signs.conj_pullback_parity(g, k, d)
 
 
 def _sign_union_determinant(p: _Params):
     args = (p.take_int("g1"), p.take_int("g2"), p.take_int("k"),
             p.take_int("d1"), p.take_int("d2"), p.route())
     p.done()
-    return signs.union_determinant(*args)
+    return realgw.signs.union_determinant(*args)
 
 
 def _sign_doublet_determinant(p: _Params):
     args = (p.take_int("g"), p.take_int("k"), p.take_int("d2"), p.route())
     p.done()
-    return signs.doublet_determinant(*args)
+    return realgw.signs.doublet_determinant(*args)
 
 
 def _sign_conj_node_determinant(p: _Params):
     args = (p.take_int("k"), p.route())
     p.done()
-    return signs.conj_node_determinant(*args)
+    return realgw.signs.conj_node_determinant(*args)
 
 
 def _sign_e_node_determinant(p: _Params):
     args = (p.take_int("g"), p.take_int("k"), p.take_int("d"), p.route())
     p.done()
-    return signs.e_node_determinant(*args)
+    return realgw.signs.e_node_determinant(*args)
 
 
 def _sign_union_induced(p: _Params):
     args = (p.take_int("g1"), p.take_int("g2"),
             p.take_int("d1"), p.take_int("d2"), p.route())
     p.done()
-    return signs.union_induced(*args)
+    return realgw.signs.union_induced(*args)
 
 
 def _sign_doublet_induced(p: _Params):
     args = (p.take_int("g"), p.take_int("d2"), p.route())
     p.done()
-    return signs.doublet_induced(*args)
+    return realgw.signs.doublet_induced(*args)
 
 
 def _sign_conj_node_induced(p: _Params):
     route = p.route()
     p.done()
-    return signs.conj_node_induced(route)
+    return realgw.signs.conj_node_induced(route)
 
 
 def _sign_e_node_induced(p: _Params):
     args = (p.take_int("g"), p.take_int("d"), p.route())
     p.done()
-    return signs.e_node_induced(*args)
+    return realgw.signs.e_node_induced(*args)
 
 
 def _sign_relspin(p: _Params):
     deg_v = p.take_int("degv")
-    variant = RelSpinVariant.from_string(p.take_str("variant"))
+    variant = realgw.signs.RelSpinVariant.from_string(p.take_str("variant"))
     p.done()
-    return signs.relspin_determinant(deg_v, variant)
+    return realgw.signs.relspin_determinant(deg_v, variant)
 
 
 def _sign_union_moduli(p: _Params):
     args = (p.take_int("n"), p.take_int("g1"), p.take_int("g2"),
             p.take_int("c1b1"), p.take_int("c1b2"), p.route())
     p.done()
-    return signs.union_moduli(*args)
+    return realgw.signs.union_moduli(*args)
 
 
 def _sign_doublet_moduli(p: _Params):
@@ -186,37 +190,37 @@ def _sign_doublet_moduli(p: _Params):
     route = p.route()
     c1l_phi_b = p.take_opt_int("c1lphib")
     p.done()
-    return signs.doublet_moduli(g, s_minus, route, c1l_phi_b)
+    return realgw.signs.doublet_moduli(g, s_minus, route, c1l_phi_b)
 
 
 def _sign_conj_node_moduli(p: _Params):
     route = p.route()
     p.done()
-    return signs.conj_node_moduli(route)
+    return realgw.signs.conj_node_moduli(route)
 
 
 def _sign_e_node_moduli(p: _Params):
     args = (p.take_int("g"), p.take_int("c1b"), p.route())
     p.done()
-    return signs.e_node_moduli(*args)
+    return realgw.signs.e_node_moduli(*args)
 
 
 def _sign_relspin_moduli(p: _Params):
     c1b = p.take_int("c1b")
-    variant = RelSpinVariant.from_string(p.take_str("variant"))
+    variant = realgw.signs.RelSpinVariant.from_string(p.take_str("variant"))
     orientable = p.take_bool("orientable")
     p.done()
-    return signs.relspin_moduli(c1b, variant, orientable_fixed_line=orientable)
+    return realgw.signs.relspin_moduli(c1b, variant, orientable_fixed_line=orientable)
 
 
 def _sign_forget_boundary(p: _Params):
     side = p.take_str("side")
-    route = Route.from_string(p.take_str("variant", "projection"))
+    route = realgw.signs.Route.from_string(p.take_str("variant", "projection"))
     p.done()
-    return signs.forget_boundary_sign(side, route)
+    return realgw.signs.forget_boundary_sign(side, route)
 
 
-SIGN_PREDICATES: dict[str, Callable[[_Params], signs.Comparison]] = {
+SIGN_PREDICATES: dict[str, Callable[[_Params], realgw.signs.Comparison]] = {
     "cvc-parity": _sign_cvc,
     "conj-pullback-parity": _sign_conj_pullback,
     "union-determinant": _sign_union_determinant,
@@ -238,15 +242,19 @@ SIGN_PREDICATES: dict[str, Callable[[_Params], signs.Comparison]] = {
 
 
 def _cmd_coeff(args) -> int:
-    convention = Convention.from_string(args.conv)
-    value = multicover.multicover_coefficient(args.h, args.c1b, args.g, convention)
-    _emit({"value": format_rational(value)})
+    convention = realgw.multicover.Convention.from_string(args.conv)
+    value = realgw.multicover.multicover_coefficient(
+        args.h, args.c1b, args.g, convention
+    )
+    _emit({"value": realgw.series.format_rational(value)})
     return 0
 
 
 def _cmd_dim(args) -> int:
-    descriptor = signs.ModuliDescriptor(g=args.g, ell=args.ell, n=args.n, c1b=args.c1b)
-    _emit({"dim": signs.virtual_dimension(descriptor)})
+    descriptor = realgw.signs.ModuliDescriptor(
+        g=args.g, ell=args.ell, n=args.n, c1b=args.c1b
+    )
+    _emit({"dim": realgw.signs.virtual_dimension(descriptor)})
     return 0
 
 
@@ -268,23 +276,27 @@ def _cmd_sign(args) -> int:
     return 0
 
 
-def _vector_from_doc(doc: dict, key: str) -> tuple[InvariantVector, Convention]:
+def _vector_from_doc(
+    doc: dict, key: str
+) -> tuple[realgw.multicover.InvariantVector, realgw.multicover.Convention]:
     for required in ("c1B", "convention", key):
         if required not in doc:
             raise ValueError(f"input document is missing {required!r}")
-    convention = Convention.from_string(doc["convention"])
+    convention = realgw.multicover.Convention.from_string(doc["convention"])
     mapping = doc[key]
     if not isinstance(mapping, dict):
         raise ValueError(f"{key!r} must be an object of genus -> p/q strings")
     max_genus = doc.get("max_genus")
-    vector = InvariantVector.from_string_map(mapping, doc["c1B"], max_genus)
+    vector = realgw.multicover.InvariantVector.from_string_map(
+        mapping, doc["c1B"], max_genus
+    )
     return vector, convention
 
 
 def _cmd_transform(args) -> int:
     doc = _read_input_doc(args)
     counts, convention = _vector_from_doc(doc, "E")
-    gw = multicover.forward_transform(counts, convention)
+    gw = realgw.multicover.forward_transform(counts, convention)
     _emit(
         {
             "c1B": gw.c1b,
@@ -298,8 +310,8 @@ def _cmd_transform(args) -> int:
 def _cmd_invert(args) -> int:
     doc = _read_input_doc(args)
     gw, convention = _vector_from_doc(doc, "gw")
-    counts = multicover.invert_transform(gw, convention)
-    violations = multicover.integrality_check(counts)
+    counts = realgw.multicover.invert_transform(gw, convention)
+    violations = realgw.multicover.integrality_check(counts)
     _emit(
         {
             "E": counts.to_string_map(),
@@ -307,7 +319,8 @@ def _cmd_invert(args) -> int:
             "convention": convention.value,
             "integral": not violations,
             "violations": [
-                [genus, format_rational(value)] for genus, value in violations
+                [genus, realgw.series.format_rational(value)]
+                for genus, value in violations
             ],
         }
     )
@@ -315,25 +328,27 @@ def _cmd_invert(args) -> int:
 
 
 def _parse_seed_range(text: str) -> range:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        try:
-            seeds = range(int(lo), int(hi) + 1)
-        except ValueError:
-            raise ValueError(f"--seeds must look like A..B, got {text!r}")
-    else:
-        try:
-            seeds = range(1, int(text) + 1)
-        except ValueError:
-            raise ValueError(f"--seeds must look like A..B or N, got {text!r}")
-    if not seeds:
+    lo, dots, hi = text.partition("..")
+    if not dots:
+        lo, hi = "1", text
+    # ASCII digits only: int() alone also takes "1_000" and Unicode digits.
+    if not all(part.isascii() and part.isdigit() for part in (lo, hi)):
+        shape = "A..B" if dots else "A..B or N"
+        raise ValueError(f"--seeds must look like {shape} (ASCII digits), got {text!r}")
+    first, last = int(lo), int(hi)
+    if last < first:
         raise ValueError(f"--seeds range {text!r} is empty")
-    return seeds
+    if last - first + 1 > realgw.graphs.MAX_SEEDS:
+        raise ValueError(
+            f"--seeds range {text!r} names {last - first + 1} seeds; "
+            f"at most {realgw.graphs.MAX_SEEDS} are allowed"
+        )
+    return range(first, last + 1)
 
 
-def _bounds_from_kv(text: str | None) -> graphs.GraphBounds:
+def _bounds_from_kv(text: str | None) -> realgw.graphs.GraphBounds:
     raw = _parse_kv(text, "--bounds")
-    fields = {f for f in graphs.GraphBounds.__dataclass_fields__}
+    fields = {f for f in realgw.graphs.GraphBounds.__dataclass_fields__}
     kwargs = {}
     for key, value in raw.items():
         if key not in fields:
@@ -344,12 +359,12 @@ def _bounds_from_kv(text: str | None) -> graphs.GraphBounds:
             kwargs[key] = int(value)
         except ValueError:
             raise ValueError(f"bound {key} must be an integer, got {value!r}")
-    return graphs.GraphBounds(**kwargs)
+    return realgw.graphs.GraphBounds(**kwargs)
 
 
-def _check_one_graph(graph: graphs.DecoratedGraph) -> dict:
-    result = graphs.congruence_identity_check(graph)
-    g, d = graphs.derive_genus_degree(graph)
+def _check_one_graph(graph: realgw.graphs.DecoratedGraph) -> dict:
+    result = realgw.graphs.congruence_identity_check(graph)
+    g, d = realgw.graphs.derive_genus_degree(graph)
     return {
         "holds": result.holds,
         "lhs": result.lhs,
@@ -362,18 +377,18 @@ def _check_one_graph(graph: graphs.DecoratedGraph) -> dict:
 def _cmd_graph_check(args) -> int:
     if args.infile:
         doc = _read_input_doc(args)
-        graph = graphs.graph_from_json_dict(doc)
+        graph = realgw.graphs.graph_from_json_dict(doc)
         outcome = _check_one_graph(graph)
         _emit(outcome)
-        return 0 if outcome["holds"] else 1
+        return 0 if outcome["holds"] else EXIT_CHECK_FAILED
 
     seeds = _parse_seed_range(args.seeds)
     bounds = _bounds_from_kv(args.bounds)
     passed = failed = 0
     first_counterexample = None
     for seed in seeds:
-        graph = graphs.generate_random_graph(seed, bounds)
-        result = graphs.congruence_identity_check(graph)
+        graph = realgw.graphs.generate_random_graph(seed, bounds)
+        result = realgw.graphs.congruence_identity_check(graph)
         if result.holds:
             passed += 1
         else:
@@ -383,7 +398,7 @@ def _cmd_graph_check(args) -> int:
                     "seed": seed,
                     "lhs": result.lhs,
                     "rhs": result.rhs,
-                    "graph": graphs.graph_to_json_dict(graph),
+                    "graph": realgw.graphs.graph_to_json_dict(graph),
                 }
     _emit(
         {
@@ -393,21 +408,36 @@ def _cmd_graph_check(args) -> int:
             "first_counterexample": first_counterexample,
         }
     )
-    return 0 if failed == 0 else 1
+    return 0 if failed == 0 else EXIT_CHECK_FAILED
 
 
 def _cmd_verify(args) -> int:
     if args.identity and args.all:
         raise ValueError("pass either --all or one identity id, not both")
     identity_ids = None if (args.all or not args.identity) else [args.identity]
-    reports = verify.run_checks(identity_ids)
+    reports = realgw.verify.run_checks(identity_ids)
     _emit([r.to_json_dict() for r in reports])
-    return 0 if all(r.holds for r in reports) else 1
+    return 0 if all(r.holds for r in reports) else EXIT_CHECK_FAILED
 
 
 def _cmd_schema(args) -> int:
     _emit(schemas.SCHEMAS[args.kind])
     return 0
+
+
+class _VerifyHelp(argparse.Action):
+    """``verify -h``: fills in the identity ids, which live in realgw.verify,
+    only when the help is printed, so other subcommands never import it."""
+
+    def __init__(self, option_strings, dest, identity, help=None):
+        super().__init__(option_strings, dest=argparse.SUPPRESS,
+                         default=argparse.SUPPRESS, nargs=0, help=help)
+        self.identity = identity
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        self.identity.help = ", ".join(realgw.verify.ALL_CHECKS)
+        parser.print_help()
+        parser.exit()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,9 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_graph_check)
 
-    p = sub.add_parser("verify", help="run the derivation identity suite")
-    p.add_argument("identity", nargs="?", default=None,
-                   help=", ".join(verify.ALL_CHECKS))
+    p = sub.add_parser(
+        "verify", help="run the derivation identity suite", add_help=False
+    )
+    identity = p.add_argument("identity", nargs="?", default=None)
+    p.add_argument("-h", "--help", action=_VerifyHelp, identity=identity,
+                   help="show this help message and exit")
     p.add_argument("--all", action="store_true", help="run every identity")
     p.set_defaults(func=_cmd_verify)
 

@@ -33,6 +33,10 @@ from fractions import Fraction
 from math import comb, floor
 
 
+# Most seeds one ``graph-check --seeds`` run may name.
+MAX_SEEDS = 10**6
+
+
 class GraphError(ValueError):
     """A malformed graph or a violated precondition."""
 
@@ -440,7 +444,32 @@ def graph_to_json_dict(graph: DecoratedGraph) -> dict:
     }
 
 
+def _json_int(value, where: str) -> int:
+    # type() and not int(): int() truncates 1.5 and parses "1", and a JSON
+    # boolean is a Python int.
+    if type(value) is not int:
+        raise GraphError(f"{where} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_bool(value, where: str) -> bool:
+    if type(value) is not bool:
+        raise GraphError(f"{where} must be a JSON boolean, got {value!r}")
+    return value
+
+
+def _json_ends(value, where: str) -> tuple[int, int]:
+    if type(value) is not list or len(value) != 2:
+        raise GraphError(f"{where} must list exactly two vertex indices, got {value!r}")
+    return (_json_int(value[0], f"{where}[0]"), _json_int(value[1], f"{where}[1]"))
+
+
 def graph_from_json_dict(doc: dict) -> DecoratedGraph:
+    """Parse a graph document as ``graph_to_json_dict`` writes it.
+
+    Every integer field must be a JSON integer and ``sminus`` a JSON
+    boolean; anything else is a GraphError, never truncated or coerced.
+    """
     try:
         phi_kind = InvolutionKind(doc["phi"])
     except (KeyError, ValueError):
@@ -449,13 +478,17 @@ def graph_from_json_dict(doc: dict) -> DecoratedGraph:
         vertices = tuple(
             GraphVertex(
                 id=i,
-                genus_label=int(v["genus"]),
-                theta=int(v["theta"]),
+                genus_label=_json_int(v["genus"], f"vertices[{i}].genus"),
+                theta=_json_int(v["theta"], f"vertices[{i}].theta"),
                 flags=tuple(
                     FlagDecoration(
-                        b=int(f["b"]), p=int(f["p"]), in_s_minus=bool(f["sminus"])
+                        b=_json_int(f["b"], f"vertices[{i}].flags[{j}].b"),
+                        p=_json_int(f["p"], f"vertices[{i}].flags[{j}].p"),
+                        in_s_minus=_json_bool(
+                            f["sminus"], f"vertices[{i}].flags[{j}].sminus"
+                        ),
                     )
-                    for f in v.get("flags", [])
+                    for j, f in enumerate(v.get("flags", []))
                 ),
             )
             for i, v in enumerate(doc["vertices"])
@@ -464,17 +497,17 @@ def graph_from_json_dict(doc: dict) -> DecoratedGraph:
             GraphEdge(
                 id=i,
                 kind=EdgeKind(e["kind"]),
-                degree=int(e["degree"]),
-                ends=(int(e["ends"][0]), int(e["ends"][1])),
+                degree=_json_int(e["degree"], f"edges[{i}].degree"),
+                ends=_json_ends(e["ends"], f"edges[{i}].ends"),
             )
             for i, e in enumerate(doc["edges"])
         )
         return DecoratedGraph(
             vertices=vertices,
             edges=edges,
-            n=int(doc["n"]),
-            a=tuple(int(x) for x in doc.get("a", [])),
+            n=_json_int(doc["n"], "n"),
+            a=tuple(_json_int(x, f"a[{i}]") for i, x in enumerate(doc.get("a", []))),
             phi_kind=phi_kind,
         )
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph document: {exc!r}")

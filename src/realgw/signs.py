@@ -8,6 +8,12 @@ every such comparison as a total pure predicate returning a
 :class:`Comparison` -- ``preserves`` means the two orientations agree (the
 relevant diagram commutes), and ``sign`` is the derived +-1 factor.
 
+Each predicate ``p`` is a wrapper around its kernel ``p_exponent``, which
+takes the same arguments, makes the same checks and returns an int whose
+parity is the flip bit: the sign is (-1)**exponent, and 0 means the
+orientations agree.  The wrapper adds only the evaluated ``condition``
+text, so each comparison has one formula; sweeps call the kernels.
+
 Two stabilization routes orient the moduli side: PROJECTION stabilizes by
 the summand pair L + conj(L)-bar with its projection orientation, CANONICAL
 by the doubled pair 2L with its canonical orientation (available only when
@@ -75,9 +81,20 @@ class Comparison:
         return 1 if self.preserves else -1
 
 
+def _cmp(value: int, condition: str) -> Comparison:
+    """Wrap a kernel value: an even value means the orientations agree."""
+    return Comparison(value % 2 == 0, condition)
+
+
 def _parity_cmp(value: int, formula: str) -> Comparison:
     word = "even" if value % 2 == 0 else "odd"
-    return Comparison(value % 2 == 0, f"{formula} = {value} is {word}")
+    return _cmp(value, f"{formula} = {value} is {word}")
+
+
+def _constant_cmp(value: int, note: str = "") -> Comparison:
+    """Wrap a kernel that is constant on the chosen branch."""
+    word = "always preserves" if value % 2 == 0 else "always flips"
+    return _cmp(value, word + note)
 
 
 def _require_rank(k: int) -> None:
@@ -101,15 +118,26 @@ def cr_index(g: int, k: int, d: int) -> int:
     return (1 - g) * k + d
 
 
+def cvc_parity_exponent(g: int, k: int, d: int) -> int:
+    """Kernel of :func:`cvc_parity`: ind(ind-1)/2."""
+    ind = cr_index(g, k, d)
+    return ind * (ind - 1) // 2
+
+
 def cvc_parity(g: int, k: int, d: int) -> Comparison:
     """Canonical (doubled-pair) vs projection orientation on the determinant.
 
     Agrees iff ind(ind-1)/2 is even, where ind = (1-g)k + d.
     """
-    ind = cr_index(g, k, d)
+    value = cvc_parity_exponent(g, k, d)
     return _parity_cmp(
-        ind * (ind - 1) // 2, f"ind(ind-1)/2 with ind=(1-g)k+d={ind}"
+        value, f"ind(ind-1)/2 with ind=(1-g)k+d={cr_index(g, k, d)}"
     )
+
+
+def conj_pullback_parity_exponent(g: int, k: int, d: int) -> int:
+    """Kernel of :func:`conj_pullback_parity`: the index."""
+    return cr_index(g, k, d)
 
 
 def conj_pullback_parity(g: int, k: int, d: int) -> Comparison:
@@ -117,8 +145,17 @@ def conj_pullback_parity(g: int, k: int, d: int) -> Comparison:
 
     Agrees iff the index (1-g)k + d is even.
     """
-    ind = cr_index(g, k, d)
-    return _parity_cmp(ind, "ind=(1-g)k+d")
+    return _parity_cmp(conj_pullback_parity_exponent(g, k, d), "ind=(1-g)k+d")
+
+
+def union_determinant_exponent(
+    g1: int, g2: int, k: int, d1: int, d2: int, route: Route
+) -> int:
+    """Kernel of :func:`union_determinant`: 0 or ind1*ind2."""
+    _require_rank(k)
+    if route is Route.PROJECTION:
+        return 0
+    return cr_index(g1, k, d1) * cr_index(g2, k, d2)
 
 
 def union_determinant(
@@ -129,12 +166,20 @@ def union_determinant(
     Projection orientations always survive the split; canonical orientations
     survive iff the product of the two component indices is even.
     """
-    _require_rank(k)
+    value = union_determinant_exponent(g1, g2, k, d1, d2, route)
     if route is Route.PROJECTION:
-        return Comparison(True, "always preserves")
+        return _constant_cmp(value)
     ind1 = cr_index(g1, k, d1)
     ind2 = cr_index(g2, k, d2)
-    return _parity_cmp(ind1 * ind2, f"ind1*ind2 with ind1={ind1}, ind2={ind2}")
+    return _parity_cmp(value, f"ind1*ind2 with ind1={ind1}, ind2={ind2}")
+
+
+def doublet_determinant_exponent(g: int, k: int, d2: int, route: Route) -> int:
+    """Kernel of :func:`doublet_determinant`: (1-g)k + d2 or 0."""
+    _require_rank(k)
+    if route is Route.CANONICAL:
+        return 0
+    return (1 - g) * k + d2
 
 
 def doublet_determinant(g: int, k: int, d2: int, route: Route) -> Comparison:
@@ -144,11 +189,18 @@ def doublet_determinant(g: int, k: int, d2: int, route: Route) -> Comparison:
     the other half); canonical vs complex (which presumes a conjugation lift
     on the bundle) agrees unconditionally.
     """
+    value = doublet_determinant_exponent(g, k, d2, route)
+    if route is Route.CANONICAL:
+        return _constant_cmp(value)
+    return _parity_cmp(value, "(1-g)k+d2")
+
+
+def conj_node_determinant_exponent(k: int, route: Route) -> int:
+    """Kernel of :func:`conj_node_determinant`: the rank or 0."""
     _require_rank(k)
     if route is Route.CANONICAL:
-        return Comparison(True, "always preserves")
-    ind = (1 - g) * k + d2
-    return _parity_cmp(ind, "(1-g)k+d2")
+        return 0
+    return k
 
 
 def conj_node_determinant(k: int, route: Route) -> Comparison:
@@ -157,10 +209,18 @@ def conj_node_determinant(k: int, route: Route) -> Comparison:
     Projection orientations survive iff the rank is even; canonical
     orientations always survive.
     """
-    _require_rank(k)
+    value = conj_node_determinant_exponent(k, route)
     if route is Route.CANONICAL:
-        return Comparison(True, "always preserves")
-    return _parity_cmp(k, "rank k")
+        return _constant_cmp(value)
+    return _parity_cmp(value, "rank k")
+
+
+def e_node_determinant_exponent(g: int, k: int, d: int, route: Route) -> int:
+    """Kernel of :func:`e_node_determinant`: k or k(g+d)."""
+    _require_rank(k)
+    if route is Route.PROJECTION:
+        return k
+    return k * (g + d)
 
 
 def e_node_determinant(g: int, k: int, d: int, route: Route) -> Comparison:
@@ -169,44 +229,85 @@ def e_node_determinant(g: int, k: int, d: int, route: Route) -> Comparison:
     Projection orientations survive iff the rank k is even; canonical
     orientations survive iff k(g + d) is even.
     """
-    _require_rank(k)
+    value = e_node_determinant_exponent(g, k, d, route)
     if route is Route.PROJECTION:
-        return _parity_cmp(k, "rank k")
-    return _parity_cmp(k * (g + d), f"k(g+d) with g+d={g + d}")
+        return _parity_cmp(value, "rank k")
+    return _parity_cmp(value, f"k(g+d) with g+d={g + d}")
 
 
 # --- comparisons of the orientations induced by a real orientation ---
 
 
+def union_induced_exponent(g1: int, g2: int, d1: int, d2: int, route: Route) -> int:
+    """Kernel of :func:`union_induced`."""
+    base = (g1 - 1) * (g2 - 1)
+    if route is Route.PROJECTION:
+        return base
+    return base + (g1 - 1 + d1) * (g2 - 1 + d2)
+
+
 def union_induced(g1: int, g2: int, d1: int, d2: int, route: Route) -> Comparison:
     """Induced-orientation analogue of the disjoint-union split."""
+    value = union_induced_exponent(g1, g2, d1, d2, route)
     if route is Route.PROJECTION:
-        return _parity_cmp(
-            (g1 - 1) * (g2 - 1), f"(g1-1)(g2-1) = ({g1 - 1})({g2 - 1})"
-        )
-    value = (g1 - 1) * (g2 - 1) + (g1 - 1 + d1) * (g2 - 1 + d2)
+        return _parity_cmp(value, f"(g1-1)(g2-1) = ({g1 - 1})({g2 - 1})")
     return _parity_cmp(value, "(g1-1)(g2-1) + (g1-1+d1)(g2-1+d2)")
+
+
+def doublet_induced_exponent(g: int, d2: int, route: Route) -> int:
+    """Kernel of :func:`doublet_induced`: g-1+d2 or 0."""
+    if route is Route.CANONICAL:
+        return 0
+    return g - 1 + d2
 
 
 def doublet_induced(g: int, d2: int, route: Route) -> Comparison:
     """Induced vs complex orientation when restricting a doublet to a half."""
+    value = doublet_induced_exponent(g, d2, route)
     if route is Route.CANONICAL:
-        return Comparison(True, "always preserves")
-    return _parity_cmp(g - 1 + d2, "g-1+d2")
+        return _constant_cmp(value)
+    return _parity_cmp(value, "g-1+d2")
+
+
+def conj_node_induced_exponent(route: Route) -> int:
+    """Kernel of :func:`conj_node_induced`: 1 on the projection route."""
+    return 1 if route is Route.PROJECTION else 0
 
 
 def conj_node_induced(route: Route) -> Comparison:
     """Induced orientations across a conjugate-pair normalization square."""
+    return _constant_cmp(conj_node_induced_exponent(route))
+
+
+def e_node_induced_exponent(g: int, d: int, route: Route) -> int:
+    """Kernel of :func:`e_node_induced`: g-1 or d."""
     if route is Route.PROJECTION:
-        return Comparison(False, "always flips")
-    return Comparison(True, "always preserves")
+        return g - 1
+    return d
 
 
 def e_node_induced(g: int, d: int, route: Route) -> Comparison:
     """Induced orientations across an isolated-real-node normalization."""
+    value = e_node_induced_exponent(g, d, route)
     if route is Route.PROJECTION:
-        return _parity_cmp(g - 1, "g-1")
-    return _parity_cmp(d, "deg d")
+        return _parity_cmp(value, "g-1")
+    return _parity_cmp(value, "deg d")
+
+
+def relspin_determinant_exponent(deg_v: int, variant: RelSpinVariant) -> int:
+    """Kernel of :func:`relspin_determinant`: 0 where the orientations
+    agree, 1 where they differ."""
+    _require_even("deg V", deg_v)
+    if variant is RelSpinVariant.RELSPIN_VS_PROJECTION:
+        return 0 if deg_v % 4 == 0 else 1
+    if variant is RelSpinVariant.RELSPIN_VS_CANONICAL:
+        return 0 if deg_v % 8 in (0, 6) else 1
+    if deg_v % 4 != 0:
+        raise ValueError(
+            "spin-vs-canonical comparison is only stated for deg V in 4Z, "
+            f"got {deg_v}"
+        )
+    return 0
 
 
 def relspin_determinant(deg_v: int, variant: RelSpinVariant) -> Comparison:
@@ -217,37 +318,54 @@ def relspin_determinant(deg_v: int, variant: RelSpinVariant) -> Comparison:
     0 or 6.  The plain-spin comparison is stated only for deg V in 4Z, where
     it matches the canonical-route orientation.
     """
-    _require_even("deg V", deg_v)
+    value = relspin_determinant_exponent(deg_v, variant)
     if variant is RelSpinVariant.RELSPIN_VS_PROJECTION:
-        r = deg_v % 4
-        return Comparison(r == 0, f"deg V = {deg_v} is {r} mod 4 (agree iff 0)")
+        return _cmp(value, f"deg V = {deg_v} is {deg_v % 4} mod 4 (agree iff 0)")
     if variant is RelSpinVariant.RELSPIN_VS_CANONICAL:
-        r = deg_v % 8
-        return Comparison(
-            r in (0, 6), f"deg V = {deg_v} is {r} mod 8 (agree iff 0 or 6)"
+        return _cmp(
+            value, f"deg V = {deg_v} is {deg_v % 8} mod 8 (agree iff 0 or 6)"
         )
-    if deg_v % 4 != 0:
-        raise ValueError(
-            "spin-vs-canonical comparison is only stated for deg V in 4Z, "
-            f"got {deg_v}"
-        )
-    return Comparison(True, "always preserves (deg V in 4Z)")
+    return _constant_cmp(value, " (deg V in 4Z)")
+
+
+def union_moduli_exponent(
+    n: int, g1: int, g2: int, c1b1: int, c1b2: int, route: Route
+) -> int:
+    """Kernel of :func:`union_moduli`."""
+    _require_odd_dim(n)
+    _require_even("c1B1", c1b1)
+    _require_even("c1B2", c1b2)
+    base = (n - 1) * (g1 - 1) * (g2 - 1) // 2
+    if route is Route.PROJECTION:
+        return base
+    return base + (g1 - 1 + c1b1 // 2) * (g2 - 1 + c1b2 // 2)
 
 
 def union_moduli(
     n: int, g1: int, g2: int, c1b1: int, c1b2: int, route: Route
 ) -> Comparison:
     """Moduli-space product orientation vs the disjoint-union orientation."""
-    _require_odd_dim(n)
-    _require_even("c1B1", c1b1)
-    _require_even("c1B2", c1b2)
-    base = (n - 1) * (g1 - 1) * (g2 - 1) // 2
+    value = union_moduli_exponent(n, g1, g2, c1b1, c1b2, route)
     if route is Route.PROJECTION:
-        return _parity_cmp(base, "(n-1)(g1-1)(g2-1)/2")
-    value = base + (g1 - 1 + c1b1 // 2) * (g2 - 1 + c1b2 // 2)
+        return _parity_cmp(value, "(n-1)(g1-1)(g2-1)/2")
     return _parity_cmp(
         value, "(n-1)(g1-1)(g2-1)/2 + (g1-1+c1B1/2)(g2-1+c1B2/2)"
     )
+
+
+def doublet_moduli_exponent(
+    g: int, s_minus: int, route: Route, c1l_phi_b: int | None = None
+) -> int:
+    """Kernel of :func:`doublet_moduli`."""
+    if s_minus < 0:
+        raise ValueError(f"|S^-| must be >= 0, got {s_minus}")
+    if route is Route.PROJECTION:
+        if c1l_phi_b is None:
+            raise ValueError(
+                "projection-route doubling comparison needs c1l_phi_b"
+            )
+        return c1l_phi_b + s_minus
+    return g - 1 + s_minus
 
 
 def doublet_moduli(
@@ -259,30 +377,57 @@ def doublet_moduli(
     count |S^-| of negatively-doubled marked points; the canonical route
     needs only the genus and |S^-|.
     """
-    if s_minus < 0:
-        raise ValueError(f"|S^-| must be >= 0, got {s_minus}")
+    value = doublet_moduli_exponent(g, s_minus, route, c1l_phi_b)
     if route is Route.PROJECTION:
-        if c1l_phi_b is None:
-            raise ValueError(
-                "projection-route doubling comparison needs c1l_phi_b"
-            )
-        return _parity_cmp(c1l_phi_b + s_minus, "<c1(L),phi_*B> + |S^-|")
-    return _parity_cmp(g - 1 + s_minus, "(g-1) + |S^-|")
+        return _parity_cmp(value, "<c1(L),phi_*B> + |S^-|")
+    return _parity_cmp(value, "(g-1) + |S^-|")
+
+
+def conj_node_moduli_exponent(route: Route) -> int:
+    """Kernel of :func:`conj_node_moduli`: 1 on the canonical route."""
+    return 0 if route is Route.PROJECTION else 1
 
 
 def conj_node_moduli(route: Route) -> Comparison:
     """Intrinsic vs pullback orientation on the conjugate-pair-node stratum."""
+    return _constant_cmp(conj_node_moduli_exponent(route))
+
+
+def e_node_moduli_exponent(g: int, c1b: int, route: Route) -> int:
+    """Kernel of :func:`e_node_moduli`: 1 or g + c1B/2."""
+    _require_even("c1B", c1b)
     if route is Route.PROJECTION:
-        return Comparison(True, "always preserves")
-    return Comparison(False, "always flips")
+        return 1
+    return g + c1b // 2
 
 
 def e_node_moduli(g: int, c1b: int, route: Route) -> Comparison:
     """Intrinsic vs pullback orientation on the isolated-real-node stratum."""
-    _require_even("c1B", c1b)
+    value = e_node_moduli_exponent(g, c1b, route)
     if route is Route.PROJECTION:
-        return Comparison(False, "always flips")
-    return _parity_cmp(g + c1b // 2, "g + c1B/2")
+        return _constant_cmp(value)
+    return _parity_cmp(value, "g + c1B/2")
+
+
+def relspin_moduli_exponent(
+    c1b: int,
+    variant: RelSpinVariant,
+    orientable_fixed_line: bool = False,
+) -> int:
+    """Kernel of :func:`relspin_moduli`: 0 where the orientations agree,
+    1 where they differ."""
+    _require_even("c1B", c1b)
+    if variant is RelSpinVariant.RELSPIN_VS_PROJECTION:
+        return 0 if c1b % 4 != 0 else 1
+    if variant is RelSpinVariant.RELSPIN_VS_CANONICAL:
+        return 0 if c1b % 8 in (2, 4) else 1
+    if not orientable_fixed_line:
+        raise ValueError(
+            "spin-vs-canonical moduli comparison is only stated when the "
+            "fixed-locus line bundle is orientable; pass "
+            "orientable_fixed_line=True to assert it"
+        )
+    return 1
 
 
 def relspin_moduli(
@@ -296,22 +441,23 @@ def relspin_moduli(
     orienting line bundle is orientable; pass ``orientable_fixed_line=True``
     to assert that hypothesis (the comparison is an unconditional flip).
     """
-    _require_even("c1B", c1b)
+    value = relspin_moduli_exponent(c1b, variant, orientable_fixed_line)
     if variant is RelSpinVariant.RELSPIN_VS_PROJECTION:
-        r = c1b % 4
-        return Comparison(r != 0, f"<c1,B> = {c1b} is {r} mod 4 (agree iff nonzero)")
+        return _cmp(
+            value, f"<c1,B> = {c1b} is {c1b % 4} mod 4 (agree iff nonzero)"
+        )
     if variant is RelSpinVariant.RELSPIN_VS_CANONICAL:
-        r = c1b % 8
-        return Comparison(
-            r in (2, 4), f"<c1,B> = {c1b} is {r} mod 8 (agree iff 2 or 4)"
+        return _cmp(
+            value, f"<c1,B> = {c1b} is {c1b % 8} mod 8 (agree iff 2 or 4)"
         )
-    if not orientable_fixed_line:
-        raise ValueError(
-            "spin-vs-canonical moduli comparison is only stated when the "
-            "fixed-locus line bundle is orientable; pass "
-            "orientable_fixed_line=True to assert it"
-        )
-    return Comparison(False, "always flips (orientable fixed-locus bundle)")
+    return _constant_cmp(value, " (orientable fixed-locus bundle)")
+
+
+def forget_boundary_sign_exponent(node_side: str, route: Route) -> int:
+    """Kernel of :func:`forget_boundary_sign`: 1 on the minus side."""
+    if node_side not in ("plus", "minus"):
+        raise ValueError(f"node_side must be 'plus' or 'minus', got {node_side!r}")
+    return 0 if node_side == "plus" else 1
 
 
 def forget_boundary_sign(node_side: str, route: Route) -> Comparison:
@@ -320,11 +466,9 @@ def forget_boundary_sign(node_side: str, route: Route) -> Comparison:
     +1 when the ghost bubble carries the plus point of the forgotten pair,
     -1 when it carries the minus point; identical on both routes.
     """
-    if node_side not in ("plus", "minus"):
-        raise ValueError(f"node_side must be 'plus' or 'minus', got {node_side!r}")
-    if node_side == "plus":
-        return Comparison(True, "sign +1 for the plus side")
-    return Comparison(False, "sign -1 for the minus side")
+    value = forget_boundary_sign_exponent(node_side, route)
+    sign = "+1" if value % 2 == 0 else "-1"
+    return _cmp(value, f"sign {sign} for the {node_side} side")
 
 
 # --- dimension, twisting, existence and parity facts ---

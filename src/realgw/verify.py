@@ -5,9 +5,13 @@ induced-orientation condition must equal an XOR of determinant-level
 conditions, the two relative-spin comparisons are linked through the
 canonical-vs-projection parity, and the sin and sinh cover coefficients
 differ by (-1)^g.  Each derivation chain that closes at the integer level
-is encoded here as an identity and swept over a default grid; the two
-sides are always evaluated through their own public predicates, never by
-rewriting one into the other.  An empty failure list on the default grid is the regression
+is encoded here as an identity and swept over a default grid.  The sweeps
+evaluate the predicates' int kernels (``signs.<predicate>_exponent``, whose
+parity is the flip bit) rather than building ``Comparison`` objects; a
+predicate's answer is its kernel's parity, so the verdicts are the same.
+The two sides are always evaluated through their own public kernels, never
+by rewriting one into the other, and an XOR of flips is the parity of a sum
+of exponents.  An empty failure list on the default grid is the regression
 contract for the sign calculus.
 """
 
@@ -20,13 +24,13 @@ from .multicover import Convention, multicover_coefficient
 from .signs import (
     RelSpinVariant,
     Route,
-    cvc_parity,
-    doublet_determinant,
-    e_node_induced,
-    e_node_determinant,
-    relspin_determinant,
-    union_induced,
-    union_determinant,
+    cvc_parity_exponent,
+    doublet_determinant_exponent,
+    e_node_determinant_exponent,
+    e_node_induced_exponent,
+    relspin_determinant_exponent,
+    union_determinant_exponent,
+    union_induced_exponent,
 )
 
 # Default sweep ranges: every parity residue mod 2, 4 and 8 is hit
@@ -55,10 +59,6 @@ class IdentityReport:
             "holds": self.holds,
             "failures": [list(f) for f in self.failures],
         }
-
-
-def _flip(comparison) -> int:
-    return 0 if comparison.preserves else 1
 
 
 def check_binomial_parity(
@@ -94,14 +94,14 @@ def check_union_canonical_vs_cvc(
     grid = list(grid)
     failures = []
     for g1, g2, k, d1, d2 in grid:
-        direct = _flip(union_determinant(g1, g2, k, d1, d2, Route.CANONICAL))
+        direct = union_determinant_exponent(g1, g2, k, d1, d2, Route.CANONICAL)
         # The union surface has genus g1 + g2 - 1 and degree d1 + d2.
         combined = (
-            _flip(cvc_parity(g1 + g2 - 1, k, d1 + d2))
-            ^ _flip(cvc_parity(g1, k, d1))
-            ^ _flip(cvc_parity(g2, k, d2))
+            cvc_parity_exponent(g1 + g2 - 1, k, d1 + d2)
+            + cvc_parity_exponent(g1, k, d1)
+            + cvc_parity_exponent(g2, k, d2)
         )
-        if direct != combined:
+        if (direct - combined) % 2:
             failures.append((g1, g2, k, d1, d2))
     return IdentityReport("union_canonical_vs_cvc", len(grid), tuple(failures))
 
@@ -116,9 +116,9 @@ def check_doublet_vs_cvc(
     grid = list(grid)
     failures = []
     for g, d in grid:
-        lhs = _flip(doublet_determinant(g, 1, d, Route.PROJECTION))
-        rhs = _flip(cvc_parity(2 * g - 1, 1, 2 * d))
-        if lhs != rhs:
+        lhs = doublet_determinant_exponent(g, 1, d, Route.PROJECTION)
+        rhs = cvc_parity_exponent(2 * g - 1, 1, 2 * d)
+        if (lhs - rhs) % 2:
             failures.append((g, d))
     return IdentityReport("doublet_vs_cvc", len(grid), tuple(failures))
 
@@ -131,11 +131,13 @@ def check_relspin_mod8(degrees: Iterable[int] | None = None) -> IdentityReport:
     degrees = list(degrees)
     failures = []
     for deg_v in degrees:
-        lhs = _flip(relspin_determinant(deg_v, RelSpinVariant.RELSPIN_VS_PROJECTION))
-        rhs = _flip(
-            relspin_determinant(deg_v, RelSpinVariant.RELSPIN_VS_CANONICAL)
-        ) ^ _flip(cvc_parity(0, 1, -deg_v // 2))
-        if lhs != rhs:
+        lhs = relspin_determinant_exponent(
+            deg_v, RelSpinVariant.RELSPIN_VS_PROJECTION
+        )
+        rhs = relspin_determinant_exponent(
+            deg_v, RelSpinVariant.RELSPIN_VS_CANONICAL
+        ) + cvc_parity_exponent(0, 1, -deg_v // 2)
+        if (lhs - rhs) % 2:
             failures.append((deg_v,))
     return IdentityReport("relspin_mod8", len(degrees), tuple(failures))
 
@@ -157,18 +159,20 @@ def check_union_induced_vs_determinant(
     grid = list(grid)
     failures = []
     for g1, g2, d1, d2 in grid:
-        trivial = _flip(union_determinant(g1, g2, 1, 0, 0, Route.CANONICAL))
-        proj = _flip(union_induced(g1, g2, d1, d2, Route.PROJECTION))
+        trivial = union_determinant_exponent(g1, g2, 1, 0, 0, Route.CANONICAL)
+        proj = union_induced_exponent(g1, g2, d1, d2, Route.PROJECTION)
         proj_expected = (
-            _flip(union_determinant(g1, g2, 1, -d1, -d2, Route.PROJECTION)) ^ trivial
+            union_determinant_exponent(g1, g2, 1, -d1, -d2, Route.PROJECTION)
+            + trivial
         )
-        if proj != proj_expected:
+        if (proj - proj_expected) % 2:
             failures.append((g1, g2, d1, d2, "projection"))
-        can = _flip(union_induced(g1, g2, d1, d2, Route.CANONICAL))
+        can = union_induced_exponent(g1, g2, d1, d2, Route.CANONICAL)
         can_expected = (
-            _flip(union_determinant(g1, g2, 1, -d1, -d2, Route.CANONICAL)) ^ trivial
+            union_determinant_exponent(g1, g2, 1, -d1, -d2, Route.CANONICAL)
+            + trivial
         )
-        if can != can_expected:
+        if (can - can_expected) % 2:
             failures.append((g1, g2, d1, d2, "canonical"))
     return IdentityReport("union_induced_vs_determinant", len(grid), tuple(failures))
 
@@ -185,14 +189,18 @@ def check_e_node_induced_vs_determinant(
     grid = list(grid)
     failures = []
     for g, d in grid:
-        trivial = _flip(e_node_determinant(g, 1, 0, Route.CANONICAL))
-        proj = _flip(e_node_induced(g, d, Route.PROJECTION))
-        proj_expected = _flip(e_node_determinant(g, 1, -d, Route.PROJECTION)) ^ trivial
-        if proj != proj_expected:
+        trivial = e_node_determinant_exponent(g, 1, 0, Route.CANONICAL)
+        proj = e_node_induced_exponent(g, d, Route.PROJECTION)
+        proj_expected = (
+            e_node_determinant_exponent(g, 1, -d, Route.PROJECTION) + trivial
+        )
+        if (proj - proj_expected) % 2:
             failures.append((g, d, "projection"))
-        can = _flip(e_node_induced(g, d, Route.CANONICAL))
-        can_expected = _flip(e_node_determinant(g, 1, -d, Route.CANONICAL)) ^ trivial
-        if can != can_expected:
+        can = e_node_induced_exponent(g, d, Route.CANONICAL)
+        can_expected = (
+            e_node_determinant_exponent(g, 1, -d, Route.CANONICAL) + trivial
+        )
+        if (can - can_expected) % 2:
             failures.append((g, d, "canonical"))
     return IdentityReport("e_node_induced_vs_determinant", len(grid), tuple(failures))
 

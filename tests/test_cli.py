@@ -1,11 +1,18 @@
 """CLI contract: JSON output shapes, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from realgw.cli import main
+import realgw
+from realgw.cli import EXIT_CHECK_FAILED, _parse_seed_range, main
+from realgw.graphs import MAX_SEEDS, CongruenceResult
 from realgw.multicover import MAX_GENUS
+from realgw.verify import IdentityReport
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -168,6 +175,15 @@ class TestTransformInvert:
         assert "cannot read input" in json.loads(err)["error"]
 
 
+VALID_GRAPH = {
+    "n": 5,
+    "a": [5],
+    "phi": "tau",
+    "vertices": [{"genus": 0, "theta": 1, "flags": [{"b": 0, "p": 0, "sminus": False}]}],
+    "edges": [{"kind": "real", "degree": 1, "ends": [0, 0]}],
+}
+
+
 class TestGraphCheck:
     def test_seed_sweep(self, capsys):
         code, out, _ = run_cli(capsys, ["graph-check", "--seeds", "1..40"])
@@ -183,11 +199,76 @@ class TestGraphCheck:
         assert code == 0
         assert json.loads(out)["passed"] == 10
 
-    @pytest.mark.parametrize("seeds", ["5..1", "0", "1..x", "many"])
+    @pytest.mark.parametrize(
+        "seeds",
+        ["5..1", "0", "1..x", "many", "\u0661..\u0663", "\u0663", "1_000",
+         "1..1_000", "3..-5", "+1..5", " 1..5", "1..2..3", "..5", "1..",
+         f"1..{MAX_SEEDS + 1}", f"{MAX_SEEDS + 1}", f"7..{MAX_SEEDS + 7}", "1.." + "9" * 40],
+    )
     def test_bad_seed_range(self, capsys, seeds):
         code, out, err = run_cli(capsys, ["graph-check", "--seeds", seeds])
         assert code == 1 and out == ""
         assert "--seeds" in json.loads(err)["error"]
+
+    def test_seed_range_limit(self):
+        assert len(_parse_seed_range(f"1..{MAX_SEEDS}")) == MAX_SEEDS
+        assert len(_parse_seed_range(f"{MAX_SEEDS}")) == MAX_SEEDS
+        assert _parse_seed_range("0..0") == range(0, 1)
+        assert _parse_seed_range("10000001..10001000") == range(10000001, 10001001)
+        with pytest.raises(ValueError, match="ASCII digits"):
+            _parse_seed_range("-3..5")
+
+    def test_oversized_range_generates_no_graph(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph was generated")
+
+        monkeypatch.setattr(realgw.graphs, "generate_random_graph", refuse)
+        code, out, err = run_cli(capsys, ["graph-check", "--seeds", f"1..{MAX_SEEDS + 1}"])
+        assert code == 1 and out == ""
+        assert str(MAX_SEEDS) in json.loads(err)["error"]
+
+    def test_counterexample_exit_code(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(
+            realgw.graphs, "congruence_identity_check",
+            lambda graph: CongruenceResult(holds=False, lhs=1, rhs=0),
+        )
+        code, out, _ = run_cli(capsys, ["graph-check", "--seeds", "1..3"])
+        assert code == EXIT_CHECK_FAILED == 3
+        doc = json.loads(out)
+        assert doc["failed"] == 3 and doc["first_counterexample"]["seed"] == 1
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(VALID_GRAPH))
+        code, out, _ = run_cli(capsys, ["graph-check", "--in", str(path)])
+        assert code == 3 and json.loads(out)["holds"] is False
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("n",), 5.0),
+            (("a", 0), "5"),
+            (("vertices", 0, "genus"), 0.5),
+            (("vertices", 0, "theta"), True),
+            (("edges", 0, "degree"), 1.5),
+            (("edges", 0, "ends", 0), 0.0),
+            (("edges", 0, "ends", 1), "0"),
+            (("edges", 0, "ends"), [0, 0, 0]),
+            (("vertices", 0, "flags", 0, "b"), 0.0),
+            (("vertices", 0, "flags", 0, "p"), False),
+            (("vertices", 0, "flags", 0, "sminus"), "no"),
+        ],
+        ids=lambda x: ".".join(map(str, x)) if isinstance(x, tuple) else repr(x),
+    )
+    def test_graph_document_exact_types(self, capsys, tmp_path, path, value):
+        doc = json.loads(json.dumps(VALID_GRAPH))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        file = tmp_path / "graph.json"
+        file.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["graph-check", "--in", str(file)])
+        assert code == 1 and out == ""
+        assert str(path[-1]) in json.loads(err)["error"]
 
     def test_unknown_bound(self, capsys):
         code, _, err = run_cli(capsys, ["graph-check", "--seeds", "1..2", "--bounds", "max_cats=1"])
@@ -237,6 +318,23 @@ class TestVerifyAndSchema:
         assert reports[0]["identity"] == "binomial_parity"
         assert reports[0]["holds"] is True
 
+    def test_failed_identity_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setitem(
+            realgw.verify.ALL_CHECKS, "binomial_parity",
+            lambda: IdentityReport("binomial_parity", 1, ((0, 0),)),
+        )
+        code, out, _ = run_cli(capsys, ["verify", "binomial_parity"])
+        assert code == EXIT_CHECK_FAILED
+        assert json.loads(out)[0]["failures"] == [[0, 0]]
+
+    def test_mutated_kernel_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            realgw.verify, "cvc_parity_exponent", lambda g, k, d: (1 - g) * k + d
+        )
+        code, out, _ = run_cli(capsys, ["verify", "doublet_vs_cvc"])
+        assert code == EXIT_CHECK_FAILED
+        assert json.loads(out)[0]["holds"] is False
+
     def test_unknown_identity(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "nope"])
         assert code == 1
@@ -264,3 +362,61 @@ class TestExitCodes:
         first = run_cli(capsys, ["coeff", "--h", "3", "--c1b", "2", "--g", "4"])
         second = run_cli(capsys, ["coeff", "--h", "3", "--c1b", "2", "--g", "4"])
         assert first == second
+
+
+def _fresh_interpreter(code: str) -> list[str]:
+    """Run ``code`` in a new interpreter; return the realgw modules it loaded."""
+    src = str(Path(realgw.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        code + "\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('realgw'))))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestLazyImports:
+    """A CLI process imports only the layers its subcommand uses."""
+
+    def test_sign_loads_signs_only(self):
+        loaded = _fresh_interpreter(
+            "from realgw.cli import main\n"
+            "main(['sign', 'cvc-parity', '--params', 'g=0,k=1,d=1'])"
+        )
+        assert "realgw.signs" in loaded
+        for layer in ("realgw.graphs", "realgw.multicover", "realgw.series", "realgw.verify"):
+            assert layer not in loaded
+
+    def test_coeff_does_not_load_graphs(self):
+        loaded = _fresh_interpreter(
+            "from realgw.cli import main\n"
+            "main(['coeff', '--h', '2', '--c1b', '0', '--g', '1'])"
+        )
+        assert "realgw.multicover" in loaded
+        for layer in ("realgw.graphs", "realgw.signs", "realgw.verify"):
+            assert layer not in loaded
+
+    def test_verify_help_lists_identities(self):
+        loaded = _fresh_interpreter(
+            "from realgw.cli import main\n"
+            "main(['verify', '--help'])"
+        )
+        assert "realgw.verify" in loaded
+
+    def test_package_names_resolve(self):
+        loaded = _fresh_interpreter(
+            "import realgw\n"
+            "from realgw import Convention, Route, parse_rational\n"
+            "assert Convention.SINH is realgw.multicover.Convention.SINH\n"
+            "assert callable(realgw.multicover.forward_transform)\n"
+            "assert sorted(realgw.__all__) == realgw.__all__\n"
+            "assert all(hasattr(realgw, name) for name in realgw.__all__)\n"
+        )
+        assert {"realgw.multicover", "realgw.signs", "realgw.series"} <= set(loaded)
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError):
+            realgw.no_such_name

@@ -303,3 +303,62 @@ class TestJson:
                     "edges": [{"kind": "real", "degree": 1}],
                 }
             )
+
+
+def valid_graph_doc():
+    """One vertex with one real edge; every field present."""
+    return {
+        "n": 5,
+        "a": [5],
+        "phi": "tau",
+        "vertices": [
+            {"genus": 0, "theta": 1, "flags": [{"b": 0, "p": 0, "sminus": False}]}
+        ],
+        "edges": [{"kind": "real", "degree": 1, "ends": [0, 0]}],
+    }
+
+
+def set_path(doc, path, value):
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+INT_FIELDS = {
+    "n": ("n",),
+    "a[0]": ("a", 0),
+    "genus": ("vertices", 0, "genus"),
+    "theta": ("vertices", 0, "theta"),
+    "degree": ("edges", 0, "degree"),
+    "ends[0]": ("edges", 0, "ends", 0),
+    "ends[1]": ("edges", 0, "ends", 1),
+    "b": ("vertices", 0, "flags", 0, "b"),
+    "p": ("vertices", 0, "flags", 0, "p"),
+}
+
+
+class TestStrictJsonTypes:
+    def test_valid_document_parses(self):
+        graph = graph_from_json_dict(valid_graph_doc())
+        assert graph_to_json_dict(graph) == valid_graph_doc()
+
+    @pytest.mark.parametrize("field", sorted(INT_FIELDS))
+    @pytest.mark.parametrize("value", [1.5, 1.0, "1", True, None, [1]])
+    def test_integer_fields_reject_other_types(self, field, value):
+        doc = set_path(valid_graph_doc(), INT_FIELDS[field], value)
+        with pytest.raises(GraphError, match="JSON integer"):
+            graph_from_json_dict(doc)
+
+    @pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
+    def test_sminus_rejects_non_booleans(self, value):
+        doc = set_path(valid_graph_doc(), ("vertices", 0, "flags", 0, "sminus"), value)
+        with pytest.raises(GraphError, match="JSON boolean"):
+            graph_from_json_dict(doc)
+
+    @pytest.mark.parametrize("ends", [[], [0], [0, 0, 0], "00", {"0": 0, "1": 0}])
+    def test_ends_must_be_a_pair(self, ends):
+        doc = set_path(valid_graph_doc(), ("edges", 0, "ends"), ends)
+        with pytest.raises(GraphError, match="exactly two"):
+            graph_from_json_dict(doc)

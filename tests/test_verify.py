@@ -3,6 +3,8 @@ for the sign calculus, so every check must come back clean."""
 
 import pytest
 
+from realgw import verify
+from realgw.signs import cr_index
 from realgw.verify import (
     ALL_CHECKS,
     check_binomial_parity,
@@ -74,3 +76,33 @@ def test_report_json_shape():
         "holds": True,
         "failures": [],
     }
+
+
+def test_mutated_cvc_kernel_is_caught(monkeypatch):
+    # ind in place of ind(ind-1)/2: the sweeps evaluate the kernels, so
+    # every identity built on the canonical-vs-projection parity must fail.
+    monkeypatch.setattr(
+        verify, "cvc_parity_exponent", lambda g, k, d: cr_index(g, k, d) % 2
+    )
+    assert len(check_union_canonical_vs_cvc().failures) == 27_250
+    assert check_union_canonical_vs_cvc().grid_size == 115_600
+    assert check_doublet_vs_cvc().failures
+    assert check_relspin_mod8().failures
+
+
+@pytest.mark.parametrize(
+    "identity_id,kernel,mutant",
+    [
+        ("doublet_vs_cvc", "doublet_determinant_exponent",
+         lambda g, k, d2, route: (1 - g) * k + d2 + 1),
+        ("relspin_mod8", "relspin_determinant_exponent",
+         lambda deg_v, variant: 0),
+        ("union_induced_vs_determinant", "union_induced_exponent",
+         lambda g1, g2, d1, d2, route: (g1 - 1) * (g2 - 1)),
+        ("e_node_induced_vs_determinant", "e_node_induced_exponent",
+         lambda g, d, route: d),
+    ],
+)
+def test_mutated_kernel_is_caught(monkeypatch, identity_id, kernel, mutant):
+    monkeypatch.setattr(verify, kernel, mutant)
+    assert not ALL_CHECKS[identity_id]().holds
