@@ -45,6 +45,19 @@ def _read_input_doc(args) -> dict:
     return doc
 
 
+def integer(text: str) -> int:
+    """Parse an integer written as an optional leading ``-`` and ASCII digits.
+
+    ``int()`` alone also takes ``+3``, surrounding spaces, ``1_0`` and
+    Unicode digits such as ``١``.  The ``coeff`` and ``dim`` options,
+    ``sign --params`` and ``graph-check --bounds`` all read integers here.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_kv(text: str | None, what: str) -> dict[str, str]:
     params: dict[str, str] = {}
     if not text:
@@ -72,7 +85,7 @@ class _Params:
             raise ValueError(f"{self.predicate} needs --params {name}=<int>")
         value = self.raw.pop(name)
         try:
-            return int(value)
+            return integer(value)
         except ValueError:
             raise ValueError(f"{self.predicate}: {name} must be an integer, got {value!r}")
 
@@ -356,7 +369,7 @@ def _bounds_from_kv(text: str | None) -> realgw.graphs.GraphBounds:
                 f"unknown bound {key!r}; known: {', '.join(sorted(fields))}"
             )
         try:
-            kwargs[key] = int(value)
+            kwargs[key] = integer(value)
         except ValueError:
             raise ValueError(f"bound {key} must be an integer, got {value!r}")
     return realgw.graphs.GraphBounds(**kwargs)
@@ -451,17 +464,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeff", help="one multiple-cover coefficient")
-    p.add_argument("--h", type=int, required=True, help="embedded-curve genus h")
-    p.add_argument("--c1b", type=int, required=True, help="even pairing <c1,B>")
-    p.add_argument("--g", type=int, required=True, help="cover genus shift g")
+    p.add_argument("--h", type=integer, required=True, help="embedded-curve genus h")
+    p.add_argument("--c1b", type=integer, required=True, help="even pairing <c1,B>")
+    p.add_argument("--g", type=integer, required=True, help="cover genus shift g")
     p.add_argument("--conv", default="sinh", help="sinh or sin")
     p.set_defaults(func=_cmd_coeff)
 
     p = sub.add_parser("dim", help="virtual dimension of a real map moduli space")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c1b", type=int, required=True)
+    p.add_argument("--g", type=integer, required=True)
+    p.add_argument("--ell", type=integer, required=True)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--c1b", type=integer, required=True)
     p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser("sign", help="evaluate one orientation-comparison predicate")

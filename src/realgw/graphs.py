@@ -19,9 +19,10 @@ The arithmetic genus and total degree are derived:
 
 The module computes the global graph sign, the per-edge and per-vertex sign
 exponents, and checks the closing mod-2 congruence that ties them all to
-(g, d) alone -- on exact rationals, with every intermediate asserted to be
-an integer.  Localization weights (the rational-function contributions) are
-out of scope; only sign exponents live here.
+(g, d) alone -- in exact integer arithmetic, with every halved intermediate
+asserted to be an integer and every quarter floored.  Localization weights
+(the rational-function contributions) are out of scope; only sign exponents
+live here.
 """
 
 from __future__ import annotations
@@ -29,12 +30,26 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, floor
+from math import comb
 
 
 # Most seeds one ``graph-check --seeds`` run may name.
 MAX_SEEDS = 10**6
+
+# Largest value of each GraphBounds field.  The caps keep one generated
+# graph small (at most 32 vertices, 64 edges and 96 flags), so that
+# MAX_SEEDS seeds also bound the work and memory of a sweep.
+BOUND_CAPS = {
+    "max_vertices": 32,
+    "max_vertex_genus": 100,
+    "max_real_edges": 32,
+    "max_conj_edges": 32,
+    "max_edge_degree": 100,
+    "max_n": 100,
+    "max_multidegree_len": 32,
+    "max_multidegree_entry": 100,
+    "max_flag_label": 100,
+}
 
 
 class GraphError(ValueError):
@@ -152,7 +167,9 @@ class DecoratedGraph:
 
     def validate_structure(self) -> None:
         """Check the edge-end count identity |E_R| + 2|E_+| = sum_v |E_v|."""
-        edge_ends = len(self.real_edges) + 2 * len(self.conj_edges)
+        edge_ends = len(self.edges) + sum(
+            1 for e in self.edges if e.kind is EdgeKind.CONJ
+        )
         flag_count = sum(len(v.flags) for v in self.vertices)
         if edge_ends != flag_count:
             raise GraphError(
@@ -200,7 +217,7 @@ def real_edge_exponent(
         raise GraphError(f"real edge degree must be odd and positive, got {de}")
     if (n - abs_a) % 2 != 0:
         raise GraphError(f"n - |a| must be even, got n={n}, |a|={abs_a}")
-    floor_term = floor(Fraction(n - abs_a, 4) * de)
+    floor_term = (n - abs_a) * de // 4  # floor division: exact for n < |a|
     return (phi_kind.twist + (de + 1) // 2 + floor_term) % 2
 
 
@@ -228,16 +245,17 @@ class CongruenceResult:
     rhs: int
 
 
-def _as_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise GraphError(f"non-integral intermediate: {what} = {value}")
-    return value.numerator
+def _half(twice: int, what: str) -> int:
+    """``twice / 2``, which must be an integer."""
+    if twice % 2 != 0:
+        raise GraphError(f"non-integral intermediate: {what} = {twice}/2")
+    return twice // 2
 
 
 def congruence_identity_check(graph: DecoratedGraph) -> CongruenceResult:
     """Check the closing congruence tying the sign exponents to (g, d).
 
-    Both sides are computed mod 2 with exact rational intermediates:
+    Both sides are computed mod 2 in exact integer arithmetic:
 
       LHS = (n-2-k)/2 C(|E_R|,2) + sum_{real e} (1 + floor((n-|a|)/4 d(e)))
             + sum_{conj e} ((n-|a|)/2 d(e) - 1) + sum_v (g(v) - 1 + |E_v|),
@@ -252,27 +270,37 @@ def congruence_identity_check(graph: DecoratedGraph) -> CongruenceResult:
     total = graph.abs_a
     if (total - k) % 4 != 0:
         raise GraphError(f"|a| must equal k mod 4, got |a|={total}, k={k}")
-    for e in graph.real_edges:
-        if e.degree % 2 == 0:
-            raise GraphError(
-                f"real edge {e.id} has even degree {e.degree}; the congruence "
-                "is stated for odd real-edge degrees"
-            )
+    real: list[int] = []
+    conj: list[int] = []
+    for e in graph.edges:
+        if e.kind is EdgeKind.REAL:
+            if e.degree % 2 == 0:
+                raise GraphError(
+                    f"real edge {e.id} has even degree {e.degree}; the congruence "
+                    "is stated for odd real-edge degrees"
+                )
+            real.append(e.degree)
+        else:
+            conj.append(e.degree)
     nu = n - total
     if nu % 2 != 0:
         raise GraphError(f"n - |a| must be even, got {nu}")
 
-    r = len(graph.real_edges)
-    lhs = _as_int(Fraction(n - 2 - k, 2) * comb(r, 2), "(n-2-k)/2 * C(|E_R|,2)")
-    for e in graph.real_edges:
-        lhs += 1 + floor(Fraction(nu, 4) * e.degree)
-    for e in graph.conj_edges:
-        lhs += _as_int(Fraction(nu, 2) * e.degree - 1, "(n-|a|)/2 d(e) - 1")
+    r = len(real)
+    lhs = _half((n - 2 - k) * comb(r, 2), "(n-2-k)/2 * C(|E_R|,2)")
+    for de in real:
+        lhs += 1 + nu * de // 4  # floor division: exact also for nu < 0
+    for de in conj:
+        lhs += _half(nu * de - 2, "(n-|a|)/2 d(e) - 1")
+    genus_shift = 0
     for v in graph.vertices:
+        genus_shift += v.genus_label - 1
         lhs += v.genus_label - 1 + len(v.flags)
 
-    g, d = derive_genus_degree(graph)
-    m = _as_int(Fraction(g) + Fraction(nu, 2) * d, "g + (n-|a|)d/2")
+    # g and d as derive_genus_degree computes them.
+    g = 1 + r + 2 * len(conj) + 2 * genus_shift
+    d = sum(real) + 2 * sum(conj)
+    m = _half(2 * g + nu * d, "g + (n-|a|)d/2")
     rhs = m * (m - 1) // 2 + (g - 1)
 
     return CongruenceResult(holds=lhs % 2 == rhs % 2, lhs=lhs % 2, rhs=rhs % 2)
@@ -283,7 +311,11 @@ def congruence_identity_check(graph: DecoratedGraph) -> CongruenceResult:
 
 @dataclass(frozen=True)
 class GraphBounds:
-    """Caps for the random graph generator."""
+    """Caps for the random graph generator, each at most its BOUND_CAPS entry.
+
+    The choice lists the generator draws from depend on the bounds alone, so
+    they are built here, once per GraphBounds, and not once per graph.
+    """
 
     max_vertices: int = 5
     max_vertex_genus: int = 3
@@ -312,6 +344,31 @@ class GraphBounds:
             raise GraphError(
                 "infeasible bounds: n=1 needs an odd multidegree length"
             )
+        for name, cap in BOUND_CAPS.items():
+            value = getattr(self, name)
+            if value > cap:
+                raise GraphError(f"bound {name}={value} exceeds its cap {cap}")
+
+        # Plain attributes, not fields: they stay out of __init__, repr,
+        # equality and the field names the CLI accepts as --bounds keys.
+        lengths = range(0, self.max_multidegree_len + 1)
+        # lengths k of each parity (n - k must be even)
+        ks = ([x for x in lengths if x % 2 == 0], [x for x in lengths if x % 2 == 1])
+        # n needs a length of its parity; the checks above make ns non-empty
+        ns = [n for n in range(1, self.max_n + 1) if ks[n % 2]]
+        # last multidegree entries by residue mod 4 (each list is non-empty)
+        last_cap = max(4, self.max_multidegree_entry)
+        last = [[x for x in range(1, last_cap + 1) if x % 4 == r] for r in range(4)]
+        object.__setattr__(self, "_ks_by_parity", ks)
+        object.__setattr__(self, "_ns", ns)
+        object.__setattr__(self, "_last_by_residue", last)
+        object.__setattr__(
+            self, "_odd_degrees", list(range(1, self.max_edge_degree + 1, 2))
+        )
+
+
+_PHI_KINDS = (InvolutionKind.TAU, InvolutionKind.ETA)
+_DEFAULT_BOUNDS = GraphBounds()
 
 
 def generate_random_graph(
@@ -320,41 +377,27 @@ def generate_random_graph(
     """Deterministic random graph satisfying every structural invariant and
     the nonzero-contribution preconditions of the congruence check."""
     if bounds is None:
-        bounds = GraphBounds()
+        bounds = _DEFAULT_BOUNDS
     rng = random.Random(seed)
 
-    ns = [
-        n
-        for n in range(1, bounds.max_n + 1)
-        if any(
-            k % 2 == n % 2 for k in range(0, bounds.max_multidegree_len + 1)
-        )
-    ]
-    if not ns:
-        raise GraphError(f"infeasible bounds: {bounds}")
-    n = rng.choice(ns)
-    k = rng.choice(
-        [x for x in range(0, bounds.max_multidegree_len + 1) if x % 2 == n % 2]
-    )
+    n = rng.choice(bounds._ns)
+    k = rng.choice(bounds._ks_by_parity[n % 2])
 
     # Multidegree with |a| = k mod 4: the last entry absorbs the residue.
     a: list[int] = [
         rng.randint(1, bounds.max_multidegree_entry) for _ in range(max(k - 1, 0))
     ]
     if k > 0:
-        need = (k - sum(a)) % 4
-        last_cap = max(4, bounds.max_multidegree_entry)
-        candidates = [x for x in range(1, last_cap + 1) if x % 4 == need]
-        a.append(rng.choice(candidates))
+        a.append(rng.choice(bounds._last_by_residue[(k - sum(a)) % 4]))
 
-    phi_kind = rng.choice([InvolutionKind.TAU, InvolutionKind.ETA])
+    phi_kind = rng.choice(_PHI_KINDS)
     num_vertices = rng.randint(1, bounds.max_vertices)
     genus_labels = [
         rng.randint(0, bounds.max_vertex_genus) for _ in range(num_vertices)
     ]
     thetas = [rng.randint(1, n) for _ in range(num_vertices)]
 
-    odd_degrees = list(range(1, bounds.max_edge_degree + 1, 2))
+    odd_degrees = bounds._odd_degrees
     num_real = rng.randint(0, bounds.max_real_edges)
     num_conj = rng.randint(0, bounds.max_conj_edges)
 

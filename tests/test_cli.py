@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import realgw
-from realgw.cli import EXIT_CHECK_FAILED, _parse_seed_range, main
-from realgw.graphs import MAX_SEEDS, CongruenceResult
+from realgw.cli import EXIT_CHECK_FAILED, _parse_seed_range, integer, main
+from realgw.graphs import BOUND_CAPS, MAX_SEEDS, CongruenceResult
 from realgw.multicover import MAX_GENUS
 from realgw.verify import IdentityReport
 
@@ -270,6 +270,32 @@ class TestGraphCheck:
         assert code == 1 and out == ""
         assert str(path[-1]) in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("name", sorted(BOUND_CAPS))
+    def test_oversized_bound_generates_no_graph(self, capsys, monkeypatch, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph was generated")
+
+        monkeypatch.setattr(realgw.graphs, "generate_random_graph", refuse)
+        cap = BOUND_CAPS[name]
+        code, out, err = run_cli(
+            capsys, ["graph-check", "--seeds", "1..3", "--bounds", f"{name}={cap + 1}"]
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == f"bound {name}={cap + 1} exceeds its cap {cap}"
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            "max_vertices=3,max_n=7",
+            "max_vertices=8,max_real_edges=6,max_conj_edges=6,max_edge_degree=9,max_n=11",
+            ",".join(f"{name}={cap}" for name, cap in BOUND_CAPS.items()),
+        ],
+        ids=["readme", "benchmark-large", "all-caps"],
+    )
+    def test_bounds_within_caps(self, capsys, bounds):
+        code, out, _ = run_cli(capsys, ["graph-check", "--seeds", "1..5", "--bounds", bounds])
+        assert code == 0 and json.loads(out)["passed"] == 5
+
     def test_unknown_bound(self, capsys):
         code, _, err = run_cli(capsys, ["graph-check", "--seeds", "1..2", "--bounds", "max_cats=1"])
         assert code == 1
@@ -362,6 +388,65 @@ class TestExitCodes:
         first = run_cli(capsys, ["coeff", "--h", "3", "--c1b", "2", "--g", "4"])
         second = run_cli(capsys, ["coeff", "--h", "3", "--c1b", "2", "--g", "4"])
         assert first == second
+
+
+class TestIntegers:
+    """Every CLI integer is an optional '-' then ASCII digits; '+3',
+    spaces, underscores and Unicode digits are rejected."""
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [("0", 0), ("-0", 0), ("7", 7), ("-8", -8), ("007", 7), ("9" * 30, int("9" * 30))],
+    )
+    def test_accepted(self, text, value):
+        assert integer(text) == value
+
+    @pytest.mark.parametrize(
+        "text", ["", "-", "+3", " 3", "3 ", "1_0", "\u0661", "-\u0662", "3.0", "0x10", "--3", "1e3"]
+    )
+    def test_rejected(self, text):
+        with pytest.raises(ValueError):
+            integer(text)
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["sign", "cvc-parity", "--params", "g=\u0661,k=1,d=1"], "g"),
+            (["sign", "cvc-parity", "--params", "g=0,k=1_0,d=1"], "k"),
+            (["sign", "cvc-parity", "--params", "g=0,k=1,d=+3"], "d"),
+            (["sign", "doublet-moduli", "--params", "g=1,sminus=0,c1lphib=\u0663"], "c1lphib"),
+            (["graph-check", "--seeds", "1..2", "--bounds", "max_n=1_1"], "max_n"),
+            (["graph-check", "--seeds", "1..2", "--bounds", "max_n=\u0667"], "max_n"),
+            (["graph-check", "--seeds", "1..2", "--bounds", "max_vertices=+2"], "max_vertices"),
+        ],
+    )
+    def test_params_and_bounds_reject(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert f"{name} must be an integer" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeff", "--h", "\u0662", "--c1b", "0", "--g", "1"],
+            ["coeff", "--h", "2", "--c1b", "+0", "--g", "1"],
+            ["coeff", "--h", "2", "--c1b", "0", "--g", "1_0"],
+            ["dim", "--g", "0", "--ell", "1", "--n", "\u0663", "--c1b", "4"],
+            ["dim", "--g", " 0", "--ell", "1", "--n", "3", "--c1b", "4"],
+        ],
+    )
+    def test_options_reject(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert "invalid integer value" in err
+
+    def test_negative_values(self, capsys):
+        code, out, _ = run_cli(capsys, ["sign", "cvc-parity", "--params", "g=0,k=1,d=-8"])
+        assert code == 0 and "ind=(1-g)k+d=-7" in json.loads(out)["condition"]
+        code, out, _ = run_cli(capsys, ["coeff", "--h", "2", "--c1b", "-4", "--g", "1"])
+        assert code == 0 and json.loads(out) == {"value": "-1/24"}
+        code, out, _ = run_cli(capsys, ["dim", "--g", "0", "--ell", "1", "--n", "3", "--c1b", "-4"])
+        assert code == 0 and json.loads(out) == {"dim": -2}
 
 
 def _fresh_interpreter(code: str) -> list[str]:

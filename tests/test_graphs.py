@@ -1,9 +1,15 @@
 """Decorated graphs: derived genus/degree, sign exponents, the closing
 congruence, and the seeded generator."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
+import congruence_oracle
 from realgw.graphs import (
+    BOUND_CAPS,
     DecoratedGraph,
     EdgeKind,
     FlagDecoration,
@@ -24,6 +30,12 @@ from realgw.graphs import (
 )
 
 TAU, ETA = InvolutionKind.TAU, InvolutionKind.ETA
+
+LARGE_BOUNDS = GraphBounds(
+    max_vertices=8, max_real_edges=6, max_conj_edges=6, max_edge_degree=9, max_n=11
+)
+# n <= 3 against entries up to 12: most graphs have n < |a|, i.e. nu < 0.
+NEGATIVE_NU_BOUNDS = GraphBounds(max_n=3, max_multidegree_entry=12)
 
 
 def flag(b=0, p=0, sminus=False):
@@ -232,7 +244,139 @@ class TestCongruence:
             assert (g * d) % 2 == 0, f"seed {seed}: d*g odd"
 
 
+class TestReferenceCongruence:
+    """The integer checker against the Fraction-based reference in
+    tests/congruence_oracle.py."""
+
+    @pytest.mark.parametrize(
+        "bounds", [GraphBounds(), LARGE_BOUNDS, NEGATIVE_NU_BOUNDS],
+        ids=["default", "large", "negative-nu"],
+    )
+    def test_seeded_graphs_match_reference(self, bounds):
+        residues = set()
+        for seed in range(1, 401):
+            graph = generate_random_graph(seed, bounds)
+            result = congruence_identity_check(graph)
+            lhs, rhs, g, d = congruence_oracle.congruence(graph)
+            assert (result.lhs, result.rhs) == (lhs, rhs), f"seed {seed}"
+            assert derive_genus_degree(graph) == (g, d), f"seed {seed}"
+            assert result.holds
+            nu = graph.n - graph.abs_a
+            if graph.real_edges:
+                residues.add((nu < 0, nu % 4))
+        if bounds is NEGATIVE_NU_BOUNDS:
+            # both floor cases are exercised with nu < 0
+            assert {(True, 0), (True, 2)} <= residues
+
+    def test_real_edge_exponent_matches_reference(self):
+        for phi in (TAU, ETA):
+            for n in range(1, 12):
+                for abs_a in range(n % 2, 30, 2):
+                    for de in range(1, 12, 2):
+                        assert real_edge_exponent(phi, n, abs_a, de) == (
+                            congruence_oracle.real_edge_exponent(phi.twist, n, abs_a, de)
+                        ), (phi, n, abs_a, de)
+
+    @pytest.mark.parametrize(
+        "phi,n,abs_a,de,expected",
+        # floor(-2/4) = -1 and floor(-18/4) = -5: truncation toward zero
+        # would flip each of these.
+        [(TAU, 1, 3, 1, 0), (ETA, 1, 3, 1, 1), (TAU, 2, 8, 3, 1), (TAU, 3, 1, 3, 1)],
+    )
+    def test_real_edge_floor_below_zero(self, phi, n, abs_a, de, expected):
+        assert real_edge_exponent(phi, n, abs_a, de) == expected
+
+    def test_negative_nu_single_real_edge(self):
+        # n=1, a=(1,1,1): nu = -2 = 2 mod 4.  The real edge term is
+        # 1 + floor(-1/2) = 0; truncating would make LHS odd and fail.
+        graph = DecoratedGraph(
+            vertices=(GraphVertex(0, 0, 1, (flag(),)),),
+            edges=(GraphEdge(0, EdgeKind.REAL, 1, (0, 0)),),
+            n=1,
+            a=(1, 1, 1),
+            phi_kind=TAU,
+        )
+        result = congruence_identity_check(graph)
+        assert result.holds and (result.lhs, result.rhs) == (0, 0)
+        assert derive_genus_degree(graph) == (0, 1)
+
+    def test_negative_nu_with_conjugate_pair(self):
+        # n=2, a=(1,1,1,5): nu = -6 = 2 mod 4.  LHS = (1 + floor(-3/2))
+        # + (-3 - 1) + (0 - 1 + 2) + (2 - 1 + 1) = -1; g = 6, d = 3,
+        # m = 6 - 9 = -3, RHS = 6 + 5 = 11.
+        graph = DecoratedGraph(
+            vertices=(
+                GraphVertex(0, 1, 1, (flag(), flag(sminus=True))),
+                GraphVertex(1, 2, 2, (flag(b=1),)),
+            ),
+            edges=(
+                GraphEdge(0, EdgeKind.REAL, 1, (0, 0)),
+                GraphEdge(1, EdgeKind.CONJ, 1, (0, 1)),
+            ),
+            n=2,
+            a=(1, 1, 1, 5),
+            phi_kind=ETA,
+        )
+        result = congruence_identity_check(graph)
+        assert result.holds and (result.lhs, result.rhs) == (1, 1)
+        assert derive_genus_degree(graph) == (6, 3)
+        assert congruence_oracle.congruence(graph) == (1, 1, 6, 3)
+
+    def test_positive_nu_two_mod_four(self):
+        # n=3, a=(1,): nu = 2.  Real edge of degree 3: 1 + floor(3/2) = 2.
+        graph = single_vertex_graph(
+            0, n=3, a=(1,), flags=(flag(),),
+            edges=(GraphEdge(0, EdgeKind.REAL, 3, (0, 0)),),
+        )
+        result = congruence_identity_check(graph)
+        assert result.holds and (result.lhs, result.rhs) == (0, 0)
+        assert congruence_oracle.congruence(graph) == (0, 0, 0, 3)
+
+    def test_preconditions_checked_in_order(self):
+        # the edge-end count comes first, then |a| = k mod 4, then the
+        # first even real edge, each with its own message
+        miscounted = single_vertex_graph(
+            1, n=2, a=(2, 2), edges=(GraphEdge(0, EdgeKind.REAL, 2, (0, 0)),)
+        )
+        with pytest.raises(GraphError, match="edge-end count 1"):
+            congruence_identity_check(miscounted)
+        with pytest.raises(GraphError, match=r"\|a\| must equal k mod 4"):
+            congruence_identity_check(
+                single_vertex_graph(
+                    1, n=2, a=(2, 2), flags=(flag(),),
+                    edges=(GraphEdge(0, EdgeKind.REAL, 2, (0, 0)),),
+                )
+            )
+        two_even = single_vertex_graph(
+            0, n=5, a=(5,), flags=(flag(),) * 3,
+            edges=(
+                GraphEdge(0, EdgeKind.REAL, 1, (0, 0)),
+                GraphEdge(1, EdgeKind.REAL, 4, (0, 0)),
+                GraphEdge(2, EdgeKind.REAL, 2, (0, 0)),
+            ),
+        )
+        with pytest.raises(GraphError, match="real edge 1 has even degree 4"):
+            congruence_identity_check(two_even)
+
+
 class TestGenerator:
+    # sha256 over json.dumps(graph_to_json_dict(g), sort_keys=True) for seeds
+    # 1..2000 under the default bounds, then 1..2000 under LARGE_BOUNDS.  It
+    # pins CPython's random stream as the generator consumes it; the value is
+    # the same on CPython 3.10, 3.11, 3.12 and 3.13.
+    GOLDEN_STREAM = "d1b9ba18f0dc9652"
+
+    def test_golden_stream(self):
+        digest = hashlib.sha256()
+        for bounds in (GraphBounds(), LARGE_BOUNDS):
+            for seed in range(1, 2001):
+                doc = graph_to_json_dict(generate_random_graph(seed, bounds))
+                digest.update(json.dumps(doc, sort_keys=True).encode())
+        assert digest.hexdigest()[:16] == self.GOLDEN_STREAM
+
+    def test_default_bounds(self):
+        assert generate_random_graph(5) == generate_random_graph(5, GraphBounds())
+
     def test_deterministic(self):
         assert generate_random_graph(7) == generate_random_graph(7)
 
@@ -267,6 +411,26 @@ class TestGenerator:
             GraphBounds(max_vertices=0)
         with pytest.raises(GraphError):
             GraphBounds(max_n=1, max_multidegree_len=0)
+
+    def test_bound_caps(self):
+        assert set(BOUND_CAPS) == {f.name for f in dataclasses.fields(GraphBounds)}
+        at_caps = GraphBounds(**BOUND_CAPS)
+        for seed in range(1, 21):
+            assert congruence_identity_check(generate_random_graph(seed, at_caps)).holds
+        for name, cap in BOUND_CAPS.items():
+            with pytest.raises(GraphError, match=f"bound {name}={cap + 1} exceeds its cap {cap}"):
+                GraphBounds(**{name: cap + 1})
+
+    def test_choice_lists_are_not_fields(self):
+        # built once per GraphBounds, but outside equality, repr and fields
+        bounds = GraphBounds(max_n=4, max_multidegree_len=1, max_multidegree_entry=5)
+        assert bounds._ns == [1, 2, 3, 4]
+        assert bounds._ks_by_parity == ([0], [1])
+        assert bounds._last_by_residue == [[4], [1, 5], [2], [3]]
+        assert bounds._odd_degrees == [1, 3, 5, 7]
+        assert len(dataclasses.fields(GraphBounds)) == 9
+        assert "_ns" not in repr(bounds)
+        assert bounds == GraphBounds(max_n=4, max_multidegree_len=1, max_multidegree_entry=5)
 
 
 class TestJson:
