@@ -295,7 +295,13 @@ def _vector_from_doc(
     for required in ("c1B", "convention", key):
         if required not in doc:
             raise ValueError(f"input document is missing {required!r}")
-    convention = realgw.multicover.Convention.from_string(doc["convention"])
+    # Exactly the schema's enum; only ``coeff --conv`` ignores case.
+    try:
+        convention = realgw.multicover.Convention(doc["convention"])
+    except ValueError:
+        raise ValueError(
+            f"convention must be exactly 'sinh' or 'sin', got {doc['convention']!r}"
+        ) from None
     mapping = doc[key]
     if not isinstance(mapping, dict):
         raise ValueError(f"{key!r} must be an object of genus -> p/q strings")

@@ -15,7 +15,10 @@ recovered E_h are conjecturally integer curve counts.
 Only even powers of t occur, so C(h, j) is read as the u^j coefficient
 (u = t^2) of b(u)^(h - 1 + <c1,B>/2), b(u) = f(t/2)/(t/2).  One table per
 (exponent, convention) holds these coefficients and grows on demand by
-J.C.P. Miller's power recurrence.  Genera are capped at ``MAX_GENUS``.
+J.C.P. Miller's power recurrence.  The recurrence runs in ``int``: the u^m
+coefficient times 4^m (3m)! is an integer for every integer exponent (see
+``_extend``), so each finished coefficient costs one ``Fraction`` and its
+terms none.  Genera are capped at ``MAX_GENUS``.
 
 Apart from that cache of exact values, everything here is a pure function
 over immutable data; the even- and odd-genus towers never mix (g - h is
@@ -27,7 +30,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
 from typing import Mapping
 
 from .series import format_rational, parse_rational
@@ -74,14 +76,46 @@ def _extend(table: list[Fraction], exponent: int, convention: Convention, j: int
         c_m = (1/m) sum_{k=1..m} ((exponent + 1) k - m) a_k c_{m-k},
 
     exact for every integer exponent, negative ones included.
+
+    The sums run in ``int`` over the numerators N_m = D_m c_m, D_m = 4^m (3m)!.
+    These are integers for every integer exponent e: expanding
+    b^e = (1 + sum_k a_k u^k)^e multinomially, the u^m coefficient is a sum
+    over r = (r_1, r_2, ...) with sum_k k r_k = m of binom(e, r) r!/prod r_k!
+    (an integer, e negative included, with r = sum_k r_k) times
+    prod_k a_k^(r_k).  That product's denominator divides
+    4^m prod_k ((2k+1)!)^(r_k), which divides 4^m (sum_k (2k+1) r_k)!, and
+    sum_k (2k+1) r_k = 2m + r <= 3m.  Multiplied by D_m the recurrence reads
+
+        m N_m = sum_{k=1..m} ((e + 1) k - m) (+-1)^k R(m, k) N_{m-k},
+        R(m, k) = (3m)! / ((2k+1)! (3m-3k)!),
+
+    with R(m, k) an integer since (2k+1) + (3m-3k) <= 3m; it is stepped in k
+    by small-integer factors.  The division by m is exact, and a nonzero
+    remainder raises ``ArithmeticError``.  The numerators of the entries
+    already present are recovered from their reduced fractions, and each
+    new entry is one ``Fraction(N_m, D_m)``.
     """
     sign = -1 if convention is Convention.SIN else 1
-    a = [Fraction(sign**k, 4**k * factorial(2 * k + 1)) for k in range(j + 1)]
+    denominators = [1]  # D_m = 4^m (3m)!, one running product
+    for m in range(1, j + 1):
+        denominators.append(denominators[-1] * 4 * (3 * m - 2) * (3 * m - 1) * 3 * m)
+    numerators = [c.numerator * (denominators[m] // c.denominator) for m, c in enumerate(table)]
     for m in range(len(table), j + 1):
-        acc = sum(
-            ((exponent + 1) * k - m) * a[k] * table[m - k] for k in range(1, m + 1)
-        )
-        table.append(acc / m)
+        ratio = sign * m * (3 * m - 1) * (3 * m - 2) // 2  # (+-1)^k R(m, k) at k = 1
+        acc = 0
+        for k in range(1, m + 1):
+            acc += ((exponent + 1) * k - m) * ratio * numerators[m - k]
+            # R(m, k+1) = R(m, k) (3m-3k)(3m-3k-1)(3m-3k-2) / ((2k+2)(2k+3))
+            top = 3 * (m - k)
+            ratio = sign * ratio * top * (top - 1) * (top - 2) // ((2 * k + 2) * (2 * k + 3))
+        numerator, remainder = divmod(acc, m)
+        if remainder:
+            raise ArithmeticError(
+                f"u^{m} coefficient of the {convention.value} series to the power "
+                f"{exponent} has no integer numerator over 4^m (3m)!"
+            )
+        numerators.append(numerator)
+        table.append(Fraction(numerator, denominators[m]))
 
 
 def multicover_coefficient(

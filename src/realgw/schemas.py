@@ -7,6 +7,8 @@ byte-stable across runs.
 
 from __future__ import annotations
 
+#: A ``p/q`` string: optional sign, ASCII digits, no whitespace.
+#: ``series.parse_rational`` matches the whole text against this pattern.
 RATIONAL_PATTERN = r"^[+-]?\d+(/\d+)?$"
 
 _RATIONAL = {"type": "string", "pattern": RATIONAL_PATTERN}

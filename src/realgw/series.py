@@ -12,10 +12,13 @@ import re
 from fractions import Fraction
 from typing import Union
 
+from .schemas import RATIONAL_PATTERN
+
 Rational = Fraction
 RationalLike = Union[int, Fraction]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)
+# The schema's own pattern, matched against the whole unstripped text.
+_RATIONAL_RE = re.compile(RATIONAL_PATTERN, re.ASCII)
 
 
 def format_rational(value: RationalLike) -> str:
@@ -28,10 +31,10 @@ def format_rational(value: RationalLike) -> str:
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` or ``"p"`` with ASCII digits; rejects anything else
-    (floats, bools and non-string values included)."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
+    (floats, bools, non-string values and surrounding whitespace included)."""
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a p/q rational: {text!r}")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational: {text!r}")

@@ -1,12 +1,17 @@
 """CLI contract: JSON output shapes, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import realgw
 from realgw.cli import EXIT_CHECK_FAILED, _parse_seed_range, integer, main
@@ -152,6 +157,11 @@ class TestTransformInvert:
             pytest.param(["invert"], '{"c1B":0,"convention":"sinh","gw":{"0":"\u0661/\u0662"}}', id="unicode-value"),
             pytest.param(["invert"], '{"c1B":0,"convention":"sinh","gw":{"+1":"1"}}', id="signed-key"),
             pytest.param(["invert"], '{"c1B":0,"convention":"sinh","gw":{"3":"1","03":"5"}}', id="duplicate-genus"),
+            pytest.param(["invert"], '{"c1B":0,"convention":"sinh","gw":{"0":" 1/2 "}}', id="padded-value"),
+            pytest.param(["invert"], '{"c1B":0,"convention":"sinh","gw":{"0":"1/2\\n"}}', id="newline-value"),
+            pytest.param(["transform"], '{"c1B":0,"convention":"sin","E":{"0":"\\t1"}}', id="tab-value"),
+            pytest.param(["invert"], '{"c1B":0,"convention":"SINH","gw":{"0":"1"}}', id="upper-case-convention"),
+            pytest.param(["transform"], '{"c1B":0,"convention":"Sin","E":{"0":"1"}}', id="mixed-case-convention"),
             pytest.param(["transform"], f'{{"c1B":0,"convention":"sinh","E":{{}},"max_genus":{MAX_GENUS + 1}}}', id="max_genus-past-cap"),
             pytest.param(["transform"], f'{{"c1B":0,"convention":"sinh","E":{{"{MAX_GENUS + 1}":"1"}}}}', id="key-past-cap"),
             pytest.param(["coeff", "--h", "0", "--c1b", "0", "--g", str(MAX_GENUS + 1)], None, id="coeff-g-past-cap"),
@@ -173,6 +183,115 @@ class TestTransformInvert:
         code, _, err = run_cli(capsys, ["transform", "--in", "/nonexistent.json"])
         assert code == 1
         assert "cannot read input" in json.loads(err)["error"]
+
+    def test_coeff_conv_ignores_case(self, capsys):
+        code, out, _ = run_cli(capsys, ["coeff", "--h", "2", "--c1b", "0", "--g", "1", "--conv", "SIN"])
+        assert code == 0
+        assert json.loads(out) == {"value": "-1/24"}
+
+
+def run_in_process(argv, stdin):
+    """main(argv) with stdin fed from a string; returns (code, stdout, stderr).
+    Usable inside @given, where function-scoped fixtures are not."""
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+# The p/q contract of `realgw schema invariants`, written out here so that
+# the generator does not share the library's pattern.
+P_Q = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+GENUS_KEY = re.compile(r"[0-9]+")
+
+p_q_strings = st.fractions(min_value=-99, max_value=99, max_denominator=99).map(
+    lambda q: f"{q.numerator}/{q.denominator}"
+)
+whitespace = st.text(st.sampled_from(" \t\n\r\u00a0\u2003"), max_size=2)
+
+
+@st.composite
+def invariants_documents(draw):
+    """A document `transform` and `invert` accept; 'values' stands for the
+    genus map, stored under 'E' or 'gw' when the command is known."""
+    max_genus = draw(st.integers(0, 6))
+    values = draw(st.dictionaries(st.integers(0, max_genus).map(str), p_q_strings, max_size=4))
+    doc = {
+        "c1B": 2 * draw(st.integers(-4, 4)),
+        "convention": draw(st.sampled_from(["sinh", "sin"])),
+        "values": values,
+    }
+    if draw(st.booleans()):
+        doc["max_genus"] = max_genus
+    return doc
+
+
+# Each mutation breaks the invariants schema in exactly one place:
+# (where, new value).
+schema_violations = st.one_of(
+    st.tuples(st.just("value"), st.one_of(st.floats(), st.booleans(), st.none(), st.integers())),
+    st.tuples(
+        st.just("value"),
+        st.tuples(whitespace, p_q_strings, whitespace)
+        .filter(lambda parts: parts[0] or parts[2])
+        .map("".join),
+    ),
+    st.tuples(st.just("value"), st.text(max_size=6).filter(lambda t: not P_Q.fullmatch(t))),
+    st.tuples(
+        st.just("key"),
+        st.one_of(
+            st.sampled_from(["+1", "-1", "\u0663", "\uff11", " 1", "1 ", "1.0", ""]),
+            st.text(max_size=3).filter(lambda k: not GENUS_KEY.fullmatch(k)),
+        ),
+    ),
+    st.tuples(
+        st.just("c1B"),
+        st.one_of(
+            st.integers().map(lambda n: 2 * n + 1),
+            st.floats(), st.booleans(), st.none(),
+            st.integers(-4, 4).map(lambda n: str(2 * n)),
+        ),
+    ),
+    st.tuples(
+        st.just("max_genus"),
+        st.one_of(st.booleans(), st.floats(), st.integers(max_value=-1)),
+    ),
+    st.tuples(
+        st.just("convention"),
+        st.one_of(
+            st.sampled_from(["SINH", "Sinh", "SIN", "sIn", "cosh", " sinh", "sin\n"]),
+            st.text(max_size=5).filter(lambda t: t not in ("sinh", "sin")),
+            st.integers(), st.none(),
+        ),
+    ),
+)
+
+
+class TestSchemaViolations:
+    @given(invariants_documents(), schema_violations)
+    @settings(max_examples=100, deadline=None)
+    def test_transform_and_invert_exit_one(self, doc, violation):
+        where, bad = violation
+        for command, key in (("transform", "E"), ("invert", "gw")):
+            valid = {k: v for k, v in doc.items() if k != "values"}
+            valid[key] = dict(doc["values"])
+            code, _, _ = run_in_process([command], json.dumps(valid))
+            assert code == 0
+
+            broken = dict(valid, **{key: dict(valid[key])})
+            if where == "value":
+                broken[key][max(broken[key], default="0")] = bad
+            elif where == "key":
+                broken[key][bad] = "1"
+            else:
+                broken[where] = bad
+            code, out, err = run_in_process([command], json.dumps(broken))
+            assert code == 1 and out == ""
+            assert json.loads(err)["error"]
 
 
 VALID_GRAPH = {

@@ -2,6 +2,7 @@
 forward/inverse round trips, parity decoupling, integrality reporting."""
 
 from fractions import Fraction
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,12 @@ from realgw.multicover import (
     invert_transform,
     multicover_coefficient,
 )
-from series_oracle import oracle_cover_coefficient
+from series_oracle import (
+    oracle_cover_coefficient,
+    oracle_pow,
+    sin_half_coeffs,
+    sinh_half_coeffs,
+)
 
 F = Fraction
 SINH, SIN = Convention.SINH, Convention.SIN
@@ -108,6 +114,70 @@ class TestCoefficient:
         assert Convention.from_string("SINH") is SINH
         with pytest.raises(ValueError):
             Convention.from_string("cosh")
+
+
+def cap_table(exponent, conv):
+    """u^0..u^MAX_GENUS coefficients of b(u)^exponent, read from the library."""
+    c1b = 2 * (exponent + 1)  # h = 0
+    multicover_coefficient(0, c1b, MAX_GENUS, conv)
+    return [multicover_coefficient(0, c1b, j, conv) for j in range(MAX_GENUS + 1)]
+
+
+def truncated_product(a, b):
+    """Coefficients of a(u) b(u) through the common length, summed in
+    integers over the least common denominator of both lists."""
+    scale = lcm(*(c.denominator for c in a + b))
+    int_a = [c.numerator * (scale // c.denominator) for c in a]
+    int_b = [c.numerator * (scale // c.denominator) for c in b]
+    return [
+        F(sum(int_a[i] * int_b[m - i] for i in range(m + 1)), scale * scale)
+        for m in range(len(a))
+    ]
+
+
+class TestTablesToCap:
+    """Every table through u^MAX_GENUS, checked by identities of the power
+    series b(u)^e that need no oracle run at the cap."""
+
+    ONE = [F(1)] + [F(0)] * MAX_GENUS
+
+    @pytest.mark.parametrize("conv", [SINH, SIN])
+    def test_inverse_powers(self, conv):
+        for e in (-5, 12):
+            assert truncated_product(cap_table(e, conv), cap_table(-e, conv)) == self.ONE
+        assert cap_table(0, conv) == self.ONE
+
+    @pytest.mark.parametrize("conv", [SINH, SIN])
+    def test_exponents_add(self, conv):
+        for e1, e2 in ((12, -5), (-5, -1), (13, 7)):
+            product = truncated_product(cap_table(e1, conv), cap_table(e2, conv))
+            assert product == cap_table(e1 + e2, conv)
+
+    @pytest.mark.parametrize("conv", [SINH, SIN])
+    def test_base_series_closed_form(self, conv):
+        sign = -1 if conv is SIN else 1
+        assert cap_table(1, conv) == [
+            F(sign**k, 4**k * factorial(2 * k + 1)) for k in range(MAX_GENUS + 1)
+        ]
+
+    @pytest.mark.parametrize("conv", [SINH, SIN])
+    def test_oracle_at_genus_forty_and_forty_six(self, conv):
+        base = (sinh_half_coeffs if conv is SINH else sin_half_coeffs)(92)
+        for e in (-5, -1, 7, 12):
+            full = oracle_pow(base, e)
+            for g in (40, 46):
+                assert multicover_coefficient(0, 2 * (e + 1), g, conv) == full[2 * g]
+
+    def test_round_trip_at_cap(self):
+        entries = {h: F((-1) ** h * (h + 1), 1 + h % 3) for h in range(MAX_GENUS + 1)}
+        vec = InvariantVector(entries, c1b=-4, max_genus=MAX_GENUS)
+        assert invert_transform(forward_transform(vec, SINH), SINH) == vec
+        assert forward_transform(invert_transform(vec, SIN), SIN) == vec
+
+    def test_non_integer_numerator_raises(self):
+        # a half-integer exponent has no integer numerators over 4^m (3m)!
+        with pytest.raises(ArithmeticError):
+            multicover._extend([F(1)], F(1, 2), SINH, 3)
 
 
 class TestVector:

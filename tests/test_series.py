@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from realgw import schemas, series
 from realgw.multicover import Convention, multicover_coefficient
 from realgw.series import format_rational, parse_rational
 from series_oracle import oracle_pow, sin_half_coeffs, sinh_half_coeffs
@@ -38,11 +39,16 @@ class TestRationals:
         assert parse_rational(text) == value
 
     @pytest.mark.parametrize(
-        "bad", ["1.5", "a", "", "1/0", "1e3", "1/2/3", "١/٢", "٣", 0.5, True, 3]
+        "bad",
+        ["1.5", "a", "", "1/0", "1e3", "1/2/3", "١/٢", "٣", 0.5, True, 3,
+         " 1/2", "1/2 ", " 1/2 ", "1/2\n", "\t-3", "1 /2", "1/ 2", "\u00a01"],
     )
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+    def test_parser_uses_schema_pattern(self):
+        assert series._RATIONAL_RE.pattern == schemas.RATIONAL_PATTERN
 
     @given(rationals)
     def test_format_parse_round_trip(self, q):
