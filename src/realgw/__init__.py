@@ -8,8 +8,8 @@ Subpackages by concern:
   counts (sinh and sin flavors);
 * :mod:`realgw.signs` -- every orientation-comparison statement as a total
   parity predicate over integer descriptors;
-* :mod:`realgw.graphs` -- decorated fixed-point graphs, their sign
-  exponents and the closing mod-2 congruence, with a fuzzing generator;
+* :mod:`realgw.graphs` -- decorated fixed-point graphs and the closing
+  mod-2 congruence of their sign exponents, with a fuzzing generator;
 * :mod:`realgw.verify` -- derivation chains between the predicates, swept
   over integer grids;
 * :mod:`realgw.cli` -- the ``realgw`` command.

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable
 
 import realgw  # each layer is imported on first use, see realgw.__getattr__
 
@@ -73,185 +72,72 @@ def _parse_kv(text: str | None, what: str) -> dict[str, str]:
     return params
 
 
-class _Params:
-    """Typed access to --params key=value pairs with leftover detection."""
-
-    def __init__(self, raw: dict[str, str], predicate: str):
-        self.raw = dict(raw)
-        self.predicate = predicate
-
-    def take_int(self, name: str) -> int:
-        if name not in self.raw:
-            raise ValueError(f"{self.predicate} needs --params {name}=<int>")
-        value = self.raw.pop(name)
-        try:
-            return integer(value)
-        except ValueError:
-            raise ValueError(f"{self.predicate}: {name} must be an integer, got {value!r}")
-
-    def take_opt_int(self, name: str) -> int | None:
-        if name not in self.raw:
-            return None
-        return self.take_int(name)
-
-    def take_str(self, name: str, default: str | None = None) -> str:
-        if name not in self.raw:
-            if default is None:
-                raise ValueError(f"{self.predicate} needs --params {name}=...")
-            return default
-        return self.raw.pop(name)
-
-    def take_bool(self, name: str, default: bool = False) -> bool:
-        if name not in self.raw:
-            return default
-        value = self.raw.pop(name).lower()
-        if value in ("true", "1", "yes"):
-            return True
-        if value in ("false", "0", "no"):
-            return False
-        raise ValueError(f"{self.predicate}: {name} must be true or false, got {value!r}")
-
-    def route(self) -> realgw.signs.Route:
-        return realgw.signs.Route.from_string(self.take_str("variant", "projection"))
-
-    def done(self) -> None:
-        if self.raw:
-            raise ValueError(
-                f"{self.predicate}: unknown params {sorted(self.raw)}"
-            )
-
-
-def _sign_cvc(p: _Params):
-    g, k, d = p.take_int("g"), p.take_int("k"), p.take_int("d")
-    p.done()
-    return realgw.signs.cvc_parity(g, k, d)
-
-
-def _sign_conj_pullback(p: _Params):
-    g, k, d = p.take_int("g"), p.take_int("k"), p.take_int("d")
-    p.done()
-    return realgw.signs.conj_pullback_parity(g, k, d)
-
-
-def _sign_union_determinant(p: _Params):
-    args = (p.take_int("g1"), p.take_int("g2"), p.take_int("k"),
-            p.take_int("d1"), p.take_int("d2"), p.route())
-    p.done()
-    return realgw.signs.union_determinant(*args)
-
-
-def _sign_doublet_determinant(p: _Params):
-    args = (p.take_int("g"), p.take_int("k"), p.take_int("d2"), p.route())
-    p.done()
-    return realgw.signs.doublet_determinant(*args)
-
-
-def _sign_conj_node_determinant(p: _Params):
-    args = (p.take_int("k"), p.route())
-    p.done()
-    return realgw.signs.conj_node_determinant(*args)
-
-
-def _sign_e_node_determinant(p: _Params):
-    args = (p.take_int("g"), p.take_int("k"), p.take_int("d"), p.route())
-    p.done()
-    return realgw.signs.e_node_determinant(*args)
-
-
-def _sign_union_induced(p: _Params):
-    args = (p.take_int("g1"), p.take_int("g2"),
-            p.take_int("d1"), p.take_int("d2"), p.route())
-    p.done()
-    return realgw.signs.union_induced(*args)
-
-
-def _sign_doublet_induced(p: _Params):
-    args = (p.take_int("g"), p.take_int("d2"), p.route())
-    p.done()
-    return realgw.signs.doublet_induced(*args)
-
-
-def _sign_conj_node_induced(p: _Params):
-    route = p.route()
-    p.done()
-    return realgw.signs.conj_node_induced(route)
-
-
-def _sign_e_node_induced(p: _Params):
-    args = (p.take_int("g"), p.take_int("d"), p.route())
-    p.done()
-    return realgw.signs.e_node_induced(*args)
-
-
-def _sign_relspin(p: _Params):
-    deg_v = p.take_int("degv")
-    variant = realgw.signs.RelSpinVariant.from_string(p.take_str("variant"))
-    p.done()
-    return realgw.signs.relspin_determinant(deg_v, variant)
-
-
-def _sign_union_moduli(p: _Params):
-    args = (p.take_int("n"), p.take_int("g1"), p.take_int("g2"),
-            p.take_int("c1b1"), p.take_int("c1b2"), p.route())
-    p.done()
-    return realgw.signs.union_moduli(*args)
-
-
-def _sign_doublet_moduli(p: _Params):
-    g = p.take_int("g")
-    s_minus = p.take_int("sminus")
-    route = p.route()
-    c1l_phi_b = p.take_opt_int("c1lphib")
-    p.done()
-    return realgw.signs.doublet_moduli(g, s_minus, route, c1l_phi_b)
-
-
-def _sign_conj_node_moduli(p: _Params):
-    route = p.route()
-    p.done()
-    return realgw.signs.conj_node_moduli(route)
-
-
-def _sign_e_node_moduli(p: _Params):
-    args = (p.take_int("g"), p.take_int("c1b"), p.route())
-    p.done()
-    return realgw.signs.e_node_moduli(*args)
-
-
-def _sign_relspin_moduli(p: _Params):
-    c1b = p.take_int("c1b")
-    variant = realgw.signs.RelSpinVariant.from_string(p.take_str("variant"))
-    orientable = p.take_bool("orientable")
-    p.done()
-    return realgw.signs.relspin_moduli(c1b, variant, orientable_fixed_line=orientable)
-
-
-def _sign_forget_boundary(p: _Params):
-    side = p.take_str("side")
-    route = realgw.signs.Route.from_string(p.take_str("variant", "projection"))
-    p.done()
-    return realgw.signs.forget_boundary_sign(side, route)
-
-
-SIGN_PREDICATES: dict[str, Callable[[_Params], realgw.signs.Comparison]] = {
-    "cvc-parity": _sign_cvc,
-    "conj-pullback-parity": _sign_conj_pullback,
-    "union-determinant": _sign_union_determinant,
-    "doublet-determinant": _sign_doublet_determinant,
-    "conj-node-determinant": _sign_conj_node_determinant,
-    "e-node-determinant": _sign_e_node_determinant,
-    "union-induced": _sign_union_induced,
-    "doublet-induced": _sign_doublet_induced,
-    "conj-node-induced": _sign_conj_node_induced,
-    "e-node-induced": _sign_e_node_induced,
-    "relspin": _sign_relspin,
-    "union-moduli": _sign_union_moduli,
-    "doublet-moduli": _sign_doublet_moduli,
-    "conj-node-moduli": _sign_conj_node_moduli,
-    "e-node-moduli": _sign_e_node_moduli,
-    "relspin-moduli": _sign_relspin_moduli,
-    "forget-boundary": _sign_forget_boundary,
+# Predicate id -> (its wrapper in realgw.signs, the wrapper's parameters in
+# call order).  Names are strings so that importing the CLI loads no layer.
+# A parameter is an int key, except: ``route`` (key ``variant``, default
+# projection), ``relspin`` (key ``variant``, required), ``side`` (a string),
+# ``orientable`` (a bool, default false) and ``c1lphib`` (an optional int).
+SIGN_PREDICATES: dict[str, tuple[str, tuple[str, ...]]] = {
+    "cvc-parity": ("cvc_parity", ("g", "k", "d")),
+    "conj-pullback-parity": ("conj_pullback_parity", ("g", "k", "d")),
+    "union-determinant": ("union_determinant", ("g1", "g2", "k", "d1", "d2", "route")),
+    "doublet-determinant": ("doublet_determinant", ("g", "k", "d2", "route")),
+    "conj-node-determinant": ("conj_node_determinant", ("k", "route")),
+    "e-node-determinant": ("e_node_determinant", ("g", "k", "d", "route")),
+    "union-induced": ("union_induced", ("g1", "g2", "d1", "d2", "route")),
+    "doublet-induced": ("doublet_induced", ("g", "d2", "route")),
+    "conj-node-induced": ("conj_node_induced", ("route",)),
+    "e-node-induced": ("e_node_induced", ("g", "d", "route")),
+    "relspin": ("relspin_determinant", ("degv", "relspin")),
+    "union-moduli": ("union_moduli", ("n", "g1", "g2", "c1b1", "c1b2", "route")),
+    "doublet-moduli": ("doublet_moduli", ("g", "sminus", "route", "c1lphib")),
+    "conj-node-moduli": ("conj_node_moduli", ("route",)),
+    "e-node-moduli": ("e_node_moduli", ("g", "c1b", "route")),
+    "relspin-moduli": ("relspin_moduli", ("c1b", "relspin", "orientable")),
+    "forget-boundary": ("forget_boundary_sign", ("side", "route")),
 }
+
+_PARAM_KEYS = {"route": "variant", "relspin": "variant"}
+_PARAM_DEFAULTS = {"route": "projection", "orientable": "false", "c1lphib": None}
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _sign_args(predicate: str, raw: dict[str, str]) -> list:
+    """The wrapper arguments of ``predicate``, read from ``--params``.
+
+    Parameters are read (and popped from ``raw``) in call order, so the
+    first missing or malformed one is the one an error names; keys left
+    over are reported after that, before the wrapper runs.
+    """
+    args = []
+    for name in SIGN_PREDICATES[predicate][1]:
+        key = _PARAM_KEYS.get(name, name)
+        if key in raw:
+            value = raw.pop(key)
+        elif name in _PARAM_DEFAULTS:
+            value = _PARAM_DEFAULTS[name]
+        else:
+            shape = "..." if name in ("relspin", "side") else "<int>"
+            raise ValueError(f"{predicate} needs --params {key}={shape}")
+        if value is None or name == "side":
+            args.append(value)
+        elif name == "route":
+            args.append(realgw.signs.Route.from_string(value))
+        elif name == "relspin":
+            args.append(realgw.signs.RelSpinVariant.from_string(value))
+        elif name == "orientable":
+            value = value.lower()
+            if value not in _BOOLS:
+                raise ValueError(f"{predicate}: {key} must be true or false, got {value!r}")
+            args.append(_BOOLS[value])
+        else:
+            try:
+                args.append(integer(value))
+            except ValueError:
+                raise ValueError(f"{predicate}: {key} must be an integer, got {value!r}")
+    if raw:
+        raise ValueError(f"{predicate}: unknown params {sorted(raw)}")
+    return args
 
 
 def _cmd_coeff(args) -> int:
@@ -277,8 +163,8 @@ def _cmd_sign(args) -> int:
             f"unknown predicate {args.predicate!r}; known: "
             + ", ".join(sorted(SIGN_PREDICATES))
         )
-    params = _Params(_parse_kv(args.params, "--params"), args.predicate)
-    comparison = SIGN_PREDICATES[args.predicate](params)
+    wrapper = getattr(realgw.signs, SIGN_PREDICATES[args.predicate][0])
+    comparison = wrapper(*_sign_args(args.predicate, _parse_kv(args.params, "--params")))
     _emit(
         {
             "preserves": comparison.preserves,

@@ -1,4 +1,4 @@
-"""Decorated fixed-point graphs and their localization sign exponents.
+"""Decorated fixed-point graphs and their closing sign congruence.
 
 A torus-fixed locus of a real map moduli space is recorded by a decorated
 graph: vertices labelled by a genus and a fixed-point index, real edges
@@ -17,12 +17,13 @@ The arithmetic genus and total degree are derived:
     g = 1 + |Edg| + 2 sum_v (g(v) - 1),
     d = sum over real edges of deg + 2 * (sum over conjugate pairs of deg).
 
-The module computes the global graph sign, the per-edge and per-vertex sign
-exponents, and checks the closing mod-2 congruence that ties them all to
-(g, d) alone -- in exact integer arithmetic, with every halved intermediate
-asserted to be an integer and every quarter floored.  Localization weights
-(the rational-function contributions) are out of scope; only sign exponents
-live here.
+The module checks the closing mod-2 congruence that ties the localization
+sign exponents -- a global term in C(|E_R|, 2), one term per edge and one
+per vertex, summed in :func:`congruence_identity_check` -- to (g, d) alone,
+in exact integer arithmetic, with every halved intermediate asserted to be
+an integer and every quarter floored.  Localization weights (the
+rational-function contributions) are out of scope; only sign exponents live
+here.
 """
 
 from __future__ import annotations
@@ -66,11 +67,6 @@ class InvolutionKind(enum.Enum):
 
     TAU = "tau"
     ETA = "eta"
-
-    @property
-    def twist(self) -> int:
-        """The summand |phi| in the real-edge sign exponent: 0 tau, 1 eta."""
-        return 0 if self is InvolutionKind.TAU else 1
 
 
 @dataclass(frozen=True)
@@ -187,55 +183,6 @@ def derive_genus_degree(graph: DecoratedGraph) -> tuple[int, int]:
         e.degree for e in graph.conj_edges
     )
     return g, d
-
-
-def epsilon_gamma(graph: DecoratedGraph) -> int:
-    """Global parity of reordering the real-edge factors of the fixed locus.
-
-    Equals (n + (k + |a|)/2) * C(|E_R|, 2) mod 2 and so vanishes whenever
-    the graph has at most one real edge.
-    """
-    k = len(graph.a)
-    total = graph.abs_a
-    if (k + total) % 2 != 0:
-        raise GraphError(
-            f"|a| + k must be even, got |a|={total}, k={k}"
-        )
-    r = len(graph.real_edges)
-    return ((graph.n + (k + total) // 2) * comb(r, 2)) % 2
-
-
-def real_edge_exponent(
-    phi_kind: InvolutionKind, n: int, abs_a: int, de: int
-) -> int:
-    """Sign exponent of one real-edge contribution.
-
-    Parity of |phi| + (d(e)+1)/2 + floor((n-|a|)/4 * d(e)); the edge degree
-    must be odd (even degrees contribute zero and carry no sign).
-    """
-    if de < 1 or de % 2 == 0:
-        raise GraphError(f"real edge degree must be odd and positive, got {de}")
-    if (n - abs_a) % 2 != 0:
-        raise GraphError(f"n - |a| must be even, got n={n}, |a|={abs_a}")
-    floor_term = (n - abs_a) * de // 4  # floor division: exact for n < |a|
-    return (phi_kind.twist + (de + 1) // 2 + floor_term) % 2
-
-
-def conj_edge_exponent(n: int, abs_a: int, de: int) -> int:
-    """Sign exponent of one conjugate-pair contribution: parity of
-    (n-|a|) d(e)/2 - 1."""
-    if de < 1:
-        raise GraphError(f"edge degree must be >= 1, got {de}")
-    if ((n - abs_a) * de) % 2 != 0:
-        raise GraphError(
-            f"(n-|a|)*d(e) must be even, got n-|a|={n - abs_a}, d(e)={de}"
-        )
-    return ((n - abs_a) * de // 2 - 1) % 2
-
-
-def vertex_exponent(vertex: GraphVertex) -> int:
-    """Vertex sign exponent: parity of sum over S^- flags of (1 + b + p)."""
-    return sum(1 + f.b + f.p for f in vertex.flags if f.in_s_minus) % 2
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,17 @@ from __future__ import annotations
 
 #: A ``p/q`` string: optional sign, ASCII digits, no whitespace.
 #: ``series.parse_rational`` matches the whole text against this pattern.
-RATIONAL_PATTERN = r"^[+-]?\d+(/\d+)?$"
+#: ``[0-9]`` and ``(?!\n)$`` keep it exact under Python ``re`` as well as
+#: ECMA-262, where ``\d`` may match any Unicode digit and ``$`` a final
+#: newline.
+RATIONAL_PATTERN = r"^[+-]?[0-9]+(/[0-9]+)?(?!\n)$"
 
 _RATIONAL = {"type": "string", "pattern": RATIONAL_PATTERN}
+_GENUS_MAP = {
+    "type": "object",
+    "patternProperties": {r"^[0-9]+(?!\n)$": _RATIONAL},
+    "additionalProperties": False,
+}
 
 GRAPH_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -87,23 +95,17 @@ INVARIANTS_SCHEMA = {
     "properties": {
         "c1B": {"type": "integer", "multipleOf": 2},
         "convention": {"enum": ["sinh", "sin"]},
-        "gw": {
-            "type": "object",
-            "patternProperties": {r"^\d+$": _RATIONAL},
-            "additionalProperties": False,
-        },
-        "E": {
-            "type": "object",
-            "patternProperties": {r"^\d+$": _RATIONAL},
-            "additionalProperties": False,
-        },
+        "gw": _GENUS_MAP,
+        "E": _GENUS_MAP,
         "max_genus": {"type": "integer", "minimum": 0},
         "integral": {"type": "boolean"},
         "violations": {
             "type": "array",
             "items": {
                 "type": "array",
-                "prefixItems": [{"type": "integer"}, _RATIONAL],
+                "items": [{"type": "integer"}, _RATIONAL],
+                "minItems": 2,
+                "additionalItems": False,
             },
         },
     },

@@ -18,7 +18,7 @@ Rational = Fraction
 RationalLike = Union[int, Fraction]
 
 # The schema's own pattern, matched against the whole unstripped text.
-_RATIONAL_RE = re.compile(RATIONAL_PATTERN, re.ASCII)
+_RATIONAL_RE = re.compile(RATIONAL_PATTERN)
 
 
 def format_rational(value: RationalLike) -> str:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
 
 
 class Route(enum.Enum):
@@ -471,7 +470,7 @@ def forget_boundary_sign(node_side: str, route: Route) -> Comparison:
     return _cmp(value, f"sign {sign} for the {node_side} side")
 
 
-# --- dimension, twisting, existence and parity facts ---
+# --- dimension and the convention exponents ---
 
 
 @dataclass(frozen=True)
@@ -503,71 +502,6 @@ class ModuliDescriptor:
 def virtual_dimension(m: ModuliDescriptor) -> int:
     """Expected dimension (1-g)(n-3) + 2*ell + <c1,B>; always even here."""
     return (1 - m.g) * (m.n - 3) + 2 * m.ell + m.c1b
-
-
-def twist_exponent(g: int, fixed_components: int) -> int:
-    """Parity of the final orientation twist: (g-1) + number of fixed circles."""
-    if fixed_components < 0:
-        raise ValueError(
-            f"fixed_components must be >= 0, got {fixed_components}"
-        )
-    return (g - 1 + fixed_components) % 2
-
-
-def line_conjugation_exists(
-    has_fixed_locus: bool, g: int, half_degree: int
-) -> bool:
-    """Whether a degree-2*half_degree line bundle over a genus-g symmetric
-    surface admits a conjugation lift: yes iff the fixed locus is nonempty
-    or g + half_degree is odd."""
-    if g < 0:
-        raise ValueError(f"genus must be >= 0, got {g}")
-    return has_fixed_locus or (g + half_degree) % 2 == 1
-
-
-@dataclass(frozen=True)
-class CiParityFacts:
-    sum_parity_ok: bool
-    eta_mod4_ok: bool
-
-
-def ci_parity_facts(k: int, a: Sequence[int]) -> CiParityFacts:
-    """Multidegree parity facts for a codimension-k complete intersection.
-
-    ``sum_parity_ok``: |a| = k mod 2.  ``eta_mod4_ok``: if the odd entries
-    of a come in pairs then |a| = k mod 4; evaluated on the given tuple.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if any(x < 1 for x in a):
-        raise ValueError("multidegree entries must be positive")
-    total = sum(a)
-    odd_count = sum(1 for x in a if x % 2 == 1)
-    return CiParityFacts(
-        sum_parity_ok=(total - k) % 2 == 0,
-        eta_mod4_ok=(odd_count % 2 == 1) or ((total - k) % 4 == 0),
-    )
-
-
-def arss_condition(deg_l: int, m: int, m1: int) -> bool:
-    """Whether the associated-relative-spin and stabilization orientations
-    agree over a separating fixed locus: deg L - m*m1 - m1(m1-1)/2 in 4Z,
-    with m fixed circles of which m1 carry a nonorientable restriction."""
-    if m < 1:
-        raise ValueError(f"fixed-circle count m must be >= 1, got {m}")
-    if not 0 <= m1 <= m:
-        raise ValueError(f"m1 must lie in [0, {m}], got {m1}")
-    return (deg_l - m * m1 - m1 * (m1 - 1) // 2) % 4 == 0
-
-
-def arss_cross_term(edge_degs: Sequence[int]) -> int:
-    """Parity of sum_{i<j} (1 + (d_i - 1)(d_j - 1)) over sphere components."""
-    degs = list(edge_degs)
-    total = 0
-    for i in range(len(degs)):
-        for j in range(i + 1, len(degs)):
-            total += 1 + (degs[i] - 1) * (degs[j] - 1)
-    return total % 2
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,10 @@ predicate's answer is its kernel's parity, so the verdicts are the same.
 The two sides are always evaluated through their own public kernels, never
 by rewriting one into the other, and an XOR of flips is the parity of a sum
 of exponents.  An empty failure list on the default grid is the regression
-contract for the sign calculus.
+contract for the sign calculus.  The disjoint-union moduli sign -- the
+orientation of the moduli space of maps from a disjoint union is not the
+product orientation -- is derived from the convention exponents
+``signs.orientcomp_epsilons``.
 """
 
 from __future__ import annotations
@@ -28,9 +31,11 @@ from .signs import (
     doublet_determinant_exponent,
     e_node_determinant_exponent,
     e_node_induced_exponent,
+    orientcomp_epsilons,
     relspin_determinant_exponent,
     union_determinant_exponent,
     union_induced_exponent,
+    union_moduli_exponent,
 )
 
 # Default sweep ranges: every parity residue mod 2, 4 and 8 is hit
@@ -40,6 +45,8 @@ RANK_RANGE = range(1, 5)
 DEGREE_RANGE = range(-8, 9)
 DEG_V_RANGE = range(-16, 17, 2)
 BINOMIAL_RANGE = range(-6, 7)
+ODD_DIM_RANGE = (1, 3, 5, 7)
+PAIRING_RANGE = range(-8, 9, 2)
 
 
 @dataclass(frozen=True)
@@ -205,6 +212,38 @@ def check_e_node_induced_vs_determinant(
     return IdentityReport("e_node_induced_vs_determinant", len(grid), tuple(failures))
 
 
+def check_union_moduli_vs_epsilons(
+    grid: Iterable[tuple[int, int, int, int, int]] | None = None
+) -> IdentityReport:
+    """The disjoint-union moduli sign is the coboundary of the convention
+    exponents: with d eps = eps(g1+g2-1, c1B1+c1B2, n) + eps(g1, c1B1, n)
+    + eps(g2, c1B2, n), the projection-route exponent is d eps_factor, and
+    the canonical route exceeds it by d eps_conv."""
+    if grid is None:
+        grid = [
+            (n, g1, g2, c1b1, c1b2)
+            for n in ODD_DIM_RANGE
+            for g1 in GENUS_RANGE
+            for g2 in GENUS_RANGE
+            for c1b1 in PAIRING_RANGE
+            for c1b2 in PAIRING_RANGE
+        ]
+    grid = list(grid)
+    failures = []
+    for n, g1, g2, c1b1, c1b2 in grid:
+        # The union surface has genus g1 + g2 - 1 and pairing c1B1 + c1B2.
+        union = orientcomp_epsilons(g1 + g2 - 1, c1b1 + c1b2, n)
+        first = orientcomp_epsilons(g1, c1b1, n)
+        second = orientcomp_epsilons(g2, c1b2, n)
+        proj = union_moduli_exponent(n, g1, g2, c1b1, c1b2, Route.PROJECTION)
+        if (proj - union.eps_factor - first.eps_factor - second.eps_factor) % 2:
+            failures.append((n, g1, g2, c1b1, c1b2, "projection"))
+        can = union_moduli_exponent(n, g1, g2, c1b1, c1b2, Route.CANONICAL)
+        if (can - proj - union.eps_conv - first.eps_conv - second.eps_conv) % 2:
+            failures.append((n, g1, g2, c1b1, c1b2, "canonical"))
+    return IdentityReport("union_moduli_vs_epsilons", len(grid), tuple(failures))
+
+
 def check_sin_vs_sinh(order: int = 16) -> IdentityReport:
     """Sin-convention cover coefficients are (-1)^g times the sinh ones."""
     if order < 0:
@@ -231,6 +270,7 @@ ALL_CHECKS: dict[str, Callable[[], IdentityReport]] = {
     "relspin_mod8": check_relspin_mod8,
     "union_induced_vs_determinant": check_union_induced_vs_determinant,
     "e_node_induced_vs_determinant": check_e_node_induced_vs_determinant,
+    "union_moduli_vs_epsilons": check_union_moduli_vs_epsilons,
     "sin_vs_sinh": check_sin_vs_sinh,
 }
 

@@ -16,11 +16,6 @@ def _integer(value: Fraction) -> int:
     return value.numerator
 
 
-def real_edge_exponent(twist: int, n: int, abs_a: int, de: int) -> int:
-    """Parity of |phi| + (d(e)+1)/2 + floor((n-|a|)/4 * d(e))."""
-    return (twist + _integer(Fraction(de + 1, 2)) + floor(Fraction(n - abs_a, 4) * de)) % 2
-
-
 def congruence(graph) -> tuple[int, int, int, int]:
     """(LHS mod 2, RHS mod 2, g, d) of the closing congruence:
 

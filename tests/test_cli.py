@@ -10,11 +10,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import realgw
-from realgw.cli import EXIT_CHECK_FAILED, _parse_seed_range, integer, main
+from realgw import schemas, signs
+from realgw.cli import EXIT_CHECK_FAILED, SIGN_PREDICATES, _parse_seed_range, integer, main
 from realgw.graphs import BOUND_CAPS, MAX_SEEDS, CongruenceResult
 from realgw.multicover import MAX_GENUS
 from realgw.verify import IdentityReport
@@ -99,6 +100,89 @@ class TestSign:
         code, out, _ = run_cli(capsys, ["sign", "forget-boundary", "--params", "side=minus"])
         assert code == 0
         assert json.loads(out)["sign"] == -1
+
+
+P, C = signs.Route.PROJECTION, signs.Route.CANONICAL
+
+RS_P = signs.RelSpinVariant.RELSPIN_VS_PROJECTION
+RS_C = signs.RelSpinVariant.RELSPIN_VS_CANONICAL
+S_C = signs.RelSpinVariant.SPIN_VS_CANONICAL
+
+# (predicate id, a valid --params text, its wrapper, the same arguments).
+VALID_SIGN_CALLS = [
+    ("cvc-parity", "g=-2,k=3,d=-5", signs.cvc_parity, (-2, 3, -5)),
+    ("conj-pullback-parity", "g=1,k=2,d=3", signs.conj_pullback_parity, (1, 2, 3)),
+    ("union-determinant", "g1=2,g2=-1,k=3,d1=4,d2=-7,variant=canonical",
+     signs.union_determinant, (2, -1, 3, 4, -7, C)),
+    ("doublet-determinant", "g=0,k=2,d2=3", signs.doublet_determinant, (0, 2, 3, P)),
+    ("conj-node-determinant", "k=3,variant=Canonical", signs.conj_node_determinant, (3, C)),
+    ("e-node-determinant", "variant=canonical,g=1,k=3,d=-4",
+     signs.e_node_determinant, (1, 3, -4, C)),
+    ("union-induced", "g1=2,g2=0,d1=1,d2=3,variant=canonical",
+     signs.union_induced, (2, 0, 1, 3, C)),
+    ("doublet-induced", "g=4,d2=-2", signs.doublet_induced, (4, -2, P)),
+    ("conj-node-induced", "", signs.conj_node_induced, (P,)),
+    ("e-node-induced", "g=-1,d=5,variant=canonical", signs.e_node_induced, (-1, 5, C)),
+    ("relspin", "degv=10,variant=relspin-vs-canonical", signs.relspin_determinant, (10, RS_C)),
+    ("union-moduli", "n=5,g1=3,g2=-2,c1b1=4,c1b2=-6,variant=canonical",
+     signs.union_moduli, (5, 3, -2, 4, -6, C)),
+    ("doublet-moduli", "g=2,sminus=3,c1lphib=-1", signs.doublet_moduli, (2, 3, P, -1)),
+    ("doublet-moduli", "g=2,sminus=3,variant=canonical", signs.doublet_moduli, (2, 3, C, None)),
+    ("conj-node-moduli", "variant=canonical", signs.conj_node_moduli, (C,)),
+    ("e-node-moduli", "g=3,c1b=-6,variant=canonical", signs.e_node_moduli, (3, -6, C)),
+    ("relspin-moduli", "c1b=8,variant=spin-vs-canonical,orientable=Yes",
+     signs.relspin_moduli, (8, S_C, True)),
+    ("relspin-moduli", "c1b=8,variant=spin-vs-canonical,orientable=1",
+     signs.relspin_moduli, (8, S_C, True)),
+    ("relspin-moduli", "c1b=4,variant=relspin-vs-projection", signs.relspin_moduli, (4, RS_P, False)),
+    ("forget-boundary", "side=minus,variant=canonical", signs.forget_boundary_sign, ("minus", C)),
+]
+
+
+class TestSignRegistry:
+    def test_readme_lists_the_registry(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        listing = readme.split("Predicate ids for `sign`:", 1)[1].split(".", 1)[0]
+        assert re.findall(r"`([a-z-]+)`", listing) == list(SIGN_PREDICATES)
+
+    def test_every_predicate_has_a_valid_call(self):
+        assert {call[0] for call in VALID_SIGN_CALLS} == set(SIGN_PREDICATES)
+
+    @pytest.mark.parametrize("predicate,params,wrapper,args", VALID_SIGN_CALLS)
+    def test_valid_call_equals_wrapper(self, capsys, predicate, params, wrapper, args):
+        assert SIGN_PREDICATES[predicate][0] == wrapper.__name__
+        code, out, err = run_cli(capsys, ["sign", predicate, "--params", params])
+        assert (code, err) == (0, "")
+        comparison = wrapper(*args)
+        assert json.loads(out) == {
+            "preserves": comparison.preserves,
+            "sign": comparison.sign,
+            "condition": comparison.condition,
+        }
+
+    @pytest.mark.parametrize(
+        "predicate,params,error",
+        [
+            # parameters are read in call order; the first bad one is named
+            ("doublet-moduli", "variant=middle,c1lphib=x", "doublet-moduli needs --params g=<int>"),
+            ("doublet-moduli", "g=0,sminus=1,variant=middle,c1lphib=x",
+             "route must be 'projection' or 'canonical', got 'middle'"),
+            ("doublet-moduli", "g=0,sminus=1,c1lphib=x", "doublet-moduli: c1lphib must be an integer, got 'x'"),
+            ("forget-boundary", "variant=middle", "forget-boundary needs --params side=..."),
+            ("forget-boundary", "side=up,variant=middle",
+             "route must be 'projection' or 'canonical', got 'middle'"),
+            ("relspin", "degv=2", "relspin needs --params variant=..."),
+            ("relspin-moduli", "c1b=4,variant=spin-vs-canonical,orientable=Maybe",
+             "relspin-moduli: orientable must be true or false, got 'maybe'"),
+            # unknown keys come before the wrapper's own domain errors
+            ("cvc-parity", "g=0,k=0,d=0,zz=1", "cvc-parity: unknown params ['zz']"),
+            ("cvc-parity", "g=0,k=0,d=0", "rank must be >= 1, got 0"),
+        ],
+    )
+    def test_read_order(self, capsys, predicate, params, error):
+        code, out, err = run_cli(capsys, ["sign", predicate, "--params", params])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": error}
 
 
 class TestTransformInvert:
@@ -292,6 +376,60 @@ class TestSchemaViolations:
             code, out, err = run_in_process([command], json.dumps(broken))
             assert code == 1 and out == ""
             assert json.loads(err)["error"]
+
+
+def _draft7_validator():
+    jsonschema = pytest.importorskip("jsonschema")
+    return jsonschema.Draft7Validator(schemas.INVARIANTS_SCHEMA)
+
+
+class TestInvariantsSchema:
+    """`realgw schema invariants` read with Python's ``jsonschema`` package
+    (Python ``re`` semantics): it must reject what the CLI rejects and
+    accept what the CLI writes."""
+
+    @given(invariants_documents(), schema_violations)
+    @settings(max_examples=100, deadline=None)
+    def test_violations_fail_the_schema(self, doc, violation):
+        validator = _draft7_validator()
+        where, bad = violation
+        # JSON Schema counts 2.0 as an integer; only the CLI rejects it.
+        assume(not (where in ("c1B", "max_genus") and isinstance(bad, float) and bad.is_integer()))
+        for key in ("E", "gw"):
+            valid = {k: v for k, v in doc.items() if k != "values"}
+            valid[key] = dict(doc["values"])
+            assert validator.is_valid(valid)
+            broken = dict(valid, **{key: dict(valid[key])})
+            if where == "value":
+                broken[key][max(broken[key], default="0")] = bad
+            elif where == "key":
+                broken[key][bad] = "1"
+            else:
+                broken[where] = bad
+            assert not validator.is_valid(broken), broken
+
+    @pytest.mark.parametrize(
+        "violations",
+        [[["x", 5, None]], [[0]], [[0, "1/3", 1]], [[0, 1]], [["0", "1/3"]], [[0, "1/3\n"]]],
+    )
+    def test_malformed_violation_entries(self, violations):
+        doc = {"c1B": 0, "convention": "sinh", "violations": violations}
+        assert not _draft7_validator().is_valid(doc)
+
+    @pytest.mark.parametrize(
+        "gw", [{"0": "1/3"}, {"0": "1", "2": "-1/7", "3": "5/2"}, {"1": "1/2", "4": "3"}]
+    )
+    @pytest.mark.parametrize("convention", ["sinh", "sin"])
+    def test_outputs_with_violations_pass(self, gw, convention):
+        validator = _draft7_validator()
+        code, out, _ = run_in_process(
+            ["invert"], json.dumps({"c1B": 2, "convention": convention, "gw": gw})
+        )
+        inverted = json.loads(out)
+        assert code == 0 and inverted["violations"]
+        assert validator.is_valid(inverted), inverted
+        code, out, _ = run_in_process(["transform"], out)
+        assert code == 0 and validator.is_valid(json.loads(out))
 
 
 VALID_GRAPH = {

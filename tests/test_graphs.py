@@ -19,14 +19,10 @@ from realgw.graphs import (
     GraphVertex,
     InvolutionKind,
     congruence_identity_check,
-    conj_edge_exponent,
     derive_genus_degree,
-    epsilon_gamma,
     generate_random_graph,
     graph_from_json_dict,
     graph_to_json_dict,
-    real_edge_exponent,
-    vertex_exponent,
 )
 
 TAU, ETA = InvolutionKind.TAU, InvolutionKind.ETA
@@ -99,110 +95,6 @@ class TestStructure:
             )
 
 
-class TestExponents:
-    def test_epsilon_vanishes_without_real_pairs(self):
-        for count in (0, 1):
-            edges = tuple(
-                GraphEdge(i, EdgeKind.REAL, 1, (0, 0)) for i in range(count)
-            )
-            graph = single_vertex_graph(
-                1, n=5, a=(5,), flags=(flag(),) * count, edges=edges
-            )
-            assert epsilon_gamma(graph) == 0
-
-    def test_epsilon_examples(self):
-        graph = single_vertex_graph(
-            0,
-            n=5,
-            a=(5,),
-            flags=(flag(), flag()),
-            edges=tuple(GraphEdge(i, EdgeKind.REAL, 1, (0, 0)) for i in range(2)),
-        )
-        assert epsilon_gamma(graph) == 0  # (5 + 3) * C(2,2) even
-        graph2 = DecoratedGraph(
-            vertices=(GraphVertex(0, 0, 1, (flag(), flag())),),
-            edges=tuple(GraphEdge(i, EdgeKind.REAL, 1, (0, 0)) for i in range(2)),
-            n=4,
-            a=(),
-            phi_kind=TAU,
-        )
-        assert epsilon_gamma(graph2) == 0  # (4 + 0) * C(2,2) even
-
-    def test_epsilon_parity_precondition(self):
-        graph = single_vertex_graph(0, n=3, a=(2, 3, 4))  # |a|=9, k=3: ok
-        assert epsilon_gamma(graph) == 0
-        bad = single_vertex_graph(0, n=3, a=(2, 2, 4))  # |a|=8, k=3: odd sum
-        with pytest.raises(GraphError):
-            epsilon_gamma(bad)
-
-    def test_epsilon_invariant_under_relabeling(self):
-        graph = generate_random_graph(11)
-        relabeled = DecoratedGraph(
-            vertices=tuple(
-                GraphVertex(v.id + 100, v.genus_label, v.theta, v.flags)
-                for v in reversed(graph.vertices)
-            ),
-            edges=tuple(
-                GraphEdge(
-                    e.id + 50,
-                    e.kind,
-                    e.degree,
-                    (e.ends[0] + 100, e.ends[1] + 100),
-                )
-                for e in reversed(graph.edges)
-            ),
-            n=graph.n,
-            a=graph.a,
-            phi_kind=graph.phi_kind,
-        )
-        assert epsilon_gamma(relabeled) == epsilon_gamma(graph)
-
-    @pytest.mark.parametrize(
-        "phi,n,abs_a,de,expected",
-        [(TAU, 5, 1, 1, 0), (ETA, 5, 1, 1, 1), (TAU, 3, 1, 3, 1)],
-    )
-    def test_real_edge_exponent(self, phi, n, abs_a, de, expected):
-        assert real_edge_exponent(phi, n, abs_a, de) == expected
-
-    def test_real_edge_exponent_rejects_even_degree(self):
-        with pytest.raises(GraphError):
-            real_edge_exponent(TAU, 5, 1, 2)
-
-    def test_real_edge_exponent_rejects_odd_difference(self):
-        with pytest.raises(GraphError):
-            real_edge_exponent(TAU, 4, 1, 1)
-
-    def test_real_edge_residue_dependence(self):
-        # n - |a| = 0 mod 4: exponent depends only on d(e) mod 4
-        for base_de in (1, 3):
-            values = {
-                real_edge_exponent(TAU, 9, 1, de)
-                for de in range(base_de, 40, 4)
-            }
-            assert len(values) == 1
-        # n - |a| = 2 mod 4: constant across odd degrees
-        values = {real_edge_exponent(TAU, 7, 1, de) for de in range(1, 40, 2)}
-        assert len(values) == 1
-
-    @pytest.mark.parametrize(
-        "n,abs_a,de,expected", [(5, 1, 1, 1), (3, 1, 2, 1), (5, 5, 5, 1), (3, 1, 1, 0)]
-    )
-    def test_conj_edge_exponent(self, n, abs_a, de, expected):
-        assert conj_edge_exponent(n, abs_a, de) == expected
-
-    def test_conj_edge_exponent_rejects_odd_product(self):
-        with pytest.raises(GraphError):
-            conj_edge_exponent(4, 1, 1)
-
-    def test_vertex_exponent(self):
-        assert vertex_exponent(GraphVertex(0, 0, 1, ())) == 0
-        assert vertex_exponent(GraphVertex(0, 0, 1, (flag(sminus=True),))) == 1
-        two = GraphVertex(0, 0, 1, (flag(b=1, sminus=True), flag(sminus=True)))
-        assert vertex_exponent(two) == 1
-        ignored = GraphVertex(0, 0, 1, (flag(b=1, p=1, sminus=False),))
-        assert vertex_exponent(ignored) == 0
-
-
 class TestCongruence:
     def test_edgeless_genus_one_vertex(self):
         result = congruence_identity_check(single_vertex_graph(1, n=2, a=(1, 1)))
@@ -267,24 +159,6 @@ class TestReferenceCongruence:
         if bounds is NEGATIVE_NU_BOUNDS:
             # both floor cases are exercised with nu < 0
             assert {(True, 0), (True, 2)} <= residues
-
-    def test_real_edge_exponent_matches_reference(self):
-        for phi in (TAU, ETA):
-            for n in range(1, 12):
-                for abs_a in range(n % 2, 30, 2):
-                    for de in range(1, 12, 2):
-                        assert real_edge_exponent(phi, n, abs_a, de) == (
-                            congruence_oracle.real_edge_exponent(phi.twist, n, abs_a, de)
-                        ), (phi, n, abs_a, de)
-
-    @pytest.mark.parametrize(
-        "phi,n,abs_a,de,expected",
-        # floor(-2/4) = -1 and floor(-18/4) = -5: truncation toward zero
-        # would flip each of these.
-        [(TAU, 1, 3, 1, 0), (ETA, 1, 3, 1, 1), (TAU, 2, 8, 3, 1), (TAU, 3, 1, 3, 1)],
-    )
-    def test_real_edge_floor_below_zero(self, phi, n, abs_a, de, expected):
-        assert real_edge_exponent(phi, n, abs_a, de) == expected
 
     def test_negative_nu_single_real_edge(self):
         # n=1, a=(1,1,1): nu = -2 = 2 mod 4.  The real edge term is

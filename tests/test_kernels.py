@@ -50,7 +50,7 @@ def test_every_kernel_has_a_grid():
     kernels = {
         name[: -len("_exponent")]
         for name in dir(signs)
-        if name.endswith("_exponent") and name != "twist_exponent"
+        if name.endswith("_exponent")
     }
     assert kernels == set(GRIDS)
 

@@ -9,9 +9,6 @@ from realgw.signs import (
     ModuliDescriptor,
     RelSpinVariant,
     Route,
-    arss_condition,
-    arss_cross_term,
-    ci_parity_facts,
     conj_node_induced,
     conj_node_determinant,
     conj_node_moduli,
@@ -24,11 +21,9 @@ from realgw.signs import (
     e_node_determinant,
     e_node_moduli,
     forget_boundary_sign,
-    line_conjugation_exists,
     orientcomp_epsilons,
     relspin_determinant,
     relspin_moduli,
-    twist_exponent,
     union_induced,
     union_determinant,
     union_moduli,
@@ -298,51 +293,6 @@ class TestDimensionAndFriends:
         with pytest.raises(ValueError):
             ModuliDescriptor(0, 0, 3, 4, c1lb=1)
         assert ModuliDescriptor(0, 0, 3, 4, c1lb=2).c1lb == 2
-
-    @pytest.mark.parametrize(
-        "g,fixed,expected", [(1, 0, 0), (0, 1, 0), (2, 0, 1), (3, 2, 0)]
-    )
-    def test_twist_exponent(self, g, fixed, expected):
-        assert twist_exponent(g, fixed) == expected
-
-    def test_twist_even_for_doublets(self):
-        for half_genus in range(0, 6):
-            assert twist_exponent(2 * half_genus - 1, 0) == 0
-
-    @pytest.mark.parametrize(
-        "fixed,g,half,expected",
-        [(True, 0, 0, True), (True, 2, 5, True), (False, 2, 0, False), (False, 1, 0, True)],
-    )
-    def test_line_conjugation_exists(self, fixed, g, half, expected):
-        assert line_conjugation_exists(fixed, g, half) is expected
-
-    def test_ci_parity_facts(self):
-        assert ci_parity_facts(1, [5]).sum_parity_ok
-        assert ci_parity_facts(2, [3, 3]).eta_mod4_ok
-        assert not ci_parity_facts(1, [2]).sum_parity_ok
-        # an odd number of odd entries leaves the mod-4 implication vacuous
-        assert ci_parity_facts(1, [3]).eta_mod4_ok
-        with pytest.raises(ValueError):
-            ci_parity_facts(1, [0])
-
-    @pytest.mark.parametrize(
-        "deg_l,m,m1,expected",
-        [(0, 1, 0, True), (3, 2, 1, False), (4, 3, 0, True)],
-    )
-    def test_arss_condition(self, deg_l, m, m1, expected):
-        assert arss_condition(deg_l, m, m1) is expected
-
-    def test_arss_condition_validates(self):
-        with pytest.raises(ValueError):
-            arss_condition(0, 0, 0)
-        with pytest.raises(ValueError):
-            arss_condition(0, 2, 3)
-
-    @pytest.mark.parametrize(
-        "degs,expected", [([7], 0), ([], 0), ([0, 0], 0), ([0, 1], 1)]
-    )
-    def test_arss_cross_term(self, degs, expected):
-        assert arss_cross_term(degs) == expected
 
     @pytest.mark.parametrize(
         "g,c1b,n,conv,factor",

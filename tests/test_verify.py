@@ -4,7 +4,7 @@ for the sign calculus, so every check must come back clean."""
 import pytest
 
 from realgw import verify
-from realgw.signs import cr_index
+from realgw.signs import OrientationEpsilons, cr_index, orientcomp_epsilons
 from realgw.verify import (
     ALL_CHECKS,
     check_binomial_parity,
@@ -101,8 +101,20 @@ def test_mutated_cvc_kernel_is_caught(monkeypatch):
          lambda g1, g2, d1, d2, route: (g1 - 1) * (g2 - 1)),
         ("e_node_induced_vs_determinant", "e_node_induced_exponent",
          lambda g, d, route: d),
+        ("union_moduli_vs_epsilons", "union_moduli_exponent",
+         lambda n, g1, g2, c1b1, c1b2, route: (n - 1) * (g1 - 1) * (g2 - 1) // 2),
+        ("union_moduli_vs_epsilons", "orientcomp_epsilons",
+         lambda g, c1b, n: OrientationEpsilons(orientcomp_epsilons(g, c1b, n).eps_conv, 0)),
     ],
 )
 def test_mutated_kernel_is_caught(monkeypatch, identity_id, kernel, mutant):
     monkeypatch.setattr(verify, kernel, mutant)
     assert not ALL_CHECKS[identity_id]().holds
+
+
+def test_union_moduli_vs_epsilons_grid():
+    report = verify.check_union_moduli_vs_epsilons()
+    assert report.holds
+    assert report.grid_size == 4 * 10 * 10 * 9 * 9
+    # n = 3, g1 = g2 = 0: the projection exponent 1 and d eps_factor are odd.
+    assert verify.check_union_moduli_vs_epsilons([(3, 0, 0, 0, 0)]).holds
