@@ -16,9 +16,17 @@ Only even powers of t occur, so C(h, j) is read as the u^j coefficient
 (u = t^2) of b(u)^(h - 1 + <c1,B>/2), b(u) = f(t/2)/(t/2).  One table per
 (exponent, convention) holds these coefficients and grows on demand by
 J.C.P. Miller's power recurrence.  The recurrence runs in ``int``: the u^m
-coefficient times 4^m (3m)! is an integer for every integer exponent (see
-``_extend``), so each finished coefficient costs one ``Fraction`` and its
-terms none.  Genera are capped at ``MAX_GENUS``.
+coefficient times D_m = 4^m (3m)! is an integer for every integer exponent
+(see ``_extend``), so each finished coefficient costs one ``Fraction`` and
+its terms none.  Genera are capped at ``MAX_GENUS``.
+
+The transforms run in ``int`` as well.  D_j divides D_J for j <= J, and
+D_J / (D_j D_{J-j}) = C(3J, 3j) is an integer, so with L the lcm of the
+input denominators each output times L D_J, J = floor(g/2), is an integer
+sum: Horner's rule in j for ``forward_transform``, back-substitution with
+those binomials for ``invert_transform``.  Each output costs one
+``Fraction``.  A transform grows the table of each genus h with E_h != 0
+once, to the largest index it reads, before its first term.
 
 Apart from that cache of exact values, everything here is a pure function
 over immutable data; the even- and odd-genus towers never mix (g - h is
@@ -30,6 +38,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
 from .series import format_rational, parse_rational
@@ -69,6 +78,44 @@ def cover_exponent(h: int, c1b: int) -> int:
 _TABLES: dict[tuple[int, Convention], list[Fraction]] = {}
 
 
+def _denominators(j: int) -> list[int]:
+    """D_0..D_j with D_m = 4^m (3m)!, as one running product."""
+    denominators = [1]
+    for m in range(1, j + 1):
+        denominators.append(denominators[-1] * 4 * (3 * m - 2) * (3 * m - 1) * 3 * m)
+    return denominators
+
+
+def _numerators(table: list[Fraction], denominators: list[int], count: int) -> list[int]:
+    """N_m = D_m c_m for the first ``count`` entries c_m of ``table``.
+
+    Each D_m must be a multiple of the entry's reduced denominator; a
+    nonzero remainder raises ``ArithmeticError``.
+    """
+    numerators: list[int] = []
+    for coefficient, denominator in zip(table, denominators[:count]):
+        numerator, reduced = coefficient.as_integer_ratio()
+        quotient, remainder = divmod(denominator, reduced)
+        if remainder:
+            raise ArithmeticError(
+                f"table entry u^{len(numerators)} = {coefficient} has a denominator "
+                f"that does not divide 4^m (3m)!"
+            )
+        numerators.append(numerator * quotient)
+    return numerators
+
+
+def _table(exponent: int, convention: Convention, j: int) -> list[Fraction]:
+    """The (exponent, convention) table, created if absent and grown through
+    index j by one ``_extend`` call if it is shorter."""
+    table = _TABLES.get((exponent, convention))
+    if table is None:
+        table = _TABLES[exponent, convention] = [Fraction(1)]
+    if j >= len(table):
+        _extend(table, exponent, convention, j)
+    return table
+
+
 def _extend(table: list[Fraction], exponent: int, convention: Convention, j: int) -> None:
     """Grow ``table`` through index j by J.C.P. Miller's power recurrence
     (Knuth, TAOCP Vol. 2, 4.7): since a_0 = 1,
@@ -96,10 +143,8 @@ def _extend(table: list[Fraction], exponent: int, convention: Convention, j: int
     new entry is one ``Fraction(N_m, D_m)``.
     """
     sign = -1 if convention is Convention.SIN else 1
-    denominators = [1]  # D_m = 4^m (3m)!, one running product
-    for m in range(1, j + 1):
-        denominators.append(denominators[-1] * 4 * (3 * m - 2) * (3 * m - 1) * 3 * m)
-    numerators = [c.numerator * (denominators[m] // c.denominator) for m, c in enumerate(table)]
+    denominators = _denominators(j)
+    numerators = _numerators(table, denominators, len(table))
     for m in range(len(table), j + 1):
         ratio = sign * m * (3 * m - 1) * (3 * m - 2) // 2  # (+-1)^k R(m, k) at k = 1
         acc = 0
@@ -129,13 +174,7 @@ def multicover_coefficient(
     """
     if not 0 <= g <= MAX_GENUS:
         raise ValueError(f"genus g must be in [0, {MAX_GENUS}], got {g}")
-    exponent = cover_exponent(h, c1b)
-    table = _TABLES.get((exponent, convention))
-    if table is None:
-        table = _TABLES[exponent, convention] = [Fraction(1)]
-    if g >= len(table):
-        _extend(table, exponent, convention, g)
-    return table[g]
+    return _table(cover_exponent(h, c1b), convention, g)[g]
 
 
 @dataclass(frozen=True)
@@ -164,14 +203,12 @@ class InvariantVector:
         bad = [g for g in self.entries if g < 0 or g > max_genus]
         if bad:
             raise ValueError(f"genera {bad} outside [0, {max_genus}]")
-        dense = {
-            g: Fraction(self.entries.get(g, 0)) for g in range(max_genus + 1)
-        }
+        dense = {}
+        for g in range(max_genus + 1):
+            value = self.entries.get(g, 0)
+            dense[g] = value if type(value) is Fraction else Fraction(value)
         object.__setattr__(self, "entries", dense)
         object.__setattr__(self, "max_genus", max_genus)
-
-    def value(self, genus: int) -> Fraction:
-        return self.entries[genus]
 
     def to_string_map(self) -> dict[str, str]:
         """Genus-keyed p/q strings, the CLI wire form."""
@@ -200,19 +237,56 @@ class InvariantVector:
         return cls(entries=entries, c1b=c1b, max_genus=max_genus)
 
 
+def _scaled(vec: InvariantVector) -> tuple[list[int], int]:
+    """The entries of ``vec`` times L, the lcm of their denominators, as
+    ``int`` (each division is exact since L is that lcm), and L."""
+    values = [vec.entries[g] for g in range(vec.max_genus + 1)]
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _tower_numerators(
+    h: int, c1b: int, convention: Convention, max_genus: int, denominators: list[int]
+) -> list[int]:
+    """N_j(h) = D_j C(h, j) for every j a transform through ``max_genus``
+    reads, after growing h's table there with at most one ``_extend``."""
+    top = (max_genus - h) // 2
+    return _numerators(_table(cover_exponent(h, c1b), convention, top), denominators, top + 1)
+
+
 def forward_transform(
     counts: InvariantVector, convention: Convention = Convention.SINH
 ) -> InvariantVector:
-    """GW_g = sum over h <= g with g-h even of C(h,(g-h)/2) * E_h."""
+    """GW_g = sum over h <= g with g-h even of C(h,(g-h)/2) * E_h.
+
+    Summed in ``int``.  With L the lcm of the denominators of E,
+    e_h = L E_h, J = floor(g/2) and N_j(h) = D_j C(h, j) (an integer, see
+    ``_extend``),
+
+        L D_J GW_g = sum_{j=0..J} N_j(g-2j) e_{g-2j} D_J / D_j,
+
+    evaluated by Horner's rule in j with D_j / D_{j-1} = 4 (3j-2)(3j-1)(3j),
+    so each GW_g costs one ``Fraction``.  Before the sums, the table of each
+    h with E_h != 0 is grown once, to the largest index read; a zero E_h
+    touches no table.
+    """
+    max_genus = counts.max_genus
+    scaled, scale = _scaled(counts)
+    denominators = _denominators(max_genus // 2)
+    numerators = [
+        _tower_numerators(h, counts.c1b, convention, max_genus, denominators) if e else None
+        for h, e in enumerate(scaled)
+    ]
     gw: dict[int, Fraction] = {}
-    for g in range(counts.max_genus + 1):
-        acc = Fraction(0)
-        for h in range(g % 2, g + 1, 2):
-            value = counts.value(h)
-            if value != 0:
-                acc += multicover_coefficient(h, counts.c1b, (g - h) // 2, convention) * value
-        gw[g] = acc
-    return InvariantVector(entries=gw, c1b=counts.c1b, max_genus=counts.max_genus)
+    for g in range(max_genus + 1):
+        acc = scaled[g]  # j = 0, where C(g, 0) = 1
+        for j in range(1, g // 2 + 1):
+            acc *= 12 * j * (3 * j - 1) * (3 * j - 2)
+            e = scaled[g - 2 * j]
+            if e:
+                acc += numerators[g - 2 * j][j] * e
+        gw[g] = Fraction(acc, scale * denominators[g // 2])
+    return InvariantVector(entries=gw, c1b=counts.c1b, max_genus=max_genus)
 
 
 def invert_transform(
@@ -223,16 +297,44 @@ def invert_transform(
     Unitriangular back-substitution, run independently on the even- and
     odd-genus towers (the sum couples only h = g mod 2); always solvable
     since the diagonal coefficients C(g, 0) are 1.
+
+    It runs in ``int``.  With L the lcm of the denominators of GW and
+    J = floor(g/2), x_g = L D_J E_g is an integer by induction along each
+    tower, because D_J / (D_j D_{J-j}) = C(3J, 3j) and g - 2j has
+    floor-half J - j:
+
+        x_g = L D_J GW_g - sum_{j=1..J} N_j(g-2j) C(3J, 3j) x_{g-2j}.
+
+    Each E_g = x_g / (L D_J) costs one ``Fraction``.  The table of h is
+    grown once, to the largest index read, as soon as E_h turns out
+    nonzero; a zero E_h touches no table.
     """
+    max_genus = gw.max_genus
+    scaled, scale = _scaled(gw)
+    denominators = _denominators(max_genus // 2)
+    xs: list[int] = []
+    numerators: list[list[int] | None] = []
     counts: dict[int, Fraction] = {}
-    for g in range(gw.max_genus + 1):
-        acc = gw.value(g)
-        for h in range(g % 2, g, 2):
-            value = counts[h]
-            if value != 0:
-                acc -= multicover_coefficient(h, gw.c1b, (g - h) // 2, convention) * value
-        counts[g] = acc
-    return InvariantVector(entries=counts, c1b=gw.c1b, max_genus=gw.max_genus)
+    for g in range(max_genus + 1):
+        half = g // 2
+        acc = scaled[g] * denominators[half]
+        binomial = 1  # C(3 half, 3j)
+        for j in range(1, half + 1):
+            # C(n, k+3) = C(n, k) (n-k)(n-k-1)(n-k-2) / ((k+1)(k+2)(k+3)),
+            # n = 3 half, k = 3j - 3: exact, the quotient being a binomial
+            top = 3 * (half - j) + 3
+            binomial = (
+                binomial * (top * (top - 1) * (top - 2)) // (3 * j * (3 * j - 1) * (3 * j - 2))
+            )
+            x = xs[g - 2 * j]
+            if x:
+                acc -= numerators[g - 2 * j][j] * binomial * x
+        xs.append(acc)
+        numerators.append(
+            _tower_numerators(g, gw.c1b, convention, max_genus, denominators) if acc else None
+        )
+        counts[g] = Fraction(acc, scale * denominators[half])
+    return InvariantVector(entries=counts, c1b=gw.c1b, max_genus=max_genus)
 
 
 def integrality_check(vec: InvariantVector) -> list[tuple[int, Fraction]]:

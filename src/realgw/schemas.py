@@ -14,10 +14,15 @@ from __future__ import annotations
 #: newline.
 RATIONAL_PATTERN = r"^[+-]?[0-9]+(/[0-9]+)?(?!\n)$"
 
+#: ``realgw.multicover.MAX_GENUS``, written out so that this module imports
+#: no layer; a test keeps the two equal.
+_MAX_GENUS = 128
+
 _RATIONAL = {"type": "string", "pattern": RATIONAL_PATTERN}
 _GENUS_MAP = {
     "type": "object",
-    "patternProperties": {r"^[0-9]+(?!\n)$": _RATIONAL},
+    # canonical decimal genera 0.._MAX_GENUS: no sign, no leading zero
+    "patternProperties": {r"^(0|[1-9][0-9]?|1[01][0-9]|12[0-8])(?!\n)$": _RATIONAL},
     "additionalProperties": False,
 }
 
@@ -88,16 +93,20 @@ INVARIANTS_SCHEMA = {
         "Genus-indexed rational invariants with the even pairing <c1,B> and "
         "the cover-series convention. 'gw' holds moduli-space invariants "
         "(input to invert, output of transform); 'E' holds the integer-count "
-        "side (output of invert, input to transform)."
+        "side (output of invert, input to transform). Two rules are "
+        "checked by the CLI only, as draft-07 cannot state them: an integer "
+        "field must not be written as an integral float such as 2.0, and no "
+        "genus key may exceed the document's max_genus."
     ),
     "type": "object",
     "required": ["c1B", "convention"],
+    "anyOf": [{"required": ["gw"]}, {"required": ["E"]}],
     "properties": {
         "c1B": {"type": "integer", "multipleOf": 2},
         "convention": {"enum": ["sinh", "sin"]},
         "gw": _GENUS_MAP,
         "E": _GENUS_MAP,
-        "max_genus": {"type": "integer", "minimum": 0},
+        "max_genus": {"type": "integer", "minimum": 0, "maximum": _MAX_GENUS},
         "integral": {"type": "boolean"},
         "violations": {
             "type": "array",

@@ -413,8 +413,44 @@ class TestInvariantsSchema:
         [[["x", 5, None]], [[0]], [[0, "1/3", 1]], [[0, 1]], [["0", "1/3"]], [[0, "1/3\n"]]],
     )
     def test_malformed_violation_entries(self, violations):
-        doc = {"c1B": 0, "convention": "sinh", "violations": violations}
-        assert not _draft7_validator().is_valid(doc)
+        validator = _draft7_validator()
+        doc = {"c1B": 0, "convention": "sinh", "E": {"0": "1/3"}}
+        assert validator.is_valid(dict(doc, violations=[[0, "1/3"]]))
+        assert not validator.is_valid(dict(doc, violations=violations))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"c1B": 0, "convention": "sinh", "max_genus": MAX_GENUS + 1, "values": {"0": "1"}},
+            {"c1B": 0, "convention": "sinh", "values": {"0": "1", "00": "2"}},
+            {"c1B": 0, "convention": "sinh", "values": {str(MAX_GENUS + 1): "1"}},
+            {"c1B": 0, "convention": "sinh", "values": {"200": "1"}},
+            {"c1B": 0, "convention": "sinh"},
+        ],
+    )
+    def test_cli_rejections_fail_the_schema(self, doc):
+        validator = _draft7_validator()
+        for command, key in (("transform", "E"), ("invert", "gw")):
+            sent = {k: v for k, v in doc.items() if k != "values"}
+            if "values" in doc:
+                sent[key] = doc["values"]
+            code, out, _ = run_in_process([command], json.dumps(sent))
+            assert code == 1 and out == ""
+            assert not validator.is_valid(sent), sent
+
+    def test_genus_bound_is_max_genus(self):
+        schema = schemas.INVARIANTS_SCHEMA
+        assert schema["properties"]["max_genus"]["maximum"] == MAX_GENUS
+        (pattern,) = schema["properties"]["gw"]["patternProperties"]
+        assert schema["properties"]["E"]["patternProperties"].keys() == {pattern}
+        canonical = [str(g) for g in range(1000)]
+        assert [k for k in canonical if re.search(pattern, k)] == canonical[: MAX_GENUS + 1]
+        for key in ("00", "01", "0128", "+1", "1\n"):
+            assert not re.search(pattern, key)
+        validator = _draft7_validator()
+        assert validator.is_valid(
+            {"c1B": 0, "convention": "sin", "max_genus": MAX_GENUS, "gw": {str(MAX_GENUS): "1"}}
+        )
 
     @pytest.mark.parametrize(
         "gw", [{"0": "1/3"}, {"0": "1", "2": "-1/7", "3": "5/2"}, {"1": "1/2", "4": "3"}]

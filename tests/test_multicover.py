@@ -1,6 +1,8 @@
 """Multiple-cover transform: coefficients against the brute-force oracle,
 forward/inverse round trips, parity decoupling, integrality reporting."""
 
+import hashlib
+import json
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -25,6 +27,7 @@ from series_oracle import (
     sin_half_coeffs,
     sinh_half_coeffs,
 )
+from transform_oracle import oracle_forward, oracle_invert
 
 F = Fraction
 SINH, SIN = Convention.SINH, Convention.SIN
@@ -171,8 +174,12 @@ class TestTablesToCap:
     def test_round_trip_at_cap(self):
         entries = {h: F((-1) ** h * (h + 1), 1 + h % 3) for h in range(MAX_GENUS + 1)}
         vec = InvariantVector(entries, c1b=-4, max_genus=MAX_GENUS)
-        assert invert_transform(forward_transform(vec, SINH), SINH) == vec
-        assert forward_transform(invert_transform(vec, SIN), SIN) == vec
+        gw = forward_transform(vec, SINH)
+        assert gw == oracle_forward(vec, SINH)
+        assert invert_transform(gw, SINH) == vec
+        counts = invert_transform(vec, SIN)
+        assert counts == oracle_invert(vec, SIN)
+        assert forward_transform(counts, SIN) == vec
 
     def test_non_integer_numerator_raises(self):
         # a half-integer exponent has no integer numerators over 4^m (3m)!
@@ -184,6 +191,12 @@ class TestVector:
     def test_densifies_missing_entries(self):
         vec = InvariantVector(entries={2: F(5)}, c1b=0, max_genus=3)
         assert vec.entries == {0: F(0), 1: F(0), 2: F(5), 3: F(0)}
+
+    def test_keeps_fractions_converts_the_rest(self):
+        value = F(-3, 7)
+        vec = InvariantVector(entries={0: value, 1: 2}, c1b=0)
+        assert vec.entries[0] is value
+        assert type(vec.entries[1]) is Fraction and vec.entries[1] == 2
 
     def test_rejects_odd_c1b(self):
         with pytest.raises(ValueError):
@@ -208,18 +221,18 @@ class TestVector:
 class TestForward:
     def test_single_genus_zero(self):
         out = forward_transform(InvariantVector({0: F(1)}, 0), SINH)
-        assert out.value(0) == 1
+        assert out.entries[0] == 1
 
     def test_pure_genus_one(self):
         counts = InvariantVector({0: F(0), 1: F(1), 2: F(0)}, 0)
         out = forward_transform(counts, SINH)
-        assert out.value(1) == 1
-        assert out.value(0) == 0
+        assert out.entries[1] == 1
+        assert out.entries[0] == 0
 
     def test_even_tower_example(self):
         counts = InvariantVector({0: F(1), 2: F(0)}, 0)
         out = forward_transform(counts, SINH)
-        assert out.value(2) == multicover_coefficient(0, 0, 1, SINH) == F(-1, 24)
+        assert out.entries[2] == multicover_coefficient(0, 0, 1, SINH) == F(-1, 24)
 
     def test_preserves_shape(self):
         counts = InvariantVector({0: F(1)}, c1b=6, max_genus=5)
@@ -230,7 +243,7 @@ class TestForward:
 class TestInvert:
     def test_diagonal_solve(self):
         out = invert_transform(InvariantVector({0: F(1)}, 0), SINH)
-        assert out.value(0) == 1
+        assert out.entries[0] == 1
 
     def test_inverse_of_forward_example(self):
         gw = InvariantVector({0: F(1), 2: F(-1, 24)}, 0)
@@ -245,8 +258,11 @@ class TestInvert:
     @settings(max_examples=80, deadline=None)
     def test_round_trip_exact(self, entries, c1b, conv):
         vec = InvariantVector(entries, c1b, max_genus=8)
-        assert invert_transform(forward_transform(vec, conv), conv) == vec
-        assert forward_transform(invert_transform(vec, conv), conv) == vec
+        gw, counts = forward_transform(vec, conv), invert_transform(vec, conv)
+        assert gw == oracle_forward(vec, conv)
+        assert counts == oracle_invert(vec, conv)
+        assert invert_transform(gw, conv) == vec
+        assert forward_transform(counts, conv) == vec
 
     def test_parity_decoupling(self):
         base = InvariantVector({g: F(1) for g in range(7)}, 0)
@@ -256,9 +272,9 @@ class TestInvert:
         out_base = forward_transform(base, SINH)
         out_tweaked = forward_transform(tweaked_odd, SINH)
         for g in range(0, 7, 2):
-            assert out_base.value(g) == out_tweaked.value(g)
+            assert out_base.entries[g] == out_tweaked.entries[g]
         for g in range(1, 7, 2):
-            assert out_base.value(g) != out_tweaked.value(g)
+            assert out_base.entries[g] != out_tweaked.entries[g]
 
 
 class TestIntegrality:
@@ -273,3 +289,102 @@ class TestIntegrality:
         vec = InvariantVector({g: F((-2) ** g) for g in range(7)}, 2)
         recovered = invert_transform(forward_transform(vec, SINH), SINH)
         assert integrality_check(recovered) == []
+
+
+GOLDEN_GENERA = (0, 1, 2, 5, 12, 30, 46, 64, MAX_GENUS)
+GOLDEN_C1B = (-8, -4, 0, 2, 8, 12)
+
+
+def golden_inputs(max_genus):
+    """Integer, mixed-denominator (1, 7, 24, 5760) and sparse entries."""
+    return (
+        {h: F((h * 7 + 3) % 11 - 5) for h in range(max_genus + 1)},
+        {h: F((-1) ** h * (h + 1), (1, 7, 24, 5760)[h % 4]) for h in range(max_genus + 1)},
+        {h: F(h + 1, 7) for h in range(0, max_genus + 1, 3)},
+    )
+
+
+class TestAgainstReference:
+    """The int transforms against the Fraction loops of ``transform_oracle``
+    and against a digest of those loops' outputs."""
+
+    @pytest.mark.parametrize("max_genus", GOLDEN_GENERA)
+    def test_matches_reference(self, max_genus):
+        # every c1B below genus 64; two beyond it, where a reference
+        # transform takes tens of milliseconds
+        c1bs = GOLDEN_C1B if max_genus < 64 else (-4, 12)
+        for c1b in c1bs:
+            for conv in (SINH, SIN):
+                for entries in golden_inputs(max_genus):
+                    vec = InvariantVector(entries, c1b=c1b, max_genus=max_genus)
+                    assert forward_transform(vec, conv) == oracle_forward(vec, conv)
+                    assert invert_transform(vec, conv) == oracle_invert(vec, conv)
+
+    # sha256 over json.dumps(v.to_string_map(), sort_keys=True) of the forward
+    # and then the inverse transform of every golden input, looping over
+    # GOLDEN_GENERA, GOLDEN_C1B, (sinh, sin) and the inputs in that order:
+    # 648 outputs, computed with the reference loops.
+    GOLDEN_DIGEST = "d4f2568b02eaa5d1f19a8c626667b00ce029db38e09b116019db48cd212ff3a2"
+
+    def test_golden_digest(self):
+        digest = hashlib.sha256()
+        for max_genus in GOLDEN_GENERA:
+            for c1b in GOLDEN_C1B:
+                for conv in (SINH, SIN):
+                    for entries in golden_inputs(max_genus):
+                        vec = InvariantVector(entries, c1b=c1b, max_genus=max_genus)
+                        for out in (forward_transform(vec, conv), invert_transform(vec, conv)):
+                            digest.update(json.dumps(out.to_string_map(), sort_keys=True).encode())
+        assert digest.hexdigest() == self.GOLDEN_DIGEST
+
+
+class TestTableGrowth:
+    """Which tables a transform creates and extends, and what it does with a
+    table entry that breaks the 4^m (3m)! bound."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        fresh: dict = {}
+        monkeypatch.setattr(multicover, "_TABLES", fresh)
+        return fresh
+
+    @pytest.mark.parametrize("conv", [SINH, SIN])
+    def test_entry_off_the_bound_raises(self, tables, conv):
+        # D_1 = 4 * 3! = 24 is no multiple of 7
+        tables[cover_exponent(0, 2), conv] = [F(1), F(1, 7)]
+        vec = InvariantVector({0: F(1)}, c1b=2, max_genus=2)
+        with pytest.raises(ArithmeticError):
+            forward_transform(vec, conv)
+        with pytest.raises(ArithmeticError):
+            invert_transform(vec, conv)
+
+    @pytest.mark.parametrize("conv", [SINH, SIN])
+    def test_zero_entries_touch_no_table(self, tables, conv):
+        nonzero = {0: F(2), 3: F(-1, 24), 8: F(5)}
+        vec = InvariantVector(nonzero, c1b=4, max_genus=11)
+        expected = {(cover_exponent(h, 4), conv) for h in nonzero}
+        gw = forward_transform(vec, conv)
+        assert set(tables) == expected
+        tables.clear()
+        assert invert_transform(gw, conv) == vec
+        assert set(tables) == expected
+
+    @pytest.mark.parametrize("conv", [SINH, SIN])
+    def test_one_extend_per_table(self, tables, monkeypatch, conv):
+        calls: dict = {}
+        extend = multicover._extend
+
+        def counting(table, exponent, convention, j):
+            calls[exponent, convention] = calls.get((exponent, convention), 0) + 1
+            extend(table, exponent, convention, j)
+
+        monkeypatch.setattr(multicover, "_extend", counting)
+        vec = InvariantVector({h: F(h % 5 - 2 or 1) for h in range(47)}, c1b=4, max_genus=46)
+        # h = 45 and 46 read only C_0, which a new table already holds
+        extended = {(cover_exponent(h, 4), conv): 1 for h in range(45)}
+        gw = forward_transform(vec, conv)
+        assert calls == extended
+        calls.clear()
+        tables.clear()
+        assert invert_transform(gw, conv) == vec
+        assert calls == extended
