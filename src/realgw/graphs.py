@@ -478,7 +478,7 @@ def graph_from_json_dict(doc: dict) -> DecoratedGraph:
                             f["sminus"], f"vertices[{i}].flags[{j}].sminus"
                         ),
                     )
-                    for j, f in enumerate(v.get("flags", []))
+                    for j, f in enumerate(v["flags"])
                 ),
             )
             for i, v in enumerate(doc["vertices"])
@@ -496,7 +496,7 @@ def graph_from_json_dict(doc: dict) -> DecoratedGraph:
             vertices=vertices,
             edges=edges,
             n=_json_int(doc["n"], "n"),
-            a=tuple(_json_int(x, f"a[{i}]") for i, x in enumerate(doc.get("a", []))),
+            a=tuple(_json_int(x, f"a[{i}]") for i, x in enumerate(doc["a"])),
             phi_kind=phi_kind,
         )
     except (KeyError, TypeError) as exc:

@@ -15,18 +15,19 @@ recovered E_h are conjecturally integer curve counts.
 Only even powers of t occur, so C(h, j) is read as the u^j coefficient
 (u = t^2) of b(u)^(h - 1 + <c1,B>/2), b(u) = f(t/2)/(t/2).  One table per
 (exponent, convention) holds these coefficients and grows on demand by
-J.C.P. Miller's power recurrence.  The recurrence runs in ``int``: the u^m
-coefficient times D_m = 4^m (3m)! is an integer for every integer exponent
-(see ``_extend``), so each finished coefficient costs one ``Fraction`` and
-its terms none.  Genera are capped at ``MAX_GENUS``.
+J.C.P. Miller's power recurrence.  A table stores integers: the u^m
+coefficient times D_m = 4^m (3m)!, which is an integer for every integer
+exponent (see ``_extend``).  The recurrence runs on them in ``int``, and a
+lookup through ``multicover_coefficient`` builds one ``Fraction``.  Genera
+are capped at ``MAX_GENUS``.
 
-The transforms run in ``int`` as well.  D_j divides D_J for j <= J, and
-D_J / (D_j D_{J-j}) = C(3J, 3j) is an integer, so with L the lcm of the
-input denominators each output times L D_J, J = floor(g/2), is an integer
-sum: Horner's rule in j for ``forward_transform``, back-substitution with
-those binomials for ``invert_transform``.  Each output costs one
-``Fraction``.  A transform grows the table of each genus h with E_h != 0
-once, to the largest index it reads, before its first term.
+The transforms read the tables' integers directly.  D_j divides D_J for
+j <= J, and D_J / (D_j D_{J-j}) = C(3J, 3j) is an integer, so with L the
+lcm of the input denominators each output times L D_J, J = floor(g/2), is
+an integer sum: Horner's rule in j for ``forward_transform``,
+back-substitution with those binomials for ``invert_transform``.  Each
+output costs one ``Fraction``.  A transform grows the table of each genus h
+with E_h != 0 once, to the largest index it reads, before its first term.
 
 Apart from that cache of exact values, everything here is a pure function
 over immutable data; the even- and odd-genus towers never mix (g - h is
@@ -72,10 +73,11 @@ def cover_exponent(h: int, c1b: int) -> int:
     return h - 1 + c1b // 2
 
 
-# (exponent, convention) -> [C_0, C_1, ...], the u^j coefficients (u = t^2)
-# of b(u)^exponent, where b(u) = f(t/2)/(t/2) = sum_k a_k u^k with
-# a_k = (+-1)^k / (4^k (2k+1)!).  Each list only ever grows.
-_TABLES: dict[tuple[int, Convention], list[Fraction]] = {}
+# (exponent, convention) -> [N_0, N_1, ...], N_j = D_j C_j with
+# D_j = 4^j (3j)! and C_j the u^j coefficient (u = t^2) of b(u)^exponent,
+# where b(u) = f(t/2)/(t/2) = sum_k a_k u^k with a_k = (+-1)^k / (4^k (2k+1)!).
+# Every N_j is an integer (see ``_extend``).  Each list only ever grows.
+_TABLES: dict[tuple[int, Convention], list[int]] = {}
 
 
 def _denominators(j: int) -> list[int]:
@@ -86,37 +88,18 @@ def _denominators(j: int) -> list[int]:
     return denominators
 
 
-def _numerators(table: list[Fraction], denominators: list[int], count: int) -> list[int]:
-    """N_m = D_m c_m for the first ``count`` entries c_m of ``table``.
-
-    Each D_m must be a multiple of the entry's reduced denominator; a
-    nonzero remainder raises ``ArithmeticError``.
-    """
-    numerators: list[int] = []
-    for coefficient, denominator in zip(table, denominators[:count]):
-        numerator, reduced = coefficient.as_integer_ratio()
-        quotient, remainder = divmod(denominator, reduced)
-        if remainder:
-            raise ArithmeticError(
-                f"table entry u^{len(numerators)} = {coefficient} has a denominator "
-                f"that does not divide 4^m (3m)!"
-            )
-        numerators.append(numerator * quotient)
-    return numerators
-
-
-def _table(exponent: int, convention: Convention, j: int) -> list[Fraction]:
+def _table(exponent: int, convention: Convention, j: int) -> list[int]:
     """The (exponent, convention) table, created if absent and grown through
     index j by one ``_extend`` call if it is shorter."""
     table = _TABLES.get((exponent, convention))
     if table is None:
-        table = _TABLES[exponent, convention] = [Fraction(1)]
+        table = _TABLES[exponent, convention] = [1]
     if j >= len(table):
         _extend(table, exponent, convention, j)
     return table
 
 
-def _extend(table: list[Fraction], exponent: int, convention: Convention, j: int) -> None:
+def _extend(table: list[int], exponent: int, convention: Convention, j: int) -> None:
     """Grow ``table`` through index j by J.C.P. Miller's power recurrence
     (Knuth, TAOCP Vol. 2, 4.7): since a_0 = 1,
 
@@ -124,32 +107,29 @@ def _extend(table: list[Fraction], exponent: int, convention: Convention, j: int
 
     exact for every integer exponent, negative ones included.
 
-    The sums run in ``int`` over the numerators N_m = D_m c_m, D_m = 4^m (3m)!.
-    These are integers for every integer exponent e: expanding
-    b^e = (1 + sum_k a_k u^k)^e multinomially, the u^m coefficient is a sum
-    over r = (r_1, r_2, ...) with sum_k k r_k = m of binom(e, r) r!/prod r_k!
-    (an integer, e negative included, with r = sum_k r_k) times
-    prod_k a_k^(r_k).  That product's denominator divides
-    4^m prod_k ((2k+1)!)^(r_k), which divides 4^m (sum_k (2k+1) r_k)!, and
-    sum_k (2k+1) r_k = 2m + r <= 3m.  Multiplied by D_m the recurrence reads
+    The table holds the numerators N_m = D_m c_m, D_m = 4^m (3m)!, and the
+    sums run on them in ``int``.  These are integers for every integer
+    exponent e: expanding b^e = (1 + sum_k a_k u^k)^e multinomially, the u^m
+    coefficient is a sum over r = (r_1, r_2, ...) with sum_k k r_k = m of
+    binom(e, r) r!/prod r_k! (an integer, e negative included, with
+    r = sum_k r_k) times prod_k a_k^(r_k).  That product's denominator
+    divides 4^m prod_k ((2k+1)!)^(r_k), which divides
+    4^m (sum_k (2k+1) r_k)!, and sum_k (2k+1) r_k = 2m + r <= 3m.
+    Multiplied by D_m the recurrence reads
 
         m N_m = sum_{k=1..m} ((e + 1) k - m) (+-1)^k R(m, k) N_{m-k},
         R(m, k) = (3m)! / ((2k+1)! (3m-3k)!),
 
     with R(m, k) an integer since (2k+1) + (3m-3k) <= 3m; it is stepped in k
     by small-integer factors.  The division by m is exact, and a nonzero
-    remainder raises ``ArithmeticError``.  The numerators of the entries
-    already present are recovered from their reduced fractions, and each
-    new entry is one ``Fraction(N_m, D_m)``.
+    remainder raises ``ArithmeticError``.
     """
     sign = -1 if convention is Convention.SIN else 1
-    denominators = _denominators(j)
-    numerators = _numerators(table, denominators, len(table))
     for m in range(len(table), j + 1):
         ratio = sign * m * (3 * m - 1) * (3 * m - 2) // 2  # (+-1)^k R(m, k) at k = 1
         acc = 0
         for k in range(1, m + 1):
-            acc += ((exponent + 1) * k - m) * ratio * numerators[m - k]
+            acc += ((exponent + 1) * k - m) * ratio * table[m - k]
             # R(m, k+1) = R(m, k) (3m-3k)(3m-3k-1)(3m-3k-2) / ((2k+2)(2k+3))
             top = 3 * (m - k)
             ratio = sign * ratio * top * (top - 1) * (top - 2) // ((2 * k + 2) * (2 * k + 3))
@@ -159,8 +139,7 @@ def _extend(table: list[Fraction], exponent: int, convention: Convention, j: int
                 f"u^{m} coefficient of the {convention.value} series to the power "
                 f"{exponent} has no integer numerator over 4^m (3m)!"
             )
-        numerators.append(numerator)
-        table.append(Fraction(numerator, denominators[m]))
+        table.append(numerator)
 
 
 def multicover_coefficient(
@@ -168,13 +147,14 @@ def multicover_coefficient(
 ) -> Fraction:
     """t^(2g) coefficient of (f(t/2)/(t/2))^(h-1+c1b/2), f = sinh or sin.
 
-    The exponent may be negative.  Coefficients are kept in one table per
-    (exponent, convention), grown on demand, so results are exact and a
-    repeated lookup is a list index.  g is capped at ``MAX_GENUS``.
+    The exponent may be negative.  Coefficients are kept as integer
+    numerators over 4^g (3g)! in one table per (exponent, convention), grown
+    on demand, so results are exact and a repeated lookup is a list index
+    and one ``Fraction``.  g is capped at ``MAX_GENUS``.
     """
     if not 0 <= g <= MAX_GENUS:
         raise ValueError(f"genus g must be in [0, {MAX_GENUS}], got {g}")
-    return _table(cover_exponent(h, c1b), convention, g)[g]
+    return Fraction(_table(cover_exponent(h, c1b), convention, g)[g], _denominators(g)[g])
 
 
 @dataclass(frozen=True)
@@ -218,20 +198,23 @@ class InvariantVector:
     def from_string_map(
         cls, data: Mapping[str, str], c1b: int, max_genus: int | None = None
     ) -> "InvariantVector":
-        """Read the wire form: ASCII-digit genus keys, p/q string values, an
-        int c1b and an int max_genus >= 0 (default: the largest key)."""
+        """Read the wire form: canonical genus keys (ASCII digits, no leading
+        zero), p/q string values, an int c1b and an int max_genus >= 0
+        (default: the largest key)."""
         if type(c1b) is not int:
             raise ValueError(f"c1B must be an integer, got {c1b!r}")
         if max_genus is not None and (type(max_genus) is not int or max_genus < 0):
             raise ValueError(f"max_genus must be an integer >= 0, got {max_genus!r}")
         entries: dict[int, Fraction] = {}
         for key, raw in data.items():
-            if not (isinstance(key, str) and key.isascii() and key.isdigit()):
-                raise ValueError(f"genus key must be a string of ASCII digits, got {key!r}")
-            genus = int(key)
-            if genus in entries:
-                raise ValueError(f"genus {genus} is given twice")
-            entries[genus] = parse_rational(raw)
+            if not (
+                isinstance(key, str) and key.isascii() and key.isdigit()
+                and (key == "0" or key[0] != "0")
+            ):
+                raise ValueError(
+                    f"genus key must be ASCII digits without a leading zero, got {key!r}"
+                )
+            entries[int(key)] = parse_rational(raw)
         if max_genus is None:
             max_genus = max(entries) if entries else 0
         return cls(entries=entries, c1b=c1b, max_genus=max_genus)
@@ -245,23 +228,14 @@ def _scaled(vec: InvariantVector) -> tuple[list[int], int]:
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def _tower_numerators(
-    h: int, c1b: int, convention: Convention, max_genus: int, denominators: list[int]
-) -> list[int]:
-    """N_j(h) = D_j C(h, j) for every j a transform through ``max_genus``
-    reads, after growing h's table there with at most one ``_extend``."""
-    top = (max_genus - h) // 2
-    return _numerators(_table(cover_exponent(h, c1b), convention, top), denominators, top + 1)
-
-
 def forward_transform(
     counts: InvariantVector, convention: Convention = Convention.SINH
 ) -> InvariantVector:
     """GW_g = sum over h <= g with g-h even of C(h,(g-h)/2) * E_h.
 
     Summed in ``int``.  With L the lcm of the denominators of E,
-    e_h = L E_h, J = floor(g/2) and N_j(h) = D_j C(h, j) (an integer, see
-    ``_extend``),
+    e_h = L E_h, J = floor(g/2) and N_j(h) = D_j C(h, j) (the integer table
+    entry, see ``_extend``),
 
         L D_J GW_g = sum_{j=0..J} N_j(g-2j) e_{g-2j} D_J / D_j,
 
@@ -274,7 +248,7 @@ def forward_transform(
     scaled, scale = _scaled(counts)
     denominators = _denominators(max_genus // 2)
     numerators = [
-        _tower_numerators(h, counts.c1b, convention, max_genus, denominators) if e else None
+        _table(cover_exponent(h, counts.c1b), convention, (max_genus - h) // 2) if e else None
         for h, e in enumerate(scaled)
     ]
     gw: dict[int, Fraction] = {}
@@ -331,7 +305,7 @@ def invert_transform(
                 acc -= numerators[g - 2 * j][j] * binomial * x
         xs.append(acc)
         numerators.append(
-            _tower_numerators(g, gw.c1b, convention, max_genus, denominators) if acc else None
+            _table(cover_exponent(g, gw.c1b), convention, (max_genus - g) // 2) if acc else None
         )
         counts[g] = Fraction(acc, scale * denominators[half])
     return InvariantVector(entries=counts, c1b=gw.c1b, max_genus=max_genus)

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .multicover import Convention, multicover_coefficient
 from .signs import (
     RelSpinVariant,
     Route,
@@ -246,6 +245,8 @@ def check_union_moduli_vs_epsilons(
 
 def check_sin_vs_sinh(order: int = 16) -> IdentityReport:
     """Sin-convention cover coefficients are (-1)^g times the sinh ones."""
+    from .multicover import Convention, multicover_coefficient
+
     if order < 0:
         raise ValueError("order must be >= 0")
     grid = [

@@ -290,7 +290,7 @@ def run_in_process(argv, stdin):
 # The p/q contract of `realgw schema invariants`, written out here so that
 # the generator does not share the library's pattern.
 P_Q = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-GENUS_KEY = re.compile(r"[0-9]+")
+GENUS_KEY = re.compile(r"0|[1-9][0-9]*")
 
 p_q_strings = st.fractions(min_value=-99, max_value=99, max_denominator=99).map(
     lambda q: f"{q.numerator}/{q.denominator}"
@@ -423,6 +423,8 @@ class TestInvariantsSchema:
         [
             {"c1B": 0, "convention": "sinh", "max_genus": MAX_GENUS + 1, "values": {"0": "1"}},
             {"c1B": 0, "convention": "sinh", "values": {"0": "1", "00": "2"}},
+            {"c1B": 0, "convention": "sinh", "values": {"007": "1"}},
+            {"c1B": 0, "convention": "sinh", "values": {"01": "1"}},
             {"c1B": 0, "convention": "sinh", "values": {str(MAX_GENUS + 1): "1"}},
             {"c1B": 0, "convention": "sinh", "values": {"200": "1"}},
             {"c1B": 0, "convention": "sinh"},
@@ -776,6 +778,18 @@ class TestLazyImports:
         assert "realgw.multicover" in loaded
         for layer in ("realgw.graphs", "realgw.signs", "realgw.verify"):
             assert layer not in loaded
+
+    def test_verify_loads_multicover_only_for_sin_vs_sinh(self):
+        loaded = _fresh_interpreter(
+            "from realgw.cli import main\n"
+            "main(['verify', 'binomial_parity'])"
+        )
+        assert "realgw.verify" in loaded and "realgw.multicover" not in loaded
+        loaded = _fresh_interpreter(
+            "from realgw.cli import main\n"
+            "main(['verify', 'sin_vs_sinh'])"
+        )
+        assert "realgw.multicover" in loaded
 
     def test_verify_help_lists_identities(self):
         loaded = _fresh_interpreter(

@@ -24,6 +24,7 @@ from realgw.graphs import (
     graph_from_json_dict,
     graph_to_json_dict,
 )
+from realgw.schemas import GRAPH_SCHEMA
 
 TAU, ETA = InvolutionKind.TAU, InvolutionKind.ETA
 
@@ -377,6 +378,17 @@ INT_FIELDS = {
 }
 
 
+def required_paths(schema, path=()):
+    """The path into ``valid_graph_doc()`` of every key that a ``required``
+    list of ``schema`` names, walking objects and array items (index 0)."""
+    for key in schema.get("required", ()):
+        yield path + (key,)
+    for key, sub in schema.get("properties", {}).items():
+        yield from required_paths(sub, path + (key,))
+        if isinstance(sub.get("items"), dict):
+            yield from required_paths(sub["items"], path + (key, 0))
+
+
 class TestStrictJsonTypes:
     def test_valid_document_parses(self):
         graph = graph_from_json_dict(valid_graph_doc())
@@ -400,3 +412,20 @@ class TestStrictJsonTypes:
         doc = set_path(valid_graph_doc(), ("edges", 0, "ends"), ends)
         with pytest.raises(GraphError, match="exactly two"):
             graph_from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "path", list(required_paths(GRAPH_SCHEMA)), ids=lambda p: ".".join(map(str, p))
+    )
+    def test_every_required_key_is_required(self, path):
+        doc = valid_graph_doc()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+        with pytest.raises(GraphError, match=rf"\b{path[-1]}\b"):  # the error names the key
+            graph_from_json_dict(doc)
+        try:
+            import jsonschema
+        except ImportError:
+            return
+        assert not jsonschema.Draft7Validator(GRAPH_SCHEMA).is_valid(doc)

@@ -89,8 +89,10 @@ class TestCoefficient:
             multicover_coefficient(3, 4, 30, conv)
             jumped = list(multicover._TABLES[4, conv])
             multicover._TABLES.pop((4, conv))
-            stepped = [multicover_coefficient(3, 4, g, conv) for g in range(31)]
-            assert jumped == stepped
+            for g in range(31):
+                multicover_coefficient(3, 4, g, conv)
+            assert multicover._TABLES[4, conv] == jumped
+            assert all(type(n) is int for n in jumped)
 
     def test_genus_cap(self):
         sizes = {key: len(table) for key, table in multicover._TABLES.items()}
@@ -184,7 +186,7 @@ class TestTablesToCap:
     def test_non_integer_numerator_raises(self):
         # a half-integer exponent has no integer numerators over 4^m (3m)!
         with pytest.raises(ArithmeticError):
-            multicover._extend([F(1)], F(1, 2), SINH, 3)
+            multicover._extend([1], F(1, 2), SINH, 3)
 
 
 class TestVector:
@@ -339,24 +341,13 @@ class TestAgainstReference:
 
 
 class TestTableGrowth:
-    """Which tables a transform creates and extends, and what it does with a
-    table entry that breaks the 4^m (3m)! bound."""
+    """Which tables a transform creates and extends."""
 
     @pytest.fixture
     def tables(self, monkeypatch):
         fresh: dict = {}
         monkeypatch.setattr(multicover, "_TABLES", fresh)
         return fresh
-
-    @pytest.mark.parametrize("conv", [SINH, SIN])
-    def test_entry_off_the_bound_raises(self, tables, conv):
-        # D_1 = 4 * 3! = 24 is no multiple of 7
-        tables[cover_exponent(0, 2), conv] = [F(1), F(1, 7)]
-        vec = InvariantVector({0: F(1)}, c1b=2, max_genus=2)
-        with pytest.raises(ArithmeticError):
-            forward_transform(vec, conv)
-        with pytest.raises(ArithmeticError):
-            invert_transform(vec, conv)
 
     @pytest.mark.parametrize("conv", [SINH, SIN])
     def test_zero_entries_touch_no_table(self, tables, conv):
