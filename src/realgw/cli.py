@@ -32,13 +32,24 @@ def _fail(doc) -> int:
     return 1
 
 
+def _object_without_repeats(pairs: list) -> dict:
+    """A JSON object's members as a dict; a key given twice is an error
+    (plain ``json.loads`` keeps the last value without notice)."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise ValueError(f"input document gives the key {repeated!r} twice")
+    return doc
+
+
 def _read_input_doc(args) -> dict:
     if getattr(args, "infile", None):
         with open(args.infile, "r", encoding="utf-8") as handle:
             text = handle.read()
     else:
         text = sys.stdin.read()
-    doc = json.loads(text)
+    doc = json.loads(text, object_pairs_hook=_object_without_repeats)
     if not isinstance(doc, dict):
         raise ValueError("input document must be a JSON object")
     return doc
@@ -68,7 +79,10 @@ def _parse_kv(text: str | None, what: str) -> dict[str, str]:
         if "=" not in chunk:
             raise ValueError(f"{what} entries must look like key=value, got {chunk!r}")
         key, value = chunk.split("=", 1)
-        params[key.strip()] = value.strip()
+        key = key.strip()
+        if key in params:
+            raise ValueError(f"{what} gives {key!r} twice")
+        params[key] = value.strip()
     return params
 
 
@@ -253,7 +267,7 @@ def _parse_seed_range(text: str) -> range:
 
 def _bounds_from_kv(text: str | None) -> realgw.graphs.GraphBounds:
     raw = _parse_kv(text, "--bounds")
-    fields = {f for f in realgw.graphs.GraphBounds.__dataclass_fields__}
+    fields = realgw.graphs.GraphBounds._fields
     kwargs = {}
     for key, value in raw.items():
         if key not in fields:

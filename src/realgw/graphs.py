@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 
@@ -69,85 +69,69 @@ class InvolutionKind(enum.Enum):
     ETA = "eta"
 
 
-@dataclass(frozen=True)
-class FlagDecoration:
+class FlagDecoration(namedtuple("FlagDecoration", "b p in_s_minus")):
     """One edge-end at a vertex: indices b, p and whether it lies in S^-."""
 
-    b: int
-    p: int
-    in_s_minus: bool
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.b < 0 or self.p < 0:
-            raise GraphError(f"flag labels must be >= 0, got b={self.b}, p={self.p}")
-
-
-@dataclass(frozen=True)
-class GraphVertex:
-    id: int
-    genus_label: int
-    theta: int
-    flags: tuple[FlagDecoration, ...] = ()
-
-    def __post_init__(self):
-        if self.genus_label < 0:
-            raise GraphError(f"vertex genus must be >= 0, got {self.genus_label}")
-        if self.theta < 1:
-            raise GraphError(f"fixed-point label theta must be >= 1, got {self.theta}")
-        object.__setattr__(self, "flags", tuple(self.flags))
+    def __new__(cls, b: int, p: int, in_s_minus: bool):
+        if b < 0 or p < 0:
+            raise GraphError(f"flag labels must be >= 0, got b={b}, p={p}")
+        return tuple.__new__(cls, (b, p, in_s_minus))
 
 
-@dataclass(frozen=True)
-class GraphEdge:
-    id: int
-    kind: EdgeKind
-    degree: int
-    ends: tuple[int, int]
+class GraphVertex(namedtuple("GraphVertex", "id genus_label theta flags")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.degree < 1:
-            raise GraphError(f"edge degree must be >= 1, got {self.degree}")
-        ends = tuple(self.ends)
+    def __new__(cls, id: int, genus_label: int, theta: int, flags=()):
+        if genus_label < 0:
+            raise GraphError(f"vertex genus must be >= 0, got {genus_label}")
+        if theta < 1:
+            raise GraphError(f"fixed-point label theta must be >= 1, got {theta}")
+        return tuple.__new__(cls, (id, genus_label, theta, tuple(flags)))
+
+
+class GraphEdge(namedtuple("GraphEdge", "id kind degree ends")):
+    __slots__ = ()
+
+    def __new__(cls, id: int, kind: EdgeKind, degree: int, ends):
+        if degree < 1:
+            raise GraphError(f"edge degree must be >= 1, got {degree}")
+        ends = tuple(ends)
         if len(ends) != 2:
             raise GraphError(f"edge ends must list two vertex ids, got {ends}")
-        if self.kind is EdgeKind.REAL and ends[0] != ends[1]:
+        if kind is EdgeKind.REAL and ends[0] != ends[1]:
             raise GraphError(
                 "a real edge meets a single quotient vertex; its two ends "
                 f"must coincide, got {ends}"
             )
-        object.__setattr__(self, "ends", ends)
+        return tuple.__new__(cls, (id, kind, degree, ends))
 
 
-@dataclass(frozen=True)
-class DecoratedGraph:
-    vertices: tuple[GraphVertex, ...]
-    edges: tuple[GraphEdge, ...]
-    n: int
-    a: tuple[int, ...]
-    phi_kind: InvolutionKind
+class DecoratedGraph(namedtuple("DecoratedGraph", "vertices edges n a phi_kind")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        object.__setattr__(self, "a", tuple(self.a))
-        if self.n < 1:
-            raise GraphError(f"n must be >= 1, got {self.n}")
-        if any(x < 1 for x in self.a):
-            raise GraphError(f"multidegree entries must be positive, got {self.a}")
-        if (self.n - len(self.a)) % 2 != 0:
-            raise GraphError(
-                f"n - k must be even, got n={self.n}, k={len(self.a)}"
-            )
-        if not self.vertices:
+    def __new__(cls, vertices, edges, n: int, a, phi_kind: InvolutionKind):
+        vertices = tuple(vertices)
+        edges = tuple(edges)
+        a = tuple(a)
+        if n < 1:
+            raise GraphError(f"n must be >= 1, got {n}")
+        if any(x < 1 for x in a):
+            raise GraphError(f"multidegree entries must be positive, got {a}")
+        if (n - len(a)) % 2 != 0:
+            raise GraphError(f"n - k must be even, got n={n}, k={len(a)}")
+        if not vertices:
             raise GraphError("a graph needs at least one vertex")
-        ids = [v.id for v in self.vertices]
+        ids = [v.id for v in vertices]
         if len(set(ids)) != len(ids):
             raise GraphError(f"duplicate vertex ids: {ids}")
         known = set(ids)
-        for e in self.edges:
+        for e in edges:
             for end in e.ends:
                 if end not in known:
                     raise GraphError(f"edge {e.id} references unknown vertex {end}")
+        return tuple.__new__(cls, (vertices, edges, n, a, phi_kind))
 
     @property
     def real_edges(self) -> tuple[GraphEdge, ...]:
@@ -185,11 +169,7 @@ def derive_genus_degree(graph: DecoratedGraph) -> tuple[int, int]:
     return g, d
 
 
-@dataclass(frozen=True)
-class CongruenceResult:
-    holds: bool
-    lhs: int
-    rhs: int
+CongruenceResult = namedtuple("CongruenceResult", "holds lhs rhs")
 
 
 def _half(twice: int, what: str) -> int:
@@ -256,25 +236,34 @@ def congruence_identity_check(graph: DecoratedGraph) -> CongruenceResult:
 # --- random graphs for fuzzing the congruence ---
 
 
-@dataclass(frozen=True)
-class GraphBounds:
+class GraphBounds(
+    namedtuple(
+        "GraphBounds",
+        (
+            "max_vertices",
+            "max_vertex_genus",
+            "max_real_edges",
+            "max_conj_edges",
+            "max_edge_degree",
+            "max_n",
+            "max_multidegree_len",
+            "max_multidegree_entry",
+            "max_flag_label",
+        ),
+        defaults=(5, 3, 4, 4, 7, 9, 3, 6, 4),
+    )
+):
     """Caps for the random graph generator, each at most its BOUND_CAPS entry.
 
-    The choice lists the generator draws from depend on the bounds alone, so
-    they are built here, once per GraphBounds, and not once per graph.
+    ``GraphBounds._fields`` names the caps, in order; the CLI accepts exactly
+    these as --bounds keys.  The choice lists the generator draws from
+    depend on the bounds alone, so they are built here, once per
+    GraphBounds, and not once per graph.  They are instance attributes, not
+    fields: they stay out of the field tuple, repr and equality.
     """
 
-    max_vertices: int = 5
-    max_vertex_genus: int = 3
-    max_real_edges: int = 4
-    max_conj_edges: int = 4
-    max_edge_degree: int = 7
-    max_n: int = 9
-    max_multidegree_len: int = 3
-    max_multidegree_entry: int = 6
-    max_flag_label: int = 4
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if (
             self.max_vertices < 1
             or self.max_n < 1
@@ -296,8 +285,6 @@ class GraphBounds:
             if value > cap:
                 raise GraphError(f"bound {name}={value} exceeds its cap {cap}")
 
-        # Plain attributes, not fields: they stay out of __init__, repr,
-        # equality and the field names the CLI accepts as --bounds keys.
         lengths = range(0, self.max_multidegree_len + 1)
         # lengths k of each parity (n - k must be even)
         ks = ([x for x in lengths if x % 2 == 0], [x for x in lengths if x % 2 == 1])
@@ -306,12 +293,37 @@ class GraphBounds:
         # last multidegree entries by residue mod 4 (each list is non-empty)
         last_cap = max(4, self.max_multidegree_entry)
         last = [[x for x in range(1, last_cap + 1) if x % 4 == r] for r in range(4)]
-        object.__setattr__(self, "_ks_by_parity", ks)
-        object.__setattr__(self, "_ns", ns)
-        object.__setattr__(self, "_last_by_residue", last)
-        object.__setattr__(
-            self, "_odd_degrees", list(range(1, self.max_edge_degree + 1, 2))
+        self.__dict__.update(
+            _ks_by_parity=ks,
+            _ns=ns,
+            _last_by_residue=last,
+            _odd_degrees=list(range(1, self.max_edge_degree + 1, 2)),
         )
+        return self
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"GraphBounds is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+
+def _below(rng: random.Random):
+    """``below(m)``: a uniform integer in [0, m), m >= 1, drawn from ``rng``
+    exactly as CPython's ``Random._randbelow_with_getrandbits`` draws it
+    (3.10 through 3.13): ``getrandbits(m.bit_length())`` until the result is
+    below m.  ``randrange(m)``, ``randint(lo, lo + m - 1) - lo`` and the
+    index ``choice`` picks in a sequence of length m make the same calls, in
+    the same order; ``below`` skips their argument checks."""
+    getrandbits = rng.getrandbits
+
+    def below(m: int) -> int:
+        k = m.bit_length()
+        r = getrandbits(k)
+        while r >= m:
+            r = getrandbits(k)
+        return r
+
+    return below
 
 
 _PHI_KINDS = (InvolutionKind.TAU, InvolutionKind.ETA)
@@ -326,79 +338,57 @@ def generate_random_graph(
     if bounds is None:
         bounds = _DEFAULT_BOUNDS
     rng = random.Random(seed)
+    below = _below(rng)
 
-    n = rng.choice(bounds._ns)
-    k = rng.choice(bounds._ks_by_parity[n % 2])
+    ns = bounds._ns
+    n = ns[below(len(ns))]
+    ks = bounds._ks_by_parity[n % 2]
+    k = ks[below(len(ks))]
 
     # Multidegree with |a| = k mod 4: the last entry absorbs the residue.
     a: list[int] = [
-        rng.randint(1, bounds.max_multidegree_entry) for _ in range(max(k - 1, 0))
+        1 + below(bounds.max_multidegree_entry) for _ in range(max(k - 1, 0))
     ]
     if k > 0:
-        a.append(rng.choice(bounds._last_by_residue[(k - sum(a)) % 4]))
+        last = bounds._last_by_residue[(k - sum(a)) % 4]
+        a.append(last[below(len(last))])
 
-    phi_kind = rng.choice(_PHI_KINDS)
-    num_vertices = rng.randint(1, bounds.max_vertices)
-    genus_labels = [
-        rng.randint(0, bounds.max_vertex_genus) for _ in range(num_vertices)
-    ]
-    thetas = [rng.randint(1, n) for _ in range(num_vertices)]
+    phi_kind = _PHI_KINDS[below(len(_PHI_KINDS))]
+    num_vertices = 1 + below(bounds.max_vertices)
+    genus_labels = [below(bounds.max_vertex_genus + 1) for _ in range(num_vertices)]
+    thetas = [1 + below(n) for _ in range(num_vertices)]
 
     odd_degrees = bounds._odd_degrees
-    num_real = rng.randint(0, bounds.max_real_edges)
-    num_conj = rng.randint(0, bounds.max_conj_edges)
+    num_real = below(bounds.max_real_edges + 1)
+    num_conj = below(bounds.max_conj_edges + 1)
 
     edges: list[GraphEdge] = []
     incidences: list[list[FlagDecoration]] = [[] for _ in range(num_vertices)]
+    label_width = bounds.max_flag_label + 1
 
     def new_flag() -> FlagDecoration:
-        return FlagDecoration(
-            b=rng.randint(0, bounds.max_flag_label),
-            p=rng.randint(0, bounds.max_flag_label),
-            in_s_minus=rng.random() < 0.5,
-        )
+        return FlagDecoration(below(label_width), below(label_width), rng.random() < 0.5)
 
     for _ in range(num_real):
-        v = rng.randrange(num_vertices)
+        v = below(num_vertices)
         edges.append(
-            GraphEdge(
-                id=len(edges),
-                kind=EdgeKind.REAL,
-                degree=rng.choice(odd_degrees),
-                ends=(v, v),
-            )
+            GraphEdge(len(edges), EdgeKind.REAL, odd_degrees[below(len(odd_degrees))], (v, v))
         )
         incidences[v].append(new_flag())
     for _ in range(num_conj):
-        u = rng.randrange(num_vertices)
-        w = rng.randrange(num_vertices)
+        u = below(num_vertices)
+        w = below(num_vertices)
         edges.append(
-            GraphEdge(
-                id=len(edges),
-                kind=EdgeKind.CONJ,
-                degree=rng.randint(1, bounds.max_edge_degree),
-                ends=(u, w),
-            )
+            GraphEdge(len(edges), EdgeKind.CONJ, 1 + below(bounds.max_edge_degree), (u, w))
         )
         incidences[u].append(new_flag())
         incidences[w].append(new_flag())
 
-    vertices = tuple(
-        GraphVertex(
-            id=i,
-            genus_label=genus_labels[i],
-            theta=thetas[i],
-            flags=tuple(incidences[i]),
-        )
+    vertices = [
+        GraphVertex(i, genus_labels[i], thetas[i], incidences[i])
         for i in range(num_vertices)
-    )
-    graph = DecoratedGraph(
-        vertices=vertices,
-        edges=tuple(edges),
-        n=n,
-        a=tuple(a),
-        phi_kind=phi_kind,
-    )
+    ]
+    graph = DecoratedGraph(vertices, edges, n, a, phi_kind)
     graph.validate_structure()
     return graph
 

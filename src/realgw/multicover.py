@@ -37,7 +37,7 @@ even throughout).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from typing import Mapping
@@ -157,8 +157,7 @@ def multicover_coefficient(
     return Fraction(_table(cover_exponent(h, c1b), convention, g)[g], _denominators(g)[g])
 
 
-@dataclass(frozen=True)
-class InvariantVector:
+class InvariantVector(namedtuple("InvariantVector", "entries c1b max_genus")):
     """Rational values indexed by genus 0..max_genus, with the even pairing
     <c1,B> carried along.
 
@@ -166,29 +165,25 @@ class InvariantVector:
     genera at or below it are normalized to zero.
     """
 
-    entries: Mapping[int, Fraction]
-    c1b: int
-    max_genus: int = field(default=-1)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.c1b % 2 != 0:
-            raise ValueError(f"c1B pairing must be even, got {self.c1b}")
-        max_genus = self.max_genus
+    def __new__(cls, entries: Mapping[int, Fraction], c1b: int, max_genus: int = -1):
+        if c1b % 2 != 0:
+            raise ValueError(f"c1B pairing must be even, got {c1b}")
         if max_genus < 0:
-            if not self.entries:
+            if not entries:
                 raise ValueError("empty entries require an explicit max_genus")
-            max_genus = max(self.entries)
+            max_genus = max(entries)
         if max_genus > MAX_GENUS:
             raise ValueError(f"max_genus must be <= {MAX_GENUS}, got {max_genus}")
-        bad = [g for g in self.entries if g < 0 or g > max_genus]
+        bad = [g for g in entries if g < 0 or g > max_genus]
         if bad:
             raise ValueError(f"genera {bad} outside [0, {max_genus}]")
         dense = {}
         for g in range(max_genus + 1):
-            value = self.entries.get(g, 0)
+            value = entries.get(g, 0)
             dense[g] = value if type(value) is Fraction else Fraction(value)
-        object.__setattr__(self, "entries", dense)
-        object.__setattr__(self, "max_genus", max_genus)
+        return tuple.__new__(cls, (dense, c1b, max_genus))
 
     def to_string_map(self) -> dict[str, str]:
         """Genus-keyed p/q strings, the CLI wire form."""

@@ -28,7 +28,7 @@ everywhere (disconnected domains satisfy g - 1 = sum (g_i - 1)).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class Route(enum.Enum):
@@ -63,8 +63,7 @@ class RelSpinVariant(enum.Enum):
             raise ValueError(f"relspin variant must be one of {choices}, got {name!r}")
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(namedtuple("Comparison", "preserves condition")):
     """Outcome of an orientation comparison.
 
     ``preserves`` is the canonical boolean (orientations agree / diagram
@@ -72,8 +71,7 @@ class Comparison:
     evaluated parity expression, for humans and the CLI.
     """
 
-    preserves: bool
-    condition: str
+    __slots__ = ()
 
     @property
     def sign(self) -> int:
@@ -473,8 +471,7 @@ def forget_boundary_sign(node_side: str, route: Route) -> Comparison:
 # --- dimension and the convention exponents ---
 
 
-@dataclass(frozen=True)
-class ModuliDescriptor:
+class ModuliDescriptor(namedtuple("ModuliDescriptor", "g ell n c1b c1lb")):
     """Integer shadow of a real map moduli problem.
 
     ``n`` is the odd complex dimension of the target, ``c1b`` the even
@@ -482,21 +479,16 @@ class ModuliDescriptor:
     must satisfy 2*c1lb = c1b when supplied.
     """
 
-    g: int
-    ell: int
-    n: int
-    c1b: int
-    c1lb: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.ell < 0:
-            raise ValueError(f"marked-pair count ell must be >= 0, got {self.ell}")
-        _require_odd_dim(self.n)
-        _require_even("c1B", self.c1b)
-        if self.c1lb is not None and 2 * self.c1lb != self.c1b:
-            raise ValueError(
-                f"c1LB = {self.c1lb} must satisfy 2*c1LB = c1B = {self.c1b}"
-            )
+    def __new__(cls, g: int, ell: int, n: int, c1b: int, c1lb: int | None = None):
+        if ell < 0:
+            raise ValueError(f"marked-pair count ell must be >= 0, got {ell}")
+        _require_odd_dim(n)
+        _require_even("c1B", c1b)
+        if c1lb is not None and 2 * c1lb != c1b:
+            raise ValueError(f"c1LB = {c1lb} must satisfy 2*c1LB = c1B = {c1b}")
+        return tuple.__new__(cls, (g, ell, n, c1b, c1lb))
 
 
 def virtual_dimension(m: ModuliDescriptor) -> int:
@@ -504,10 +496,7 @@ def virtual_dimension(m: ModuliDescriptor) -> int:
     return (1 - m.g) * (m.n - 3) + 2 * m.ell + m.c1b
 
 
-@dataclass(frozen=True)
-class OrientationEpsilons:
-    eps_conv: int
-    eps_factor: int
+OrientationEpsilons = namedtuple("OrientationEpsilons", "eps_conv eps_factor")
 
 
 def orientcomp_epsilons(g: int, c1b: int, n: int) -> OrientationEpsilons:

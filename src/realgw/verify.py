@@ -20,7 +20,7 @@ product orientation -- is derived from the convention exponents
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Callable, Iterable, Sequence
 
 from .signs import (
@@ -48,11 +48,10 @@ ODD_DIM_RANGE = (1, 3, 5, 7)
 PAIRING_RANGE = range(-8, 9, 2)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    identity_id: str
-    grid_size: int
-    failures: tuple = field(default_factory=tuple)
+class IdentityReport(
+    namedtuple("IdentityReport", "identity_id grid_size failures", defaults=((),))
+):
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:

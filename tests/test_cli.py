@@ -177,6 +177,9 @@ class TestSignRegistry:
             # unknown keys come before the wrapper's own domain errors
             ("cvc-parity", "g=0,k=0,d=0,zz=1", "cvc-parity: unknown params ['zz']"),
             ("cvc-parity", "g=0,k=0,d=0", "rank must be >= 1, got 0"),
+            # a key given twice is named before any parameter is read
+            ("cvc-parity", "g=0,g=1,k=1,d=1", "--params gives 'g' twice"),
+            ("cvc-parity", "zz=1,k=x,zz=2", "--params gives 'zz' twice"),
         ],
     )
     def test_read_order(self, capsys, predicate, params, error):
@@ -255,6 +258,22 @@ class TestTransformInvert:
         code, out, err = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
         assert code == 1 and out == ""
         assert json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
+        "argv,stdin,key",
+        [
+            pytest.param(["transform"], '{"c1B":0,"convention":"sinh","E":{"1":"1","1":"5"}}',
+                         "1", id="E_1-twice"),
+            pytest.param(["transform"], '{"c1B":0,"convention":"sinh","E":{"0":"1"},"E":{"0":"2"}}',
+                         "E", id="E-twice"),
+            pytest.param(["invert"], '{"c1B":0,"convention":"sin","convention":"sinh","gw":{"0":"1"}}',
+                         "convention", id="convention-twice"),
+        ],
+    )
+    def test_repeated_json_key(self, capsys, monkeypatch, argv, stdin, key):
+        code, out, err = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": f"input document gives the key {key!r} twice"}
 
     def test_transform_reads_file(self, capsys, tmp_path):
         path = tmp_path / "counts.json"
@@ -596,6 +615,53 @@ class TestGraphCheck:
         assert code == 1
         assert "max_cats" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize(
+        "bounds,key",
+        [("max_n=3,max_n=9", "max_n"), ("max_n=3, max_n =3", "max_n"),
+         ("max_cats=1,max_cats=2", "max_cats")],
+    )
+    def test_repeated_bound(self, capsys, monkeypatch, bounds, key):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph was generated")
+
+        monkeypatch.setattr(realgw.graphs, "generate_random_graph", refuse)
+        code, out, err = run_cli(capsys, ["graph-check", "--seeds", "1..3", "--bounds", bounds])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": f"--bounds gives {key!r} twice"}
+
+    def test_bounds_error_text(self, capsys):
+        # the infeasible-bounds error carries the GraphBounds repr
+        code, out, err = run_cli(capsys, ["graph-check", "--bounds", "max_vertices=0"])
+        assert (code, out) == (1, "")
+        assert err == (
+            '{"error": "infeasible bounds: GraphBounds(max_vertices=0, max_vertex_genus=3, '
+            "max_real_edges=4, max_conj_edges=4, max_edge_degree=7, max_n=9, "
+            'max_multidegree_len=3, max_multidegree_entry=6, max_flag_label=4)"}\n'
+        )
+        code, out, err = run_cli(capsys, ["graph-check", "--bounds", "foo=1"])
+        assert (code, out) == (1, "")
+        assert err == (
+            '{"error": "unknown bound \'foo\'; known: max_conj_edges, max_edge_degree, '
+            "max_flag_label, max_multidegree_entry, max_multidegree_len, max_n, "
+            'max_real_edges, max_vertex_genus, max_vertices"}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            # "phi" given twice, "tau" then "eta"
+            ('{"phi": "tau", ' + json.dumps({**VALID_GRAPH, "phi": "eta"})[1:], "phi"),
+            (json.dumps(VALID_GRAPH).replace('"b": 0', '"b": 0, "b": 1'), "b"),
+        ],
+        ids=["phi-twice", "flag-b-twice"],
+    )
+    def test_repeated_json_key(self, capsys, tmp_path, text, key):
+        path = tmp_path / "graph.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, ["graph-check", "--in", str(path)])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": f"input document gives the key {key!r} twice"}
+
     def test_explicit_graph_document(self, capsys, tmp_path):
         doc = {
             "n": 5,
@@ -745,13 +811,15 @@ class TestIntegers:
 
 
 def _fresh_interpreter(code: str) -> list[str]:
-    """Run ``code`` in a new interpreter; return the realgw modules it loaded."""
+    """Run ``code`` in a new interpreter; return the modules it loaded that
+    are realgw modules, ``dataclasses`` or ``inspect``."""
     src = str(Path(realgw.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = (
-        code + "\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('realgw'))))"
+        "import sys\n_preloaded = set(sys.modules)\n" + code + "\nimport json\n"
+        "print(json.dumps(sorted(m for m in set(sys.modules) - _preloaded\n"
+        "    if m.startswith('realgw') or m in ('dataclasses', 'inspect'))))"
     )
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
@@ -790,6 +858,32 @@ class TestLazyImports:
             "main(['verify', 'sin_vs_sinh'])"
         )
         assert "realgw.multicover" in loaded
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeff", "--h", "2", "--c1b", "0", "--g", "1"],
+            ["sign", "cvc-parity", "--params", "g=0,k=1,d=1"],
+            ["dim", "--g", "0", "--ell", "1", "--n", "3", "--c1b", "4"],
+            ["transform", "--in", "{counts}"],
+            ["graph-check", "--seeds", "1..3"],
+            ["graph-check", "--in", "{graph}"],
+            ["verify", "binomial_parity"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_no_dataclasses_or_inspect(self, tmp_path, argv):
+        # The startup budget: no subcommand imports dataclasses or inspect.
+        counts, graph = tmp_path / "counts.json", tmp_path / "graph.json"
+        counts.write_text('{"c1B":0,"convention":"sinh","E":{"0":"1","2":"1"}}')
+        graph.write_text(json.dumps(VALID_GRAPH))
+        argv = [arg.format(counts=counts, graph=graph) for arg in argv]
+        loaded = _fresh_interpreter(
+            "from realgw.cli import main\n"
+            f"assert main({argv!r}) == 0"
+        )
+        assert "dataclasses" not in loaded and "inspect" not in loaded
+        assert any(m.startswith("realgw.") and m != "realgw.cli" for m in loaded)
 
     def test_verify_help_lists_identities(self):
         loaded = _fresh_interpreter(

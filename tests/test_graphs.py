@@ -1,15 +1,16 @@
 """Decorated graphs: derived genus/degree, sign exponents, the closing
 congruence, and the seeded generator."""
 
-import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 
 import congruence_oracle
 from realgw.graphs import (
     BOUND_CAPS,
+    _below,
     DecoratedGraph,
     EdgeKind,
     FlagDecoration,
@@ -249,6 +250,26 @@ class TestGenerator:
                 digest.update(json.dumps(doc, sort_keys=True).encode())
         assert digest.hexdigest()[:16] == self.GOLDEN_STREAM
 
+    # 1..257, and 2^k - 1, 2^k, 2^k + 1 up to 2^20
+    DRAW_WIDTHS = sorted(
+        set(range(1, 258)) | {2**k + e for k in range(1, 21) for e in (-1, 0, 1)}
+    )
+
+    @pytest.mark.parametrize("seed", [1, 2, 1201, 2**40 + 3])
+    def test_draw_matches_random(self, seed):
+        # The generator's draw must make random.Random's own getrandbits
+        # calls, so that a change to CPython's random module fails here by
+        # name, and not only through the golden digest.
+        for width in self.DRAW_WIDTHS:
+            ref, ours = random.Random(seed), random.Random(seed)
+            below = _below(ours)
+            for lo in (0, 1, -5):
+                assert ref.randint(lo, lo + width - 1) == lo + below(width), width
+            assert ref.randrange(width) == below(width), width
+            choices = range(width)
+            assert ref.choice(choices) == choices[below(width)], width
+            assert ref.getstate() == ours.getstate(), width
+
     def test_default_bounds(self):
         assert generate_random_graph(5) == generate_random_graph(5, GraphBounds())
 
@@ -288,7 +309,7 @@ class TestGenerator:
             GraphBounds(max_n=1, max_multidegree_len=0)
 
     def test_bound_caps(self):
-        assert set(BOUND_CAPS) == {f.name for f in dataclasses.fields(GraphBounds)}
+        assert set(BOUND_CAPS) == set(GraphBounds._fields)
         at_caps = GraphBounds(**BOUND_CAPS)
         for seed in range(1, 21):
             assert congruence_identity_check(generate_random_graph(seed, at_caps)).holds
@@ -303,9 +324,18 @@ class TestGenerator:
         assert bounds._ks_by_parity == ([0], [1])
         assert bounds._last_by_residue == [[4], [1, 5], [2], [3]]
         assert bounds._odd_degrees == [1, 3, 5, 7]
-        assert len(dataclasses.fields(GraphBounds)) == 9
+        assert len(GraphBounds._fields) == 9
         assert "_ns" not in repr(bounds)
         assert bounds == GraphBounds(max_n=4, max_multidegree_len=1, max_multidegree_entry=5)
+
+    def test_bounds_are_immutable(self):
+        bounds = GraphBounds()
+        for name in ("max_n", "_ns", "max_cats"):
+            with pytest.raises(AttributeError):
+                setattr(bounds, name, 3)
+        with pytest.raises(AttributeError):
+            del bounds._ns
+        assert bounds._ns == list(range(1, 10)) and hash(bounds) == hash(GraphBounds())
 
 
 class TestJson:
