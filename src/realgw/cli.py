@@ -49,7 +49,10 @@ def _read_input_doc(args) -> dict:
             text = handle.read()
     else:
         text = sys.stdin.read()
-    doc = json.loads(text, object_pairs_hook=_object_without_repeats)
+    try:
+        doc = json.loads(text, object_pairs_hook=_object_without_repeats)
+    except RecursionError:
+        raise ValueError("input document is nested too deeply")
     if not isinstance(doc, dict):
         raise ValueError("input document must be a JSON object")
     return doc
@@ -438,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
                 "column": exc.colno,
             }
         )
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _fail({"error": f"cannot read input: {exc}"})
     except (ValueError, ZeroDivisionError) as exc:
         return _fail({"error": str(exc)})

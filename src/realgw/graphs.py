@@ -7,12 +7,16 @@ with a covering degree.  Only the quotient data is stored -- the vertex set
 V_+, the real edges, and one edge per conjugate pair; a real edge meets one
 quotient vertex (listed twice in its ``ends``) and contributes a single
 edge-end, while a conjugate pair contributes one end at each of its two
-(possibly equal) quotient ends.  Vertex flags record one decoration
-(b, p, in S^-) per edge-end at that vertex, so that
+(possibly equal) quotient ends.  A vertex is named by its position in
+``DecoratedGraph.vertices``, and an edge's ``ends`` are such positions.
+Vertex flags record one decoration (b, p, in S^-) per edge-end at that
+vertex, so that
 
     |E_R| + 2 |E_+|  =  |Edg|  =  sum_v len(v.flags).
 
-The arithmetic genus and total degree are derived:
+``DecoratedGraph(...)`` checks this identity, so every graph it builds
+satisfies it.  The arithmetic genus and total degree are derived, in
+:func:`derive_genus_degree` alone:
 
     g = 1 + |Edg| + 2 sum_v (g(v) - 1),
     d = sum over real edges of deg + 2 * (sum over conjugate pairs of deg).
@@ -80,32 +84,32 @@ class FlagDecoration(namedtuple("FlagDecoration", "b p in_s_minus")):
         return tuple.__new__(cls, (b, p, in_s_minus))
 
 
-class GraphVertex(namedtuple("GraphVertex", "id genus_label theta flags")):
+class GraphVertex(namedtuple("GraphVertex", "genus_label theta flags")):
     __slots__ = ()
 
-    def __new__(cls, id: int, genus_label: int, theta: int, flags=()):
+    def __new__(cls, genus_label: int, theta: int, flags=()):
         if genus_label < 0:
             raise GraphError(f"vertex genus must be >= 0, got {genus_label}")
         if theta < 1:
             raise GraphError(f"fixed-point label theta must be >= 1, got {theta}")
-        return tuple.__new__(cls, (id, genus_label, theta, tuple(flags)))
+        return tuple.__new__(cls, (genus_label, theta, tuple(flags)))
 
 
-class GraphEdge(namedtuple("GraphEdge", "id kind degree ends")):
+class GraphEdge(namedtuple("GraphEdge", "kind degree ends")):
     __slots__ = ()
 
-    def __new__(cls, id: int, kind: EdgeKind, degree: int, ends):
+    def __new__(cls, kind: EdgeKind, degree: int, ends):
         if degree < 1:
             raise GraphError(f"edge degree must be >= 1, got {degree}")
         ends = tuple(ends)
         if len(ends) != 2:
-            raise GraphError(f"edge ends must list two vertex ids, got {ends}")
+            raise GraphError(f"edge ends must list two vertex indices, got {ends}")
         if kind is EdgeKind.REAL and ends[0] != ends[1]:
             raise GraphError(
                 "a real edge meets a single quotient vertex; its two ends "
                 f"must coincide, got {ends}"
             )
-        return tuple.__new__(cls, (id, kind, degree, ends))
+        return tuple.__new__(cls, (kind, degree, ends))
 
 
 class DecoratedGraph(namedtuple("DecoratedGraph", "vertices edges n a phi_kind")):
@@ -123,49 +127,30 @@ class DecoratedGraph(namedtuple("DecoratedGraph", "vertices edges n a phi_kind")
             raise GraphError(f"n - k must be even, got n={n}, k={len(a)}")
         if not vertices:
             raise GraphError("a graph needs at least one vertex")
-        ids = [v.id for v in vertices]
-        if len(set(ids)) != len(ids):
-            raise GraphError(f"duplicate vertex ids: {ids}")
-        known = set(ids)
-        for e in edges:
+        num_vertices = len(vertices)
+        edge_ends = len(edges)
+        for i, e in enumerate(edges):
             for end in e.ends:
-                if end not in known:
-                    raise GraphError(f"edge {e.id} references unknown vertex {end}")
-        return tuple.__new__(cls, (vertices, edges, n, a, phi_kind))
-
-    @property
-    def real_edges(self) -> tuple[GraphEdge, ...]:
-        return tuple(e for e in self.edges if e.kind is EdgeKind.REAL)
-
-    @property
-    def conj_edges(self) -> tuple[GraphEdge, ...]:
-        return tuple(e for e in self.edges if e.kind is EdgeKind.CONJ)
-
-    @property
-    def abs_a(self) -> int:
-        return sum(self.a)
-
-    def validate_structure(self) -> None:
-        """Check the edge-end count identity |E_R| + 2|E_+| = sum_v |E_v|."""
-        edge_ends = len(self.edges) + sum(
-            1 for e in self.edges if e.kind is EdgeKind.CONJ
-        )
-        flag_count = sum(len(v.flags) for v in self.vertices)
+                if not 0 <= end < num_vertices:
+                    raise GraphError(f"edge {i} references unknown vertex {end}")
+            if e.kind is EdgeKind.CONJ:
+                edge_ends += 1
+        flag_count = sum(len(v.flags) for v in vertices)
         if edge_ends != flag_count:
             raise GraphError(
                 f"edge-end count {edge_ends} (= |E_R| + 2|E_+|) does not "
                 f"match the stored flag count {flag_count}"
             )
+        return tuple.__new__(cls, (vertices, edges, n, a, phi_kind))
 
 
 def derive_genus_degree(graph: DecoratedGraph) -> tuple[int, int]:
     """Arithmetic genus and total degree determined by the decorations."""
-    graph.validate_structure()
-    edg = len(graph.real_edges) + 2 * len(graph.conj_edges)
-    g = 1 + edg + 2 * sum(v.genus_label - 1 for v in graph.vertices)
-    d = sum(e.degree for e in graph.real_edges) + 2 * sum(
-        e.degree for e in graph.conj_edges
-    )
+    d = 0
+    for e in graph.edges:
+        d += e.degree if e.kind is EdgeKind.REAL else 2 * e.degree
+    # |Edg| = sum_v |E_v|: the flags count the edge-ends (checked at construction)
+    g = 1 + sum(len(v.flags) + 2 * (v.genus_label - 1) for v in graph.vertices)
     return g, d
 
 
@@ -191,19 +176,18 @@ def congruence_identity_check(graph: DecoratedGraph) -> CongruenceResult:
     Preconditions (the nonzero-contribution regime): |a| = k mod 4, every
     real edge degree odd; n - |a| even then follows from n - k even.
     """
-    graph.validate_structure()
     n = graph.n
     k = len(graph.a)
-    total = graph.abs_a
+    total = sum(graph.a)
     if (total - k) % 4 != 0:
         raise GraphError(f"|a| must equal k mod 4, got |a|={total}, k={k}")
     real: list[int] = []
     conj: list[int] = []
-    for e in graph.edges:
+    for i, e in enumerate(graph.edges):
         if e.kind is EdgeKind.REAL:
             if e.degree % 2 == 0:
                 raise GraphError(
-                    f"real edge {e.id} has even degree {e.degree}; the congruence "
+                    f"real edge {i} has even degree {e.degree}; the congruence "
                     "is stated for odd real-edge degrees"
                 )
             real.append(e.degree)
@@ -219,14 +203,10 @@ def congruence_identity_check(graph: DecoratedGraph) -> CongruenceResult:
         lhs += 1 + nu * de // 4  # floor division: exact also for nu < 0
     for de in conj:
         lhs += _half(nu * de - 2, "(n-|a|)/2 d(e) - 1")
-    genus_shift = 0
     for v in graph.vertices:
-        genus_shift += v.genus_label - 1
         lhs += v.genus_label - 1 + len(v.flags)
 
-    # g and d as derive_genus_degree computes them.
-    g = 1 + r + 2 * len(conj) + 2 * genus_shift
-    d = sum(real) + 2 * sum(conj)
+    g, d = derive_genus_degree(graph)
     m = _half(2 * g + nu * d, "g + (n-|a|)d/2")
     rhs = m * (m - 1) // 2 + (g - 1)
 
@@ -371,26 +351,17 @@ def generate_random_graph(
 
     for _ in range(num_real):
         v = below(num_vertices)
-        edges.append(
-            GraphEdge(len(edges), EdgeKind.REAL, odd_degrees[below(len(odd_degrees))], (v, v))
-        )
+        edges.append(GraphEdge(EdgeKind.REAL, odd_degrees[below(len(odd_degrees))], (v, v)))
         incidences[v].append(new_flag())
     for _ in range(num_conj):
         u = below(num_vertices)
         w = below(num_vertices)
-        edges.append(
-            GraphEdge(len(edges), EdgeKind.CONJ, 1 + below(bounds.max_edge_degree), (u, w))
-        )
+        edges.append(GraphEdge(EdgeKind.CONJ, 1 + below(bounds.max_edge_degree), (u, w)))
         incidences[u].append(new_flag())
         incidences[w].append(new_flag())
 
-    vertices = [
-        GraphVertex(i, genus_labels[i], thetas[i], incidences[i])
-        for i in range(num_vertices)
-    ]
-    graph = DecoratedGraph(vertices, edges, n, a, phi_kind)
-    graph.validate_structure()
-    return graph
+    vertices = map(GraphVertex, genus_labels, thetas, incidences)
+    return DecoratedGraph(vertices, edges, n, a, phi_kind)
 
 
 # --- JSON wire format ---
@@ -398,7 +369,6 @@ def generate_random_graph(
 
 def graph_to_json_dict(graph: DecoratedGraph) -> dict:
     """Graph document; edge ends are indices into the vertices array."""
-    index = {v.id: i for i, v in enumerate(graph.vertices)}
     return {
         "n": graph.n,
         "a": list(graph.a),
@@ -417,7 +387,7 @@ def graph_to_json_dict(graph: DecoratedGraph) -> dict:
             {
                 "kind": e.kind.value,
                 "degree": e.degree,
-                "ends": [index[e.ends[0]], index[e.ends[1]]],
+                "ends": list(e.ends),
             }
             for e in graph.edges
         ],
@@ -438,6 +408,13 @@ def _json_bool(value, where: str) -> bool:
     return value
 
 
+def _json_list(value, where: str) -> list:
+    # a JSON string or object would iterate as characters or keys
+    if type(value) is not list:
+        raise GraphError(f"{where} must be a JSON array, got {value!r}")
+    return value
+
+
 def _json_ends(value, where: str) -> tuple[int, int]:
     if type(value) is not list or len(value) != 2:
         raise GraphError(f"{where} must list exactly two vertex indices, got {value!r}")
@@ -447,8 +424,9 @@ def _json_ends(value, where: str) -> tuple[int, int]:
 def graph_from_json_dict(doc: dict) -> DecoratedGraph:
     """Parse a graph document as ``graph_to_json_dict`` writes it.
 
-    Every integer field must be a JSON integer and ``sminus`` a JSON
-    boolean; anything else is a GraphError, never truncated or coerced.
+    Every integer field must be a JSON integer, ``sminus`` a JSON boolean,
+    and ``a``, ``vertices``, ``edges`` and each ``flags`` a JSON array;
+    anything else is a GraphError, never truncated or coerced.
     """
     try:
         phi_kind = InvolutionKind(doc["phi"])
@@ -457,7 +435,6 @@ def graph_from_json_dict(doc: dict) -> DecoratedGraph:
     try:
         vertices = tuple(
             GraphVertex(
-                id=i,
                 genus_label=_json_int(v["genus"], f"vertices[{i}].genus"),
                 theta=_json_int(v["theta"], f"vertices[{i}].theta"),
                 flags=tuple(
@@ -468,25 +445,24 @@ def graph_from_json_dict(doc: dict) -> DecoratedGraph:
                             f["sminus"], f"vertices[{i}].flags[{j}].sminus"
                         ),
                     )
-                    for j, f in enumerate(v["flags"])
+                    for j, f in enumerate(_json_list(v["flags"], f"vertices[{i}].flags"))
                 ),
             )
-            for i, v in enumerate(doc["vertices"])
+            for i, v in enumerate(_json_list(doc["vertices"], "vertices"))
         )
         edges = tuple(
             GraphEdge(
-                id=i,
                 kind=EdgeKind(e["kind"]),
                 degree=_json_int(e["degree"], f"edges[{i}].degree"),
                 ends=_json_ends(e["ends"], f"edges[{i}].ends"),
             )
-            for i, e in enumerate(doc["edges"])
+            for i, e in enumerate(_json_list(doc["edges"], "edges"))
         )
         return DecoratedGraph(
             vertices=vertices,
             edges=edges,
             n=_json_int(doc["n"], "n"),
-            a=tuple(_json_int(x, f"a[{i}]") for i, x in enumerate(doc["a"])),
+            a=tuple(_json_int(x, f"a[{i}]") for i, x in enumerate(_json_list(doc["a"], "a"))),
             phi_kind=phi_kind,
         )
     except (KeyError, TypeError) as exc:

@@ -471,24 +471,21 @@ def forget_boundary_sign(node_side: str, route: Route) -> Comparison:
 # --- dimension and the convention exponents ---
 
 
-class ModuliDescriptor(namedtuple("ModuliDescriptor", "g ell n c1b c1lb")):
+class ModuliDescriptor(namedtuple("ModuliDescriptor", "g ell n c1b")):
     """Integer shadow of a real map moduli problem.
 
     ``n`` is the odd complex dimension of the target, ``c1b`` the even
-    pairing <c1(X,omega), B>; ``c1lb`` optionally records <c1(L), B>, which
-    must satisfy 2*c1lb = c1b when supplied.
+    pairing <c1(X,omega), B>.
     """
 
     __slots__ = ()
 
-    def __new__(cls, g: int, ell: int, n: int, c1b: int, c1lb: int | None = None):
+    def __new__(cls, g: int, ell: int, n: int, c1b: int):
         if ell < 0:
             raise ValueError(f"marked-pair count ell must be >= 0, got {ell}")
         _require_odd_dim(n)
         _require_even("c1B", c1b)
-        if c1lb is not None and 2 * c1lb != c1b:
-            raise ValueError(f"c1LB = {c1lb} must satisfy 2*c1LB = c1B = {c1b}")
-        return tuple.__new__(cls, (g, ell, n, c1b, c1lb))
+        return tuple.__new__(cls, (g, ell, n, c1b))
 
 
 def virtual_dimension(m: ModuliDescriptor) -> int:

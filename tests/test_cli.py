@@ -145,6 +145,13 @@ class TestSignRegistry:
         listing = readme.split("Predicate ids for `sign`:", 1)[1].split(".", 1)[0]
         assert re.findall(r"`([a-z-]+)`", listing) == list(SIGN_PREDICATES)
 
+    def test_readme_lists_the_bound_caps(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| bound | cap | bound | cap |", 1)[1].split("\n\n", 1)[0]
+        assert dict(re.findall(r"\| `(\w+)` \| (\d+) ", table)) == {
+            name: str(cap) for name, cap in BOUND_CAPS.items()
+        }
+
     def test_every_predicate_has_a_valid_call(self):
         assert {call[0] for call in VALID_SIGN_CALLS} == set(SIGN_PREDICATES)
 
@@ -282,10 +289,24 @@ class TestTransformInvert:
         assert code == 0
         assert json.loads(out)["gw"] == {"0": "1"}
 
-    def test_missing_file(self, capsys):
+    def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["transform", "--in", "/nonexistent.json"])
         assert code == 1
         assert "cannot read input" in json.loads(err)["error"]
+        for command in ("transform", "invert", "graph-check"):
+            code, out, err = run_cli(capsys, [command, "--in", str(tmp_path)])
+            assert (code, out) == (1, ""), command
+            assert "cannot read input" in json.loads(err)["error"], command
+
+    @pytest.mark.parametrize("command", ["transform", "graph-check"])
+    @pytest.mark.parametrize("opening", ["[", '{"a":'])
+    def test_deeply_nested_json(self, capsys, tmp_path, command, opening):
+        path = tmp_path / "nested.json"
+        path.write_text(opening * 100_000)
+        code, out, err = run_cli(capsys, [command, "--in", str(path)])
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "input document is nested too deeply"}
 
     def test_coeff_conv_ignores_case(self, capsys):
         code, out, _ = run_cli(capsys, ["coeff", "--h", "2", "--c1b", "0", "--g", "1", "--conv", "SIN"])

@@ -42,7 +42,7 @@ def flag(b=0, p=0, sminus=False):
 
 def single_vertex_graph(genus, n=3, a=(3,), flags=(), edges=()):
     return DecoratedGraph(
-        vertices=(GraphVertex(id=0, genus_label=genus, theta=1, flags=flags),),
+        vertices=(GraphVertex(genus_label=genus, theta=1, flags=flags),),
         edges=edges,
         n=n,
         a=a,
@@ -55,17 +55,17 @@ class TestStructure:
         graph = single_vertex_graph(
             0,
             flags=(flag(),),
-            edges=(GraphEdge(0, EdgeKind.REAL, 1, (0, 0)),),
+            edges=(GraphEdge(EdgeKind.REAL, 1, (0, 0)),),
         )
         assert derive_genus_degree(graph) == (0, 1)
 
     def test_derive_conjugate_pair(self):
         graph = DecoratedGraph(
             vertices=(
-                GraphVertex(0, 0, 1, (flag(),)),
-                GraphVertex(1, 0, 2, (flag(),)),
+                GraphVertex(0, 1, (flag(),)),
+                GraphVertex(0, 2, (flag(),)),
             ),
-            edges=(GraphEdge(0, EdgeKind.CONJ, 1, (0, 1)),),
+            edges=(GraphEdge(EdgeKind.CONJ, 1, (0, 1)),),
             n=4,
             a=(2, 2),
             phi_kind=ETA,
@@ -76,25 +76,27 @@ class TestStructure:
         assert derive_genus_degree(single_vertex_graph(2)) == (3, 0)
 
     def test_flag_count_identity_enforced(self):
-        graph = single_vertex_graph(
-            0, flags=(), edges=(GraphEdge(0, EdgeKind.REAL, 1, (0, 0)),)
-        )
-        with pytest.raises(GraphError):
-            derive_genus_degree(graph)
+        with pytest.raises(GraphError, match="edge-end count 1"):
+            single_vertex_graph(0, flags=(), edges=(GraphEdge(EdgeKind.REAL, 1, (0, 0)),))
 
     def test_real_edge_ends_must_coincide(self):
         with pytest.raises(GraphError):
-            GraphEdge(0, EdgeKind.REAL, 1, (0, 1))
+            GraphEdge(EdgeKind.REAL, 1, (0, 1))
 
     def test_n_minus_k_parity_enforced(self):
         with pytest.raises(GraphError):
             single_vertex_graph(0, n=4, a=(3,))
 
     def test_unknown_end_rejected(self):
-        with pytest.raises(GraphError):
-            single_vertex_graph(
-                0, flags=(flag(),), edges=(GraphEdge(0, EdgeKind.REAL, 1, (7, 7)),)
-            )
+        # a vertex is its position: one vertex admits the end 0 alone
+        for edge in (
+            GraphEdge(EdgeKind.REAL, 1, (7, 7)),
+            GraphEdge(EdgeKind.REAL, 1, (-1, -1)),
+            GraphEdge(EdgeKind.REAL, 1, (1, 1)),
+            GraphEdge(EdgeKind.CONJ, 1, (0, -1)),
+        ):
+            with pytest.raises(GraphError, match="edge 0 references unknown vertex"):
+                single_vertex_graph(0, flags=(flag(),) * 2, edges=(edge,))
 
 
 class TestCongruence:
@@ -108,7 +110,7 @@ class TestCongruence:
             n=5,
             a=(5,),
             flags=(flag(),),
-            edges=(GraphEdge(0, EdgeKind.REAL, 1, (0, 0)),),
+            edges=(GraphEdge(EdgeKind.REAL, 1, (0, 0)),),
         )
         result = congruence_identity_check(graph)
         assert result.holds and (result.lhs, result.rhs) == (1, 1)
@@ -124,7 +126,7 @@ class TestCongruence:
             n=3,
             a=(3,),
             flags=(flag(),),
-            edges=(GraphEdge(0, EdgeKind.REAL, 2, (0, 0)),),
+            edges=(GraphEdge(EdgeKind.REAL, 2, (0, 0)),),
         )
         with pytest.raises(GraphError):
             congruence_identity_check(graph)
@@ -155,8 +157,8 @@ class TestReferenceCongruence:
             assert (result.lhs, result.rhs) == (lhs, rhs), f"seed {seed}"
             assert derive_genus_degree(graph) == (g, d), f"seed {seed}"
             assert result.holds
-            nu = graph.n - graph.abs_a
-            if graph.real_edges:
+            nu = graph.n - sum(graph.a)
+            if any(e.kind is EdgeKind.REAL for e in graph.edges):
                 residues.add((nu < 0, nu % 4))
         if bounds is NEGATIVE_NU_BOUNDS:
             # both floor cases are exercised with nu < 0
@@ -166,8 +168,8 @@ class TestReferenceCongruence:
         # n=1, a=(1,1,1): nu = -2 = 2 mod 4.  The real edge term is
         # 1 + floor(-1/2) = 0; truncating would make LHS odd and fail.
         graph = DecoratedGraph(
-            vertices=(GraphVertex(0, 0, 1, (flag(),)),),
-            edges=(GraphEdge(0, EdgeKind.REAL, 1, (0, 0)),),
+            vertices=(GraphVertex(0, 1, (flag(),)),),
+            edges=(GraphEdge(EdgeKind.REAL, 1, (0, 0)),),
             n=1,
             a=(1, 1, 1),
             phi_kind=TAU,
@@ -182,12 +184,12 @@ class TestReferenceCongruence:
         # m = 6 - 9 = -3, RHS = 6 + 5 = 11.
         graph = DecoratedGraph(
             vertices=(
-                GraphVertex(0, 1, 1, (flag(), flag(sminus=True))),
-                GraphVertex(1, 2, 2, (flag(b=1),)),
+                GraphVertex(1, 1, (flag(), flag(sminus=True))),
+                GraphVertex(2, 2, (flag(b=1),)),
             ),
             edges=(
-                GraphEdge(0, EdgeKind.REAL, 1, (0, 0)),
-                GraphEdge(1, EdgeKind.CONJ, 1, (0, 1)),
+                GraphEdge(EdgeKind.REAL, 1, (0, 0)),
+                GraphEdge(EdgeKind.CONJ, 1, (0, 1)),
             ),
             n=2,
             a=(1, 1, 1, 5),
@@ -202,33 +204,33 @@ class TestReferenceCongruence:
         # n=3, a=(1,): nu = 2.  Real edge of degree 3: 1 + floor(3/2) = 2.
         graph = single_vertex_graph(
             0, n=3, a=(1,), flags=(flag(),),
-            edges=(GraphEdge(0, EdgeKind.REAL, 3, (0, 0)),),
+            edges=(GraphEdge(EdgeKind.REAL, 3, (0, 0)),),
         )
         result = congruence_identity_check(graph)
         assert result.holds and (result.lhs, result.rhs) == (0, 0)
         assert congruence_oracle.congruence(graph) == (0, 0, 0, 3)
 
     def test_preconditions_checked_in_order(self):
-        # the edge-end count comes first, then |a| = k mod 4, then the
-        # first even real edge, each with its own message
-        miscounted = single_vertex_graph(
-            1, n=2, a=(2, 2), edges=(GraphEdge(0, EdgeKind.REAL, 2, (0, 0)),)
-        )
+        # the edge-end count comes first (a miscounted graph cannot be
+        # built), then |a| = k mod 4, then the first even real edge, each
+        # with its own message
         with pytest.raises(GraphError, match="edge-end count 1"):
-            congruence_identity_check(miscounted)
+            single_vertex_graph(
+                1, n=2, a=(2, 2), edges=(GraphEdge(EdgeKind.REAL, 2, (0, 0)),)
+            )
         with pytest.raises(GraphError, match=r"\|a\| must equal k mod 4"):
             congruence_identity_check(
                 single_vertex_graph(
                     1, n=2, a=(2, 2), flags=(flag(),),
-                    edges=(GraphEdge(0, EdgeKind.REAL, 2, (0, 0)),),
+                    edges=(GraphEdge(EdgeKind.REAL, 2, (0, 0)),),
                 )
             )
         two_even = single_vertex_graph(
             0, n=5, a=(5,), flags=(flag(),) * 3,
             edges=(
-                GraphEdge(0, EdgeKind.REAL, 1, (0, 0)),
-                GraphEdge(1, EdgeKind.REAL, 4, (0, 0)),
-                GraphEdge(2, EdgeKind.REAL, 2, (0, 0)),
+                GraphEdge(EdgeKind.REAL, 1, (0, 0)),
+                GraphEdge(EdgeKind.REAL, 4, (0, 0)),
+                GraphEdge(EdgeKind.REAL, 2, (0, 0)),
             ),
         )
         with pytest.raises(GraphError, match="real edge 1 has even degree 4"):
@@ -350,7 +352,7 @@ class TestJson:
             n=5,
             a=(5,),
             flags=(flag(),),
-            edges=(GraphEdge(0, EdgeKind.REAL, 1, (0, 0)),),
+            edges=(GraphEdge(EdgeKind.REAL, 1, (0, 0)),),
         )
         doc = graph_to_json_dict(graph)
         assert doc["edges"][0]["ends"] == [0, 0]
@@ -436,6 +438,21 @@ class TestStrictJsonTypes:
         doc = set_path(valid_graph_doc(), ("vertices", 0, "flags", 0, "sminus"), value)
         with pytest.raises(GraphError, match="JSON boolean"):
             graph_from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "path", [("a",), ("vertices",), ("edges",), ("vertices", 0, "flags")],
+        ids=lambda p: ".".join(map(str, p)),
+    )
+    @pytest.mark.parametrize("value", ["", {}, "5", 3, None])
+    def test_array_fields_reject_other_types(self, path, value):
+        doc = set_path(valid_graph_doc(), path, value)
+        with pytest.raises(GraphError, match="JSON array"):
+            graph_from_json_dict(doc)
+        try:
+            import jsonschema
+        except ImportError:
+            return
+        assert not jsonschema.Draft7Validator(GRAPH_SCHEMA).is_valid(doc)
 
     @pytest.mark.parametrize("ends", [[], [0], [0, 0, 0], "00", {"0": 0, "1": 0}])
     def test_ends_must_be_a_pair(self, ends):

@@ -290,9 +290,6 @@ class TestDimensionAndFriends:
             ModuliDescriptor(0, 0, 2, 0)
         with pytest.raises(ValueError):
             ModuliDescriptor(0, 0, 3, 3)
-        with pytest.raises(ValueError):
-            ModuliDescriptor(0, 0, 3, 4, c1lb=1)
-        assert ModuliDescriptor(0, 0, 3, 4, c1lb=2).c1lb == 2
 
     @pytest.mark.parametrize(
         "g,c1b,n,conv,factor",
