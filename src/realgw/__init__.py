@@ -3,9 +3,9 @@
 Subpackages by concern:
 
 * :mod:`realgw.series` -- exact rationals and their ``p/q`` wire form;
-* :mod:`realgw.multicover` -- the cover coefficients and the unitriangular
-  multiple-cover transform between moduli invariants and integer curve
-  counts (sinh and sin flavors);
+* :mod:`realgw.multicover` -- the cover coefficients and the multiple-cover
+  transform between moduli invariants and integer curve counts (sinh and
+  sin flavors), inverted by the same sum over the arcsinh or arcsin series;
 * :mod:`realgw.signs` -- every orientation-comparison statement as a total
   parity predicate over integer descriptors;
 * :mod:`realgw.graphs` -- decorated fixed-point graphs and the closing
@@ -25,7 +25,6 @@ _EXPORTS = {
     "Convention": "multicover",
     "InvariantVector": "multicover",
     "ModuliDescriptor": "signs",
-    "Rational": "series",
     "Route": "signs",
     "format_rational": "series",
     "forward_transform": "multicover",

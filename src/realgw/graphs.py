@@ -77,6 +77,7 @@ class FlagDecoration(namedtuple("FlagDecoration", "b p in_s_minus")):
     """One edge-end at a vertex: indices b, p and whether it lies in S^-."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace runs __new__
 
     def __new__(cls, b: int, p: int, in_s_minus: bool):
         if b < 0 or p < 0:
@@ -86,6 +87,7 @@ class FlagDecoration(namedtuple("FlagDecoration", "b p in_s_minus")):
 
 class GraphVertex(namedtuple("GraphVertex", "genus_label theta flags")):
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace runs __new__
 
     def __new__(cls, genus_label: int, theta: int, flags=()):
         if genus_label < 0:
@@ -97,12 +99,13 @@ class GraphVertex(namedtuple("GraphVertex", "genus_label theta flags")):
 
 class GraphEdge(namedtuple("GraphEdge", "kind degree ends")):
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace runs __new__
 
     def __new__(cls, kind: EdgeKind, degree: int, ends):
         if degree < 1:
             raise GraphError(f"edge degree must be >= 1, got {degree}")
         ends = tuple(ends)
-        if len(ends) != 2:
+        if len(ends) != 2 or type(ends[0]) is not int or type(ends[1]) is not int:
             raise GraphError(f"edge ends must list two vertex indices, got {ends}")
         if kind is EdgeKind.REAL and ends[0] != ends[1]:
             raise GraphError(
@@ -114,6 +117,7 @@ class GraphEdge(namedtuple("GraphEdge", "kind degree ends")):
 
 class DecoratedGraph(namedtuple("DecoratedGraph", "vertices edges n a phi_kind")):
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace runs __new__
 
     def __new__(cls, vertices, edges, n: int, a, phi_kind: InvolutionKind):
         vertices = tuple(vertices)
@@ -241,6 +245,8 @@ class GraphBounds(
     GraphBounds, and not once per graph.  They are instance attributes, not
     fields: they stay out of the field tuple, repr and equality.
     """
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace runs __new__
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

@@ -7,27 +7,38 @@ line bundle admits no conjugation lift.  Concretely
 
     GW_g = sum_{0 <= h <= g, g-h even} C(h, (g-h)/2) * E_h,
 
-where C(h, j) is the t^(2j) coefficient of f(t/2)/(t/2) raised to the
-exponent h - 1 + <c1,B>/2 and f is sinh or sin.  Since C(h, 0) = 1 the
-relation is unitriangular and inverts exactly over the rationals; the
-recovered E_h are conjecturally integer curve counts.
+where C(h, j) is the t^(2j) coefficient of b = f(t/2)/(t/2) raised to the
+exponent h - 1 + c, c = <c1,B>/2, and f is sinh or sin.  With y = 2 f(t/2)
+= t b this is the generating-function identity
 
-Only even powers of t occur, so C(h, j) is read as the u^j coefficient
-(u = t^2) of b(u)^(h - 1 + <c1,B>/2), b(u) = f(t/2)/(t/2).  One table per
-(exponent, convention) holds these coefficients and grows on demand by
-J.C.P. Miller's power recurrence.  A table stores integers: the u^m
-coefficient times D_m = 4^m (3m)!, which is an integer for every integer
-exponent (see ``_extend``).  The recurrence runs on them in ``int``, and a
+    sum_g GW_g t^g = b^(c-1) sum_h E_h y^h.
+
+Its inverse is E(y) = a^(c-1) GW(t), with t = 2 f^-1(y/2) and a = t/y.
+Writing t^g = y^g a^g gives the same sum over the other series,
+
+    E_h = sum_{0 <= g <= h, h-g even} A(g, (h-g)/2) * GW_g,
+
+where A(g, j) is the y^(2j) coefficient of a^(g - 1 + c), and
+a = sum_k (-+1)^k C(2k, k) / (16^k (2k+1)) y^(2k) is 2 arcsinh(y/2)/y for
+sinh (upper sign) and 2 arcsin(y/2)/y for sin.  The recovered E_h are
+conjecturally integer curve counts.
+
+Only even powers occur, so each coefficient is read as the u^j coefficient
+(u = t^2, or y^2) of s(u)^e for the base series s = b or a.  One table per
+(exponent, convention) for b, and per (exponent, convention, "inverse") for
+a, holds these coefficients and grows on demand by J.C.P. Miller's power
+recurrence.  A table stores integers: the u^m coefficient times
+D_m = 4^m (3m)!, which is an integer for every integer exponent and both
+series (see ``_extend``).  The recurrence runs on them in ``int``, and a
 lookup through ``multicover_coefficient`` builds one ``Fraction``.  Genera
 are capped at ``MAX_GENUS``.
 
-The transforms read the tables' integers directly.  D_j divides D_J for
-j <= J, and D_J / (D_j D_{J-j}) = C(3J, 3j) is an integer, so with L the
-lcm of the input denominators each output times L D_J, J = floor(g/2), is
-an integer sum: Horner's rule in j for ``forward_transform``,
-back-substitution with those binomials for ``invert_transform``.  Each
-output costs one ``Fraction``.  A transform grows the table of each genus h
-with E_h != 0 once, to the largest index it reads, before its first term.
+Both transforms are one summation, ``_compose``, which reads the tables'
+integers directly.  D_j divides D_J for j <= J, so with L the lcm of the
+input denominators each output times L D_J, J = floor(g/2), is an integer
+sum, taken by Horner's rule in j.  Each output costs one ``Fraction``.  A
+transform grows the table of each genus with a nonzero input once, to the
+largest index it reads, before its first term.
 
 Apart from that cache of exact values, everything here is a pure function
 over immutable data; the even- and odd-genus towers never mix (g - h is
@@ -73,11 +84,12 @@ def cover_exponent(h: int, c1b: int) -> int:
     return h - 1 + c1b // 2
 
 
-# (exponent, convention) -> [N_0, N_1, ...], N_j = D_j C_j with
-# D_j = 4^j (3j)! and C_j the u^j coefficient (u = t^2) of b(u)^exponent,
-# where b(u) = f(t/2)/(t/2) = sum_k a_k u^k with a_k = (+-1)^k / (4^k (2k+1)!).
-# Every N_j is an integer (see ``_extend``).  Each list only ever grows.
-_TABLES: dict[tuple[int, Convention], list[int]] = {}
+# key -> [N_0, N_1, ...], N_j = D_j C_j with D_j = 4^j (3j)! and C_j the
+# u^j coefficient of s(u)^exponent: the key (exponent, convention) holds the
+# cover series s = b, and (exponent, convention, "inverse") the inverse
+# series s = a.  Every N_j is an integer (see ``_extend``).  Each list only
+# ever grows.
+_TABLES: dict[tuple, list[int]] = {}
 
 
 def _denominators(j: int) -> list[int]:
@@ -88,56 +100,71 @@ def _denominators(j: int) -> list[int]:
     return denominators
 
 
-def _table(exponent: int, convention: Convention, j: int) -> list[int]:
-    """The (exponent, convention) table, created if absent and grown through
-    index j by one ``_extend`` call if it is shorter."""
-    table = _TABLES.get((exponent, convention))
+def _table(exponent: int, convention: Convention, j: int, inverse: bool = False) -> list[int]:
+    """The table of the cover series b, or of the inverse series a if
+    ``inverse``, to the power ``exponent``: created if absent and grown
+    through index j by one ``_extend`` call if it is shorter."""
+    key = (exponent, convention, "inverse") if inverse else (exponent, convention)
+    table = _TABLES.get(key)
     if table is None:
-        table = _TABLES[exponent, convention] = [1]
+        table = _TABLES[key] = [1]
     if j >= len(table):
-        _extend(table, exponent, convention, j)
+        _extend(table, exponent, convention, j, inverse)
     return table
 
 
-def _extend(table: list[int], exponent: int, convention: Convention, j: int) -> None:
+def _extend(
+    table: list[int], exponent: int, convention: Convention, j: int, inverse: bool = False
+) -> None:
     """Grow ``table`` through index j by J.C.P. Miller's power recurrence
-    (Knuth, TAOCP Vol. 2, 4.7): since a_0 = 1,
+    (Knuth, TAOCP Vol. 2, 4.7): for the base series s = sum_k s_k u^k,
+    s_0 = 1, which is the cover series b, or the inverse series a if
+    ``inverse``,
 
-        c_m = (1/m) sum_{k=1..m} ((exponent + 1) k - m) a_k c_{m-k},
+        c_m = (1/m) sum_{k=1..m} ((exponent + 1) k - m) s_k c_{m-k},
 
     exact for every integer exponent, negative ones included.
 
+    Both series have s_k = alpha_k / (4^k (2k+1)!) with alpha_k an integer:
+    alpha_k = (+-1)^k for b, and alpha_k = (-+1)^k ((2k-1)!!)^2 for a, whose
+    s_k is (-+1)^k C(2k, k) / (16^k (2k+1)), since (2k)! = 2^k k! (2k-1)!!.
     The table holds the numerators N_m = D_m c_m, D_m = 4^m (3m)!, and the
     sums run on them in ``int``.  These are integers for every integer
-    exponent e: expanding b^e = (1 + sum_k a_k u^k)^e multinomially, the u^m
+    exponent e: expanding s^e = (1 + sum_k s_k u^k)^e multinomially, the u^m
     coefficient is a sum over r = (r_1, r_2, ...) with sum_k k r_k = m of
     binom(e, r) r!/prod r_k! (an integer, e negative included, with
-    r = sum_k r_k) times prod_k a_k^(r_k).  That product's denominator
+    r = sum_k r_k) times prod_k s_k^(r_k).  That product's denominator
     divides 4^m prod_k ((2k+1)!)^(r_k), which divides
     4^m (sum_k (2k+1) r_k)!, and sum_k (2k+1) r_k = 2m + r <= 3m.
     Multiplied by D_m the recurrence reads
 
-        m N_m = sum_{k=1..m} ((e + 1) k - m) (+-1)^k R(m, k) N_{m-k},
+        m N_m = sum_{k=1..m} ((e + 1) k - m) alpha_k R(m, k) N_{m-k},
         R(m, k) = (3m)! / ((2k+1)! (3m-3k)!),
 
-    with R(m, k) an integer since (2k+1) + (3m-3k) <= 3m; it is stepped in k
-    by small-integer factors.  The division by m is exact, and a nonzero
-    remainder raises ``ArithmeticError``.
+    with R(m, k) an integer since (2k+1) + (3m-3k) <= 3m.  The weight
+    alpha_k R(m, k) is stepped in k by small-integer factors and by
+    w(k) = alpha_(k+1) / alpha_k, which is +-1 for b and -+(2k+1)^2 for a.
+    The division by m is exact, and a nonzero remainder raises
+    ``ArithmeticError``.
     """
     sign = -1 if convention is Convention.SIN else 1
+    if inverse:
+        weights = [-sign * (2 * k + 1) ** 2 for k in range(j + 1)]
+    else:
+        weights = [sign] * (j + 1)
     for m in range(len(table), j + 1):
-        ratio = sign * m * (3 * m - 1) * (3 * m - 2) // 2  # (+-1)^k R(m, k) at k = 1
+        ratio = weights[0] * m * (3 * m - 1) * (3 * m - 2) // 2  # alpha_1 R(m, 1)
         acc = 0
         for k in range(1, m + 1):
             acc += ((exponent + 1) * k - m) * ratio * table[m - k]
             # R(m, k+1) = R(m, k) (3m-3k)(3m-3k-1)(3m-3k-2) / ((2k+2)(2k+3))
             top = 3 * (m - k)
-            ratio = sign * ratio * top * (top - 1) * (top - 2) // ((2 * k + 2) * (2 * k + 3))
+            ratio = weights[k] * ratio * top * (top - 1) * (top - 2) // ((2 * k + 2) * (2 * k + 3))
         numerator, remainder = divmod(acc, m)
         if remainder:
             raise ArithmeticError(
-                f"u^{m} coefficient of the {convention.value} series to the power "
-                f"{exponent} has no integer numerator over 4^m (3m)!"
+                f"u^{m} coefficient of the {'arc' if inverse else ''}{convention.value} series to "
+                f"the power {exponent} has no integer numerator over 4^m (3m)!"
             )
         table.append(numerator)
 
@@ -166,6 +193,7 @@ class InvariantVector(namedtuple("InvariantVector", "entries c1b max_genus")):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace runs __new__
 
     def __new__(cls, entries: Mapping[int, Fraction], c1b: int, max_genus: int = -1):
         if c1b % 2 != 0:
@@ -215,47 +243,50 @@ class InvariantVector(namedtuple("InvariantVector", "entries c1b max_genus")):
         return cls(entries=entries, c1b=c1b, max_genus=max_genus)
 
 
-def _scaled(vec: InvariantVector) -> tuple[list[int], int]:
-    """The entries of ``vec`` times L, the lcm of their denominators, as
-    ``int`` (each division is exact since L is that lcm), and L."""
-    values = [vec.entries[g] for g in range(vec.max_genus + 1)]
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+def _compose(vec: InvariantVector, convention: Convention, inverse: bool) -> InvariantVector:
+    """out_g = sum over h <= g with g-h even of S(h,(g-h)/2) * v_h, where
+    S(h, j) is the u^j coefficient of s(u)^(h-1+c1b/2) for the cover series
+    s = b, or the inverse series s = a if ``inverse``.
 
-
-def forward_transform(
-    counts: InvariantVector, convention: Convention = Convention.SINH
-) -> InvariantVector:
-    """GW_g = sum over h <= g with g-h even of C(h,(g-h)/2) * E_h.
-
-    Summed in ``int``.  With L the lcm of the denominators of E,
-    e_h = L E_h, J = floor(g/2) and N_j(h) = D_j C(h, j) (the integer table
+    Summed in ``int``.  With L the lcm of the denominators of v,
+    e_h = L v_h, J = floor(g/2) and N_j(h) = D_j S(h, j) (the integer table
     entry, see ``_extend``),
 
-        L D_J GW_g = sum_{j=0..J} N_j(g-2j) e_{g-2j} D_J / D_j,
+        L D_J out_g = sum_{j=0..J} N_j(g-2j) e_{g-2j} D_J / D_j,
 
     evaluated by Horner's rule in j with D_j / D_{j-1} = 4 (3j-2)(3j-1)(3j),
-    so each GW_g costs one ``Fraction``.  Before the sums, the table of each
-    h with E_h != 0 is grown once, to the largest index read; a zero E_h
-    touches no table.
+    so each out_g costs one ``Fraction``.  Before the sums, the table of
+    each h with v_h != 0 is grown once, to the largest index read; a zero
+    v_h touches no table.
     """
-    max_genus = counts.max_genus
-    scaled, scale = _scaled(counts)
+    max_genus = vec.max_genus
+    values = [vec.entries[g] for g in range(max_genus + 1)]
+    scale = lcm(*(v.denominator for v in values))  # L: each division below is exact
+    scaled = [v.numerator * (scale // v.denominator) for v in values]
     denominators = _denominators(max_genus // 2)
     numerators = [
-        _table(cover_exponent(h, counts.c1b), convention, (max_genus - h) // 2) if e else None
+        _table(cover_exponent(h, vec.c1b), convention, (max_genus - h) // 2, inverse)
+        if e else None
         for h, e in enumerate(scaled)
     ]
-    gw: dict[int, Fraction] = {}
+    out: dict[int, Fraction] = {}
     for g in range(max_genus + 1):
-        acc = scaled[g]  # j = 0, where C(g, 0) = 1
+        acc = scaled[g]  # j = 0, where S(g, 0) = 1
         for j in range(1, g // 2 + 1):
             acc *= 12 * j * (3 * j - 1) * (3 * j - 2)
             e = scaled[g - 2 * j]
             if e:
                 acc += numerators[g - 2 * j][j] * e
-        gw[g] = Fraction(acc, scale * denominators[g // 2])
-    return InvariantVector(entries=gw, c1b=counts.c1b, max_genus=max_genus)
+        out[g] = Fraction(acc, scale * denominators[g // 2])
+    return InvariantVector(entries=out, c1b=vec.c1b, max_genus=max_genus)
+
+
+def forward_transform(
+    counts: InvariantVector, convention: Convention = Convention.SINH
+) -> InvariantVector:
+    """GW_g = sum over h <= g with g-h even of C(h,(g-h)/2) * E_h: the
+    powers of b = f(t/2)/(t/2), summed by ``_compose``."""
+    return _compose(counts, convention, inverse=False)
 
 
 def invert_transform(
@@ -263,47 +294,11 @@ def invert_transform(
 ) -> InvariantVector:
     """Unique E with forward_transform(E) = gw on genera <= max_genus.
 
-    Unitriangular back-substitution, run independently on the even- and
-    odd-genus towers (the sum couples only h = g mod 2); always solvable
-    since the diagonal coefficients C(g, 0) are 1.
-
-    It runs in ``int``.  With L the lcm of the denominators of GW and
-    J = floor(g/2), x_g = L D_J E_g is an integer by induction along each
-    tower, because D_J / (D_j D_{J-j}) = C(3J, 3j) and g - 2j has
-    floor-half J - j:
-
-        x_g = L D_J GW_g - sum_{j=1..J} N_j(g-2j) C(3J, 3j) x_{g-2j}.
-
-    Each E_g = x_g / (L D_J) costs one ``Fraction``.  The table of h is
-    grown once, to the largest index read, as soon as E_h turns out
-    nonzero; a zero E_h touches no table.
+    E_h = sum over g <= h with h-g even of A(g,(h-g)/2) * GW_g: the powers
+    of the inverse series a = 2 f^-1(y/2)/y, summed by ``_compose``.  Since
+    E_h reads GW_g for g <= h only, it is exact for a truncated gw.
     """
-    max_genus = gw.max_genus
-    scaled, scale = _scaled(gw)
-    denominators = _denominators(max_genus // 2)
-    xs: list[int] = []
-    numerators: list[list[int] | None] = []
-    counts: dict[int, Fraction] = {}
-    for g in range(max_genus + 1):
-        half = g // 2
-        acc = scaled[g] * denominators[half]
-        binomial = 1  # C(3 half, 3j)
-        for j in range(1, half + 1):
-            # C(n, k+3) = C(n, k) (n-k)(n-k-1)(n-k-2) / ((k+1)(k+2)(k+3)),
-            # n = 3 half, k = 3j - 3: exact, the quotient being a binomial
-            top = 3 * (half - j) + 3
-            binomial = (
-                binomial * (top * (top - 1) * (top - 2)) // (3 * j * (3 * j - 1) * (3 * j - 2))
-            )
-            x = xs[g - 2 * j]
-            if x:
-                acc -= numerators[g - 2 * j][j] * binomial * x
-        xs.append(acc)
-        numerators.append(
-            _table(cover_exponent(g, gw.c1b), convention, (max_genus - g) // 2) if acc else None
-        )
-        counts[g] = Fraction(acc, scale * denominators[half])
-    return InvariantVector(entries=counts, c1b=gw.c1b, max_genus=max_genus)
+    return _compose(gw, convention, inverse=True)
 
 
 def integrality_check(vec: InvariantVector) -> list[tuple[int, Fraction]]:

@@ -10,18 +10,14 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Union
 
 from .schemas import RATIONAL_PATTERN
-
-Rational = Fraction
-RationalLike = Union[int, Fraction]
 
 # The schema's own pattern, matched against the whole unstripped text.
 _RATIONAL_RE = re.compile(RATIONAL_PATTERN)
 
 
-def format_rational(value: RationalLike) -> str:
+def format_rational(value: int | Fraction) -> str:
     """Serialize a rational as ``"p/q"``, or ``"p"`` when q = 1."""
     value = Fraction(value)
     if value.denominator == 1:

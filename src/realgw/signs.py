@@ -479,6 +479,7 @@ class ModuliDescriptor(namedtuple("ModuliDescriptor", "g ell n c1b")):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace runs __new__
 
     def __new__(cls, g: int, ell: int, n: int, c1b: int):
         if ell < 0:

@@ -98,6 +98,54 @@ class TestStructure:
             with pytest.raises(GraphError, match="edge 0 references unknown vertex"):
                 single_vertex_graph(0, flags=(flag(),) * 2, edges=(edge,))
 
+    def test_non_integer_end_rejected(self):
+        # as in the JSON parser, an end is an int and not a bool
+        for ends in (("0", "0"), (True, True), (0.0, 0.0), (0, "1"), (None, 0)):
+            with pytest.raises(GraphError, match="two vertex indices"):
+                GraphEdge(EdgeKind.CONJ, 1, ends)
+
+
+class TestReplaceRunsChecks:
+    """``_replace`` (through ``_make``) builds by the constructor: an invalid
+    field raises its error, and a valid one equals a fresh construction,
+    normalized alike."""
+
+    def test_flag_decoration(self):
+        decoration = flag(b=1)
+        with pytest.raises(GraphError, match="flag labels must be >= 0"):
+            decoration._replace(p=-1)
+        assert decoration._replace(p=2) == FlagDecoration(1, 2, False)
+        assert FlagDecoration._make((1, 2, True)) == FlagDecoration(1, 2, True)
+
+    def test_graph_vertex(self):
+        vertex = GraphVertex(0, 1, (flag(),))
+        with pytest.raises(GraphError, match="theta must be >= 1"):
+            vertex._replace(theta=0)
+        assert vertex._replace(flags=[flag(), flag(b=2)]) == GraphVertex(0, 1, (flag(), flag(b=2)))
+
+    def test_graph_edge(self):
+        edge = GraphEdge(EdgeKind.CONJ, 1, (0, 1))
+        with pytest.raises(GraphError, match="ends must coincide"):
+            edge._replace(kind=EdgeKind.REAL)
+        with pytest.raises(GraphError, match="two vertex indices"):
+            edge._replace(ends=("0", "1"))
+        assert edge._replace(ends=[1, 0]) == GraphEdge(EdgeKind.CONJ, 1, (1, 0))
+
+    def test_decorated_graph(self):
+        graph = generate_random_graph(3)
+        with pytest.raises(GraphError, match="edge-end count 0"):
+            graph._replace(edges=())
+        replaced = graph._replace(a=list(graph.a), phi_kind=ETA)
+        assert replaced == DecoratedGraph(graph.vertices, graph.edges, graph.n, graph.a, ETA)
+        assert type(replaced.a) is tuple
+
+    def test_graph_bounds(self):
+        with pytest.raises(GraphError, match="exceeds its cap"):
+            GraphBounds()._replace(max_n=BOUND_CAPS["max_n"] + 1)
+        replaced, fresh = GraphBounds()._replace(max_n=3), GraphBounds(max_n=3)
+        assert replaced == fresh and replaced._ns == fresh._ns == [1, 2, 3]
+        assert generate_random_graph(1, replaced) == generate_random_graph(1, fresh)
+
 
 class TestCongruence:
     def test_edgeless_genus_one_vertex(self):

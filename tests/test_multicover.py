@@ -4,7 +4,7 @@ forward/inverse round trips, parity decoupling, integrality reporting."""
 import hashlib
 import json
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -121,11 +121,26 @@ class TestCoefficient:
             Convention.from_string("cosh")
 
 
-def cap_table(exponent, conv):
-    """u^0..u^MAX_GENUS coefficients of b(u)^exponent, read from the library."""
+def cap_table(exponent, conv, inverse=False):
+    """u^0..u^MAX_GENUS coefficients of b(u)^exponent, read from the library;
+    with ``inverse``, those of the inverse series a(u)^exponent, read from
+    its table of numerators over 4^m (3m)!."""
+    if inverse:
+        table = multicover._table(exponent, conv, MAX_GENUS, inverse=True)
+        return [F(n, 4**m * factorial(3 * m)) for m, n in enumerate(table)]
     c1b = 2 * (exponent + 1)  # h = 0
     multicover_coefficient(0, c1b, MAX_GENUS, conv)
     return [multicover_coefficient(0, c1b, j, conv) for j in range(MAX_GENUS + 1)]
+
+
+# The cover series b for each convention, then the inverse series a:
+# 2 arcsinh(y/2)/y for sinh and 2 arcsin(y/2)/y for sin.
+SERIES = (
+    pytest.param(SINH, False, id="Convention.SINH"),
+    pytest.param(SIN, False, id="Convention.SIN"),
+    pytest.param(SINH, True, id="arcsinh"),
+    pytest.param(SIN, True, id="arcsin"),
+)
 
 
 def truncated_product(a, b):
@@ -142,28 +157,34 @@ def truncated_product(a, b):
 
 class TestTablesToCap:
     """Every table through u^MAX_GENUS, checked by identities of the power
-    series b(u)^e that need no oracle run at the cap."""
+    series b(u)^e and a(u)^e that need no oracle run at the cap."""
 
     ONE = [F(1)] + [F(0)] * MAX_GENUS
 
-    @pytest.mark.parametrize("conv", [SINH, SIN])
-    def test_inverse_powers(self, conv):
+    @pytest.mark.parametrize("conv,inverse", SERIES)
+    def test_inverse_powers(self, conv, inverse):
         for e in (-5, 12):
-            assert truncated_product(cap_table(e, conv), cap_table(-e, conv)) == self.ONE
-        assert cap_table(0, conv) == self.ONE
+            product = truncated_product(cap_table(e, conv, inverse), cap_table(-e, conv, inverse))
+            assert product == self.ONE
+        assert cap_table(0, conv, inverse) == self.ONE
 
-    @pytest.mark.parametrize("conv", [SINH, SIN])
-    def test_exponents_add(self, conv):
+    @pytest.mark.parametrize("conv,inverse", SERIES)
+    def test_exponents_add(self, conv, inverse):
         for e1, e2 in ((12, -5), (-5, -1), (13, 7)):
-            product = truncated_product(cap_table(e1, conv), cap_table(e2, conv))
-            assert product == cap_table(e1 + e2, conv)
+            product = truncated_product(cap_table(e1, conv, inverse), cap_table(e2, conv, inverse))
+            assert product == cap_table(e1 + e2, conv, inverse)
 
-    @pytest.mark.parametrize("conv", [SINH, SIN])
-    def test_base_series_closed_form(self, conv):
+    @pytest.mark.parametrize("conv,inverse", SERIES)
+    def test_base_series_closed_form(self, conv, inverse):
         sign = -1 if conv is SIN else 1
-        assert cap_table(1, conv) == [
-            F(sign**k, 4**k * factorial(2 * k + 1)) for k in range(MAX_GENUS + 1)
-        ]
+        if inverse:
+            expected = [
+                F((-sign) ** k * comb(2 * k, k), 16**k * (2 * k + 1))
+                for k in range(MAX_GENUS + 1)
+            ]
+        else:
+            expected = [F(sign**k, 4**k * factorial(2 * k + 1)) for k in range(MAX_GENUS + 1)]
+        assert cap_table(1, conv, inverse) == expected
 
     @pytest.mark.parametrize("conv", [SINH, SIN])
     def test_oracle_at_genus_forty_and_forty_six(self, conv):
@@ -211,6 +232,16 @@ class TestVector:
     def test_empty_needs_max_genus(self):
         with pytest.raises(ValueError):
             InvariantVector(entries={}, c1b=0)
+
+    def test_replace_runs_checks(self):
+        vec = InvariantVector({0: 1}, c1b=0)
+        with pytest.raises(ValueError, match="c1B pairing must be even"):
+            vec._replace(c1b=3)
+        with pytest.raises(ValueError, match=r"genera \[2\] outside"):
+            vec._replace(entries={2: F(1)})
+        replaced = vec._replace(entries={1: 5}, max_genus=2)
+        assert replaced == InvariantVector({1: 5}, c1b=0, max_genus=2)
+        assert replaced.entries == {0: F(0), 1: F(5), 2: F(0)}
 
     def test_string_map_round_trip(self):
         vec = InvariantVector(entries={0: F(1), 2: F(-1, 24)}, c1b=4)
@@ -341,7 +372,9 @@ class TestAgainstReference:
 
 
 class TestTableGrowth:
-    """Which tables a transform creates and extends."""
+    """Which tables a transform creates and extends: the forward transform
+    the cover-series table of each h with E_h != 0, the inverse the
+    inverse-series table of each g with GW_g != 0."""
 
     @pytest.fixture
     def tables(self, monkeypatch):
@@ -358,24 +391,30 @@ class TestTableGrowth:
         assert set(tables) == expected
         tables.clear()
         assert invert_transform(gw, conv) == vec
-        assert set(tables) == expected
+        assert gw.entries[1] == 0  # below the odd tower's first count
+        assert set(tables) == {
+            (cover_exponent(g, 4), conv, "inverse") for g, value in gw.entries.items() if value
+        }
 
     @pytest.mark.parametrize("conv", [SINH, SIN])
     def test_one_extend_per_table(self, tables, monkeypatch, conv):
         calls: dict = {}
         extend = multicover._extend
 
-        def counting(table, exponent, convention, j):
-            calls[exponent, convention] = calls.get((exponent, convention), 0) + 1
-            extend(table, exponent, convention, j)
+        def counting(table, exponent, convention, j, inverse=False):
+            key = (exponent, convention, inverse)
+            calls[key] = calls.get(key, 0) + 1
+            extend(table, exponent, convention, j, inverse)
 
         monkeypatch.setattr(multicover, "_extend", counting)
         vec = InvariantVector({h: F(h % 5 - 2 or 1) for h in range(47)}, c1b=4, max_genus=46)
         # h = 45 and 46 read only C_0, which a new table already holds
-        extended = {(cover_exponent(h, 4), conv): 1 for h in range(45)}
+        extended = {(cover_exponent(h, 4), conv, False): 1 for h in range(45)}
         gw = forward_transform(vec, conv)
         assert calls == extended
         calls.clear()
         tables.clear()
         assert invert_transform(gw, conv) == vec
-        assert calls == extended
+        assert calls == {
+            (cover_exponent(g, 4), conv, True): 1 for g in range(45) if gw.entries[g]
+        }

@@ -291,6 +291,14 @@ class TestDimensionAndFriends:
         with pytest.raises(ValueError):
             ModuliDescriptor(0, 0, 3, 3)
 
+    def test_descriptor_replace_runs_checks(self):
+        descriptor = ModuliDescriptor(0, 1, 3, 4)
+        with pytest.raises(ValueError, match="must be odd"):
+            descriptor._replace(n=2)
+        with pytest.raises(ValueError, match="c1B"):
+            descriptor._replace(c1b=3)
+        assert descriptor._replace(g=2) == ModuliDescriptor(2, 1, 3, 4)
+
     @pytest.mark.parametrize(
         "g,c1b,n,conv,factor",
         [(0, 0, 3, 0, 0), (2, 0, 3, 1, 1), (2, 0, 5, 1, 0)],

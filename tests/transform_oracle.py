@@ -3,8 +3,11 @@
 One ``Fraction`` multiply-add per term, reading each coefficient through
 ``multicover_coefficient`` in increasing genus.  The library's transforms
 sum in ``int`` over one denominator per output; these loops share none of
-that arithmetic, so the tests compare the two.  Nothing here imports
-``forward_transform`` or ``invert_transform``.
+that arithmetic, so the tests compare the two.  ``oracle_invert`` solves the
+forward relation by back-substitution on the cover coefficients, while the
+library's inverse sums powers of the inverse series 2 arcsinh(y/2)/y (or
+2 arcsin(y/2)/y) from tables of its own: the two share no algorithm and no
+table.  Nothing here imports ``forward_transform`` or ``invert_transform``.
 """
 
 from fractions import Fraction
