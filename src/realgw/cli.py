@@ -298,13 +298,15 @@ def _check_one_graph(graph: realgw.graphs.DecoratedGraph) -> dict:
 
 def _cmd_graph_check(args) -> int:
     if args.infile:
+        if args.seeds is not None or args.bounds is not None:
+            raise ValueError("--in checks one graph; it takes no --seeds or --bounds")
         doc = _read_input_doc(args)
         graph = realgw.graphs.graph_from_json_dict(doc)
         outcome = _check_one_graph(graph)
         _emit(outcome)
         return 0 if outcome["holds"] else EXIT_CHECK_FAILED
 
-    seeds = _parse_seed_range(args.seeds)
+    seeds = _parse_seed_range("1..1000" if args.seeds is None else args.seeds)
     bounds = _bounds_from_kv(args.bounds)
     passed = failed = 0
     first_counterexample = None
@@ -402,8 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "graph-check", help="fuzz the localization-graph sign congruence"
     )
-    p.add_argument("--seeds", default="1..1000", help="seed range A..B (or a count N)")
-    p.add_argument("--bounds", default="", help="generator caps as key=value pairs")
+    p.add_argument(
+        "--seeds", default=None, help="seed range A..B (or a count N; default 1..1000)"
+    )
+    p.add_argument("--bounds", default=None, help="generator caps as key=value pairs")
     p.add_argument(
         "--in", dest="infile", default=None, help="check one explicit graph document"
     )

@@ -50,7 +50,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 from typing import Mapping
 
 from .series import format_rational, parse_rational
@@ -176,12 +176,12 @@ def multicover_coefficient(
 
     The exponent may be negative.  Coefficients are kept as integer
     numerators over 4^g (3g)! in one table per (exponent, convention), grown
-    on demand, so results are exact and a repeated lookup is a list index
-    and one ``Fraction``.  g is capped at ``MAX_GENUS``.
+    on demand, so results are exact and a repeated lookup is a list index,
+    one factorial and one ``Fraction``.  g is capped at ``MAX_GENUS``.
     """
     if not 0 <= g <= MAX_GENUS:
         raise ValueError(f"genus g must be in [0, {MAX_GENUS}], got {g}")
-    return Fraction(_table(cover_exponent(h, c1b), convention, g)[g], _denominators(g)[g])
+    return Fraction(_table(cover_exponent(h, c1b), convention, g)[g], 4**g * factorial(3 * g))
 
 
 class InvariantVector(namedtuple("InvariantVector", "entries c1b max_genus")):

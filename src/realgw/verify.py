@@ -16,12 +16,22 @@ contract for the sign calculus.  The disjoint-union moduli sign -- the
 orientation of the moduli space of maps from a disjoint union is not the
 product orientation -- is derived from the convention exponents
 ``signs.orientcomp_epsilons``.
+
+Each identity is written once, as ``_identity(*ranges)`` over a generator
+``check_<id>(grid)`` that loops over the grid's tuples and yields each
+failure: the grid point, plus a route tag when the identity compares both
+routes.  The decorator makes it the public ``check_<id>(grid=None)``, which
+returns an ``IdentityReport`` named ``<id>``.  The default grid is the
+product of the ranges, read lazily, and its size is the product of their
+lengths; a grid passed in is read into a list once.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import namedtuple
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .signs import (
     RelSpinVariant,
@@ -48,9 +58,7 @@ ODD_DIM_RANGE = (1, 3, 5, 7)
 PAIRING_RANGE = range(-8, 9, 2)
 
 
-class IdentityReport(
-    namedtuple("IdentityReport", "identity_id grid_size failures", defaults=((),))
-):
+class IdentityReport(namedtuple("IdentityReport", "identity_id grid_size failures")):
     __slots__ = ()
 
     @property
@@ -66,38 +74,41 @@ class IdentityReport(
         }
 
 
-def check_binomial_parity(
-    pairs: Iterable[tuple[int, int]] | None = None
-) -> IdentityReport:
+def _identity(*ranges: Sequence):
+    """Make a failure generator into its public check (see the module doc)."""
+
+    def decorate(sweep: Callable[[Iterable[tuple]], Iterator[tuple]]):
+        identity_id = sweep.__name__[len("check_"):]
+
+        def check(grid: Iterable[tuple] | None = None) -> IdentityReport:
+            if grid is None:
+                grid, size = itertools.product(*ranges), math.prod(map(len, ranges))
+            else:
+                grid = list(grid)
+                size = len(grid)
+            return IdentityReport(identity_id, size, tuple(sweep(grid)))
+
+        check.__name__ = check.__qualname__ = sweep.__name__
+        check.__doc__ = sweep.__doc__
+        return check
+
+    return decorate
+
+
+@_identity(BINOMIAL_RANGE, BINOMIAL_RANGE)
+def check_binomial_parity(grid):
     """C(a+b,2) = C(a,2) + C(b,2) + ab mod 2 (with C(x,2) = x(x-1)/2)."""
-    if pairs is None:
-        pairs = [(a, b) for a in BINOMIAL_RANGE for b in BINOMIAL_RANGE]
-    pairs = list(pairs)
-    failures = []
-    for a, b in pairs:
+    for a, b in grid:
         lhs = ((a + b) * (a + b - 1) // 2) % 2
         rhs = (a * (a - 1) // 2 + b * (b - 1) // 2 + a * b) % 2
         if lhs != rhs:
-            failures.append((a, b))
-    return IdentityReport("binomial_parity", len(pairs), tuple(failures))
+            yield (a, b)
 
 
-def check_union_canonical_vs_cvc(
-    grid: Iterable[tuple[int, int, int, int, int]] | None = None
-) -> IdentityReport:
+@_identity(GENUS_RANGE, GENUS_RANGE, RANK_RANGE, DEGREE_RANGE, DEGREE_RANGE)
+def check_union_canonical_vs_cvc(grid):
     """Disjoint-union canonical survival equals the XOR of the three
     canonical-vs-projection parities at ind1, ind2 and ind1+ind2."""
-    if grid is None:
-        grid = [
-            (g1, g2, k, d1, d2)
-            for g1 in GENUS_RANGE
-            for g2 in GENUS_RANGE
-            for k in RANK_RANGE
-            for d1 in DEGREE_RANGE
-            for d2 in DEGREE_RANGE
-        ]
-    grid = list(grid)
-    failures = []
     for g1, g2, k, d1, d2 in grid:
         direct = union_determinant_exponent(g1, g2, k, d1, d2, Route.CANONICAL)
         # The union surface has genus g1 + g2 - 1 and degree d1 + d2.
@@ -107,35 +118,25 @@ def check_union_canonical_vs_cvc(
             + cvc_parity_exponent(g2, k, d2)
         )
         if (direct - combined) % 2:
-            failures.append((g1, g2, k, d1, d2))
-    return IdentityReport("union_canonical_vs_cvc", len(grid), tuple(failures))
+            yield (g1, g2, k, d1, d2)
 
 
-def check_doublet_vs_cvc(
-    grid: Iterable[tuple[int, int]] | None = None
-) -> IdentityReport:
+@_identity(GENUS_RANGE, DEGREE_RANGE)
+def check_doublet_vs_cvc(grid):
     """Doublet projection-vs-complex parity equals the canonical-vs-projection
     parity on the doublet (genus 2g-1, a conjugation forces degree 2d)."""
-    if grid is None:
-        grid = [(g, d) for g in GENUS_RANGE for d in DEGREE_RANGE]
-    grid = list(grid)
-    failures = []
     for g, d in grid:
         lhs = doublet_determinant_exponent(g, 1, d, Route.PROJECTION)
         rhs = cvc_parity_exponent(2 * g - 1, 1, 2 * d)
         if (lhs - rhs) % 2:
-            failures.append((g, d))
-    return IdentityReport("doublet_vs_cvc", len(grid), tuple(failures))
+            yield (g, d)
 
 
-def check_relspin_mod8(degrees: Iterable[int] | None = None) -> IdentityReport:
+@_identity(DEG_V_RANGE)
+def check_relspin_mod8(grid):
     """The two relative-spin comparisons differ by the canonical-vs-projection
     parity at genus 0, rank 1, degree -deg V / 2."""
-    if degrees is None:
-        degrees = DEG_V_RANGE
-    degrees = list(degrees)
-    failures = []
-    for deg_v in degrees:
+    for (deg_v,) in grid:
         lhs = relspin_determinant_exponent(
             deg_v, RelSpinVariant.RELSPIN_VS_PROJECTION
         )
@@ -143,26 +144,14 @@ def check_relspin_mod8(degrees: Iterable[int] | None = None) -> IdentityReport:
             deg_v, RelSpinVariant.RELSPIN_VS_CANONICAL
         ) + cvc_parity_exponent(0, 1, -deg_v // 2)
         if (lhs - rhs) % 2:
-            failures.append((deg_v,))
-    return IdentityReport("relspin_mod8", len(degrees), tuple(failures))
+            yield (deg_v,)
 
 
-def check_union_induced_vs_determinant(
-    grid: Iterable[tuple[int, int, int, int]] | None = None
-) -> IdentityReport:
+@_identity(GENUS_RANGE, GENUS_RANGE, DEGREE_RANGE, DEGREE_RANGE)
+def check_union_induced_vs_determinant(grid):
     """Both induced-orientation union conditions equal the XOR of the
-    determinant-level union
-    conditions at (k=1, degrees -d1, -d2) and at the trivial line bundle."""
-    if grid is None:
-        grid = [
-            (g1, g2, d1, d2)
-            for g1 in GENUS_RANGE
-            for g2 in GENUS_RANGE
-            for d1 in DEGREE_RANGE
-            for d2 in DEGREE_RANGE
-        ]
-    grid = list(grid)
-    failures = []
+    determinant-level union conditions at (k=1, degrees -d1, -d2) and at
+    the trivial line bundle."""
     for g1, g2, d1, d2 in grid:
         trivial = union_determinant_exponent(g1, g2, 1, 0, 0, Route.CANONICAL)
         proj = union_induced_exponent(g1, g2, d1, d2, Route.PROJECTION)
@@ -171,28 +160,22 @@ def check_union_induced_vs_determinant(
             + trivial
         )
         if (proj - proj_expected) % 2:
-            failures.append((g1, g2, d1, d2, "projection"))
+            yield (g1, g2, d1, d2, "projection")
         can = union_induced_exponent(g1, g2, d1, d2, Route.CANONICAL)
         can_expected = (
             union_determinant_exponent(g1, g2, 1, -d1, -d2, Route.CANONICAL)
             + trivial
         )
         if (can - can_expected) % 2:
-            failures.append((g1, g2, d1, d2, "canonical"))
-    return IdentityReport("union_induced_vs_determinant", len(grid), tuple(failures))
+            yield (g1, g2, d1, d2, "canonical")
 
 
-def check_e_node_induced_vs_determinant(
-    grid: Iterable[tuple[int, int]] | None = None
-) -> IdentityReport:
+@_identity(GENUS_RANGE, DEGREE_RANGE)
+def check_e_node_induced_vs_determinant(grid):
     """Both induced-orientation node conditions equal the XOR of the
     determinant-level node conditions at (k=1, degree -d) and at the
     trivial line bundle; in particular the projection-route condition is
     NOT(g even)."""
-    if grid is None:
-        grid = [(g, d) for g in GENUS_RANGE for d in DEGREE_RANGE]
-    grid = list(grid)
-    failures = []
     for g, d in grid:
         trivial = e_node_determinant_exponent(g, 1, 0, Route.CANONICAL)
         proj = e_node_induced_exponent(g, d, Route.PROJECTION)
@@ -200,34 +183,21 @@ def check_e_node_induced_vs_determinant(
             e_node_determinant_exponent(g, 1, -d, Route.PROJECTION) + trivial
         )
         if (proj - proj_expected) % 2:
-            failures.append((g, d, "projection"))
+            yield (g, d, "projection")
         can = e_node_induced_exponent(g, d, Route.CANONICAL)
         can_expected = (
             e_node_determinant_exponent(g, 1, -d, Route.CANONICAL) + trivial
         )
         if (can - can_expected) % 2:
-            failures.append((g, d, "canonical"))
-    return IdentityReport("e_node_induced_vs_determinant", len(grid), tuple(failures))
+            yield (g, d, "canonical")
 
 
-def check_union_moduli_vs_epsilons(
-    grid: Iterable[tuple[int, int, int, int, int]] | None = None
-) -> IdentityReport:
+@_identity(ODD_DIM_RANGE, GENUS_RANGE, GENUS_RANGE, PAIRING_RANGE, PAIRING_RANGE)
+def check_union_moduli_vs_epsilons(grid):
     """The disjoint-union moduli sign is the coboundary of the convention
     exponents: with d eps = eps(g1+g2-1, c1B1+c1B2, n) + eps(g1, c1B1, n)
     + eps(g2, c1B2, n), the projection-route exponent is d eps_factor, and
     the canonical route exceeds it by d eps_conv."""
-    if grid is None:
-        grid = [
-            (n, g1, g2, c1b1, c1b2)
-            for n in ODD_DIM_RANGE
-            for g1 in GENUS_RANGE
-            for g2 in GENUS_RANGE
-            for c1b1 in PAIRING_RANGE
-            for c1b2 in PAIRING_RANGE
-        ]
-    grid = list(grid)
-    failures = []
     for n, g1, g2, c1b1, c1b2 in grid:
         # The union surface has genus g1 + g2 - 1 and pairing c1B1 + c1B2.
         union = orientcomp_epsilons(g1 + g2 - 1, c1b1 + c1b2, n)
@@ -235,32 +205,23 @@ def check_union_moduli_vs_epsilons(
         second = orientcomp_epsilons(g2, c1b2, n)
         proj = union_moduli_exponent(n, g1, g2, c1b1, c1b2, Route.PROJECTION)
         if (proj - union.eps_factor - first.eps_factor - second.eps_factor) % 2:
-            failures.append((n, g1, g2, c1b1, c1b2, "projection"))
+            yield (n, g1, g2, c1b1, c1b2, "projection")
         can = union_moduli_exponent(n, g1, g2, c1b1, c1b2, Route.CANONICAL)
         if (can - proj - union.eps_conv - first.eps_conv - second.eps_conv) % 2:
-            failures.append((n, g1, g2, c1b1, c1b2, "canonical"))
-    return IdentityReport("union_moduli_vs_epsilons", len(grid), tuple(failures))
+            yield (n, g1, g2, c1b1, c1b2, "canonical")
 
 
-def check_sin_vs_sinh(order: int = 16) -> IdentityReport:
-    """Sin-convention cover coefficients are (-1)^g times the sinh ones."""
+@_identity(range(0, 7), (-4, -2, 0, 2, 4, 8), range(0, 9))
+def check_sin_vs_sinh(grid):
+    """Sin-convention cover coefficients are (-1)^g times the sinh ones, over
+    (h, c1B, g)."""
     from .multicover import Convention, multicover_coefficient
 
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    grid = [
-        (h, c1b, g)
-        for h in range(0, 7)
-        for c1b in (-4, -2, 0, 2, 4, 8)
-        for g in range(0, order // 2 + 1)
-    ]
-    failures = []
     for h, c1b, g in grid:
         sin_value = multicover_coefficient(h, c1b, g, Convention.SIN)
         sinh_value = multicover_coefficient(h, c1b, g, Convention.SINH)
         if sin_value != (-1) ** g * sinh_value:
-            failures.append((h, c1b, g))
-    return IdentityReport("sin_vs_sinh", len(grid), tuple(failures))
+            yield (h, c1b, g)
 
 
 ALL_CHECKS: dict[str, Callable[[], IdentityReport]] = {

@@ -577,6 +577,20 @@ class TestGraphCheck:
         assert code == 3 and json.loads(out)["holds"] is False
 
     @pytest.mark.parametrize(
+        "extra", [["--seeds", "5..1"], ["--seeds", "1..1000"], ["--bounds", ""]]
+    )
+    def test_in_refuses_seeds_and_bounds(self, capsys, tmp_path, extra):
+        # --in checks the file alone; a seed range or bound given with it
+        # would otherwise go unread.
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(VALID_GRAPH))
+        code, out, err = run_cli(capsys, ["graph-check", "--in", str(path), *extra])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "--in checks one graph; it takes no --seeds or --bounds"
+        }
+
+    @pytest.mark.parametrize(
         "path,value",
         [
             (("n",), 5.0),

@@ -1,6 +1,10 @@
 """Derivation identity suite: the default grids are the regression contract
 for the sign calculus, so every check must come back clean."""
 
+import hashlib
+import itertools
+import json
+
 import pytest
 
 from realgw import verify
@@ -41,7 +45,7 @@ def test_custom_grids():
     assert check_binomial_parity([(1, 1), (2, 3)]).grid_size == 2
     assert check_union_canonical_vs_cvc([(0, 0, 1, 0, 0)]).holds
     assert check_doublet_vs_cvc([(0, 0), (1, 0)]).holds
-    assert check_relspin_mod8([0, 2, 4, 6, 8]).holds
+    assert check_relspin_mod8([(0,), (2,), (4,), (6,), (8,)]).holds
     assert check_e_node_induced_vs_determinant([(1, 0), (2, 0)]).holds
 
 
@@ -50,11 +54,13 @@ def test_hand_rows():
     assert check_union_canonical_vs_cvc([(0, 0, 1, 0, 0)]).failures == ()
     # degV = 4: projection-route agrees, canonical-route differs,
     # cvc at index -1 flips; 0 = 1 xor 1
-    assert check_relspin_mod8([4]).failures == ()
+    assert check_relspin_mod8([(4,)]).failures == ()
 
 
 def test_sin_vs_sinh_grid_size():
-    report = check_sin_vs_sinh(order=8)
+    report = check_sin_vs_sinh(
+        itertools.product(range(0, 7), (-4, -2, 0, 2, 4, 8), range(0, 5))
+    )
     assert report.holds
     assert report.grid_size == 7 * 6 * 5
 
@@ -88,6 +94,11 @@ def test_mutated_cvc_kernel_is_caught(monkeypatch):
     assert check_union_canonical_vs_cvc().grid_size == 115_600
     assert check_doublet_vs_cvc().failures
     assert check_relspin_mod8().failures
+    # The failure lists themselves, in order: what `verify` prints on exit 3.
+    reports = run_checks()
+    assert sum(len(r.failures) for r in reports) == 27_344
+    doc = json.dumps([r.to_json_dict() for r in reports])
+    assert hashlib.sha256(doc.encode()).hexdigest()[:16] == "bc677ac5701d6172"
 
 
 @pytest.mark.parametrize(
