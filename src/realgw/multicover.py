@@ -36,9 +36,10 @@ are capped at ``MAX_GENUS``.
 Both transforms are one summation, ``_compose``, which reads the tables'
 integers directly.  D_j divides D_J for j <= J, so with L the lcm of the
 input denominators each output times L D_J, J = floor(g/2), is an integer
-sum, taken by Horner's rule in j.  Each output costs one ``Fraction``.  A
-transform grows the table of each genus with a nonzero input once, to the
-largest index it reads, before its first term.
+sum, taken by Horner's rule in j, with D_m from one list built at import.
+Each output costs one ``Fraction``.  A transform makes one table lookup per
+genus with a nonzero input, and grows that table once, to the largest index
+it reads, only if it is missing or shorter, before its first term.
 
 Apart from that cache of exact values, everything here is a pure function
 over immutable data; the even- and odd-genus towers never mix (g - h is
@@ -50,7 +51,9 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial, lcm
+from itertools import accumulate
+from math import lcm
+from operator import mul
 from typing import Mapping
 
 from .series import format_rational, parse_rational
@@ -75,11 +78,18 @@ class Convention(enum.Enum):
             raise ValueError(f"convention must be 'sinh' or 'sin', got {name!r}")
 
 
+def _integer(name: str, value) -> int:
+    """``value`` if it is an ``int`` (a bool is not), else ``ValueError``."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def cover_exponent(h: int, c1b: int) -> int:
-    """Exponent h - 1 + c1b/2 of the base series; c1b must be even."""
-    if h < 0:
+    """Exponent h - 1 + c1b/2 of the base series; h and c1b are ints, c1b even."""
+    if _integer("genus h", h) < 0:
         raise ValueError(f"genus h must be >= 0, got {h}")
-    if c1b % 2 != 0:
+    if _integer("c1B", c1b) % 2 != 0:
         raise ValueError(f"c1B pairing must be even, got {c1b}")
     return h - 1 + c1b // 2
 
@@ -91,13 +101,10 @@ def cover_exponent(h: int, c1b: int) -> int:
 # ever grows.
 _TABLES: dict[tuple, list[int]] = {}
 
-
-def _denominators(j: int) -> list[int]:
-    """D_0..D_j with D_m = 4^m (3m)!, as one running product."""
-    denominators = [1]
-    for m in range(1, j + 1):
-        denominators.append(denominators[-1] * 4 * (3 * m - 2) * (3 * m - 1) * 3 * m)
-    return denominators
+# The tables' denominators D_m = 4^m (3m)! for m <= MAX_GENUS, built once as
+# the running product of the steps D_m / D_(m-1) = 4 (3m-2)(3m-1)(3m).
+_STEPS = [1] + [4 * (3 * m - 2) * (3 * m - 1) * 3 * m for m in range(1, MAX_GENUS + 1)]
+_DENOMINATORS = list(accumulate(_STEPS, mul))
 
 
 def _table(exponent: int, convention: Convention, j: int, inverse: bool = False) -> list[int]:
@@ -175,13 +182,13 @@ def multicover_coefficient(
     """t^(2g) coefficient of (f(t/2)/(t/2))^(h-1+c1b/2), f = sinh or sin.
 
     The exponent may be negative.  Coefficients are kept as integer
-    numerators over 4^g (3g)! in one table per (exponent, convention), grown
-    on demand, so results are exact and a repeated lookup is a list index,
-    one factorial and one ``Fraction``.  g is capped at ``MAX_GENUS``.
+    numerators over D_g = 4^g (3g)! in one table per (exponent, convention),
+    grown on demand, so results are exact and a repeated lookup is two list
+    indexes and one ``Fraction``.  h, c1b and g are ints, g <= ``MAX_GENUS``.
     """
-    if not 0 <= g <= MAX_GENUS:
+    if not 0 <= _integer("genus g", g) <= MAX_GENUS:
         raise ValueError(f"genus g must be in [0, {MAX_GENUS}], got {g}")
-    return Fraction(_table(cover_exponent(h, c1b), convention, g)[g], 4**g * factorial(3 * g))
+    return Fraction(_table(cover_exponent(h, c1b), convention, g)[g], _DENOMINATORS[g])
 
 
 class InvariantVector(namedtuple("InvariantVector", "entries c1b max_genus")):
@@ -196,21 +203,23 @@ class InvariantVector(namedtuple("InvariantVector", "entries c1b max_genus")):
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace runs __new__
 
     def __new__(cls, entries: Mapping[int, Fraction], c1b: int, max_genus: int = -1):
-        if c1b % 2 != 0:
+        if _integer("c1B", c1b) % 2 != 0:
             raise ValueError(f"c1B pairing must be even, got {c1b}")
-        if max_genus < 0:
+        if _integer("max_genus", max_genus) < 0:
             if not entries:
                 raise ValueError("empty entries require an explicit max_genus")
-            max_genus = max(entries)
+            max_genus = max((g for g in entries if type(g) is int), default=0)
         if max_genus > MAX_GENUS:
             raise ValueError(f"max_genus must be <= {MAX_GENUS}, got {max_genus}")
-        bad = [g for g in entries if g < 0 or g > max_genus]
+        bad = [g for g in entries if type(g) is not int or not 0 <= g <= max_genus]
         if bad:
             raise ValueError(f"genera {bad} outside [0, {max_genus}]")
-        dense = {}
-        for g in range(max_genus + 1):
-            value = entries.get(g, 0)
-            dense[g] = value if type(value) is Fraction else Fraction(value)
+        dense = {g: entries.get(g, 0) for g in range(max_genus + 1)}
+        for g, value in dense.items():
+            if type(value) is not Fraction:
+                if type(value) is not int and not isinstance(value, Fraction):
+                    raise ValueError(f"genus {g} entry {value!r} is not an int or a Fraction")
+                dense[g] = Fraction(value)
         return tuple.__new__(cls, (dense, c1b, max_genus))
 
     def to_string_map(self) -> dict[str, str]:
@@ -224,8 +233,6 @@ class InvariantVector(namedtuple("InvariantVector", "entries c1b max_genus")):
         """Read the wire form: canonical genus keys (ASCII digits, no leading
         zero), p/q string values, an int c1b and an int max_genus >= 0
         (default: the largest key)."""
-        if type(c1b) is not int:
-            raise ValueError(f"c1B must be an integer, got {c1b!r}")
         if max_genus is not None and (type(max_genus) is not int or max_genus < 0):
             raise ValueError(f"max_genus must be an integer >= 0, got {max_genus!r}")
         entries: dict[int, Fraction] = {}
@@ -256,29 +263,36 @@ def _compose(vec: InvariantVector, convention: Convention, inverse: bool) -> Inv
 
     evaluated by Horner's rule in j with D_j / D_{j-1} = 4 (3j-2)(3j-1)(3j),
     so each out_g costs one ``Fraction``.  Before the sums, the table of
-    each h with v_h != 0 is grown once, to the largest index read; a zero
-    v_h touches no table.
+    each h with v_h != 0 is looked up once, and grown once to the largest
+    index read if it is shorter; a zero v_h touches no table.
     """
-    max_genus = vec.max_genus
-    values = [vec.entries[g] for g in range(max_genus + 1)]
-    scale = lcm(*(v.denominator for v in values))  # L: each division below is exact
-    scaled = [v.numerator * (scale // v.denominator) for v in values]
-    denominators = _denominators(max_genus // 2)
-    numerators = [
-        _table(cover_exponent(h, vec.c1b), convention, (max_genus - h) // 2, inverse)
-        if e else None
-        for h, e in enumerate(scaled)
-    ]
+    max_genus, entries = vec.max_genus, vec.entries
+    # Fraction's method: a float put into entries after the checks raises here
+    ratios = [Fraction.as_integer_ratio(entries[g]) for g in range(max_genus + 1)]
+    scale = lcm(*(d for _, d in ratios))  # L: each division below is exact
+    scaled = [n * (scale // d) for n, d in ratios]
+    shift = cover_exponent(0, vec.c1b)  # genus h reads exponent h + shift
+    numerators = [None] * (max_genus + 1)
+    for h, e in enumerate(scaled):
+        if e:
+            key = (h + shift, convention, "inverse") if inverse else (h + shift, convention)
+            table = _TABLES.get(key)
+            if table is None or len(table) <= (max_genus - h) // 2:
+                table = _table(h + shift, convention, (max_genus - h) // 2, inverse)
+            numerators[h] = table
     out: dict[int, Fraction] = {}
     for g in range(max_genus + 1):
         acc = scaled[g]  # j = 0, where S(g, 0) = 1
+        h = g
         for j in range(1, g // 2 + 1):
-            acc *= 12 * j * (3 * j - 1) * (3 * j - 2)
-            e = scaled[g - 2 * j]
+            h -= 2
+            acc *= _STEPS[j]
+            e = scaled[h]
             if e:
-                acc += numerators[g - 2 * j][j] * e
-        out[g] = Fraction(acc, scale * denominators[g // 2])
-    return InvariantVector(entries=out, c1b=vec.c1b, max_genus=max_genus)
+                acc += numerators[h][j] * e
+        out[g] = Fraction(acc, scale * _DENOMINATORS[g // 2])
+    # out is dense with Fraction values and vec passed the checks: skip them
+    return tuple.__new__(InvariantVector, (out, vec.c1b, max_genus))
 
 
 def forward_transform(

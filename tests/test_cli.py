@@ -1,6 +1,7 @@
 """CLI contract: JSON output shapes, determinism, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -325,6 +326,43 @@ def run_in_process(argv, stdin):
     finally:
         sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
+
+
+class TestCoverStdoutDigest:
+    """Byte-identical cover output: one digest over the stdout of
+    ``transform``, ``invert`` and ``coeff`` at three genus sizes, three
+    pairings and both conventions."""
+
+    # sha256 over the stdout of every call below, in loop order, computed
+    # with the per-genus ``_table`` lookups that ``_compose`` made before it
+    # read ``_TABLES`` directly: the output bytes must not depend on that.
+    DIGEST = "349bdb3eb30d07e90f1e4a448dcd0abedb37058c794fdf26ed1c8f72e9e5486c"
+
+    def test_stdout_digest(self):
+        digest = hashlib.sha256()
+        for max_genus in (12, 46, MAX_GENUS):
+            # dense, with denominators 1, 7, 24 and 5760 and both signs
+            values = {
+                str(h): f"{(-1) ** h * (h + 1)}/{(1, 7, 24, 5760)[h % 4]}"
+                for h in range(max_genus + 1)
+            }
+            for c1b in (-4, 0, 8):
+                for conv in ("sinh", "sin"):
+                    doc = {"c1B": c1b, "convention": conv}
+                    calls = [
+                        (["transform"], json.dumps({**doc, "E": values})),
+                        (["invert"], json.dumps({**doc, "gw": values})),
+                    ]
+                    calls += [
+                        (["coeff", "--h", str(h), "--c1b", str(c1b), "--g", str(g),
+                          "--conv", conv], "")
+                        for h in (0, 5) for g in (max_genus // 2, max_genus)
+                    ]
+                    for argv, stdin in calls:
+                        code, out, err = run_in_process(argv, stdin)
+                        assert (code, err) == (0, "")
+                        digest.update(out.encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 # The p/q contract of `realgw schema invariants`, written out here so that

@@ -418,3 +418,108 @@ class TestTableGrowth:
         assert calls == {
             (cover_exponent(g, 4), conv, True): 1 for g in range(45) if gw.entries[g]
         }
+
+    @pytest.mark.parametrize("conv", [SINH, SIN])
+    @pytest.mark.parametrize("transform", [forward_transform, invert_transform])
+    def test_warm_equals_cold(self, tables, monkeypatch, conv, transform):
+        extends = []
+        extend = multicover._extend
+
+        def counting(table, exponent, convention, j, inverse=False):
+            extends.append((exponent, len(table), j))
+            extend(table, exponent, convention, j, inverse)
+
+        monkeypatch.setattr(multicover, "_extend", counting)
+        entries = {h: F((-1) ** h * (h + 2), (1, 7, 24, 5760)[h % 4]) for h in range(21)}
+        vec = InvariantVector(entries, c1b=4, max_genus=20)
+        cold = transform(vec, conv)
+        assert len(extends) == 19  # h = 19 and 20 read only the first entry
+        extends.clear()
+        assert transform(vec, conv) == cold  # every lookup hits
+        assert extends == []
+        tables.clear()
+        # genus 18 grows each table one entry short of what genus 20 reads
+        transform(InvariantVector({h: entries[h] for h in range(19)}, c1b=4), conv)
+        extends.clear()
+        assert transform(vec, conv) == cold
+        assert extends == [(cover_exponent(h, 4), (20 - h) // 2, (20 - h) // 2) for h in range(19)]
+        reference = oracle_forward if transform is forward_transform else oracle_invert
+        assert cold == reference(vec, conv)
+
+    def test_entries_order_does_not_matter(self):
+        vec = InvariantVector({h: F(h - 3, h % 3 + 1) for h in range(11)}, c1b=-2)
+        expected = (forward_transform(vec, SIN), invert_transform(vec, SIN))
+        reordered = list(vec.entries.items())[::-1]
+        vec.entries.clear()
+        vec.entries.update(reordered)
+        assert (forward_transform(vec, SIN), invert_transform(vec, SIN)) == expected
+
+
+def _snapshot():
+    return {key: list(table) for key, table in multicover._TABLES.items()}
+
+
+class TestExactInputs:
+    """Genera, pairings and max_genus are ints, entries ints or Fractions;
+    anything else raises ``ValueError`` before a table is touched.  A float
+    c1B equal to an int would otherwise share that int's table keys."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: cover_exponent(1, 2.0), id="exponent-float-c1b"),
+            pytest.param(lambda: cover_exponent(1.0, 2), id="exponent-float-h"),
+            pytest.param(lambda: cover_exponent(True, 2), id="exponent-bool-h"),
+            pytest.param(lambda: cover_exponent(1, False), id="exponent-bool-c1b"),
+            pytest.param(lambda: multicover_coefficient(1, 2.0, 3), id="coeff-float-c1b"),
+            pytest.param(lambda: multicover_coefficient(1.0, 2, 3), id="coeff-float-h"),
+            pytest.param(lambda: multicover_coefficient(1, 2, 3.0), id="coeff-float-g"),
+            pytest.param(lambda: multicover_coefficient(1, 2, True), id="coeff-bool-g"),
+            pytest.param(lambda: multicover_coefficient(1, F(2), 3), id="coeff-fraction-c1b"),
+            pytest.param(lambda: InvariantVector({0: F(1)}, c1b=2.0), id="vector-float-c1b"),
+            pytest.param(lambda: InvariantVector({0: F(1)}, c1b=False), id="vector-bool-c1b"),
+            pytest.param(lambda: InvariantVector({0: F(1)}, 2, max_genus=2.0), id="vector-float-max"),
+            pytest.param(lambda: InvariantVector({0: F(1)}, 2, max_genus=True), id="vector-bool-max"),
+            pytest.param(lambda: InvariantVector({0: 0.1}, c1b=2), id="vector-float-entry"),
+            pytest.param(lambda: InvariantVector({0: 2.0}, c1b=2), id="vector-integral-float-entry"),
+            pytest.param(lambda: InvariantVector({0: True}, c1b=2), id="vector-bool-entry"),
+            pytest.param(lambda: InvariantVector({0: "1"}, c1b=2), id="vector-string-entry"),
+            pytest.param(lambda: InvariantVector({1.0: F(1)}, c1b=2), id="vector-float-genus"),
+            pytest.param(lambda: InvariantVector({0.5: F(1)}, 2, max_genus=2), id="vector-half-genus"),
+            pytest.param(lambda: InvariantVector({True: F(1)}, c1b=2), id="vector-bool-genus"),
+            pytest.param(
+                lambda: InvariantVector({0: F(1)}, c1b=2)._replace(c1b=2.0), id="replace-float-c1b"
+            ),
+        ],
+    )
+    def test_rejected_and_tables_unchanged(self, call):
+        multicover_coefficient(1, 2, 3)  # the table a float c1B = 2.0 would reach
+        before = _snapshot()
+        with pytest.raises(ValueError):
+            call()
+        assert _snapshot() == before
+        assert multicover_coefficient(1, 2, 3) == oracle_cover_coefficient(1, 2, 3, "sinh")
+        vec = InvariantVector({0: F(1), 2: 3}, c1b=2)
+        assert forward_transform(vec, SINH) == oracle_forward(vec, SINH)
+        assert all(type(n) is int for table in multicover._TABLES.values() for n in table)
+
+    def test_float_c1b_on_empty_tables(self, monkeypatch):
+        monkeypatch.setattr(multicover, "_TABLES", {})
+        with pytest.raises(ValueError, match="c1B must be an integer"):
+            multicover_coefficient(0, 2.0, 4)
+        assert multicover._TABLES == {}
+        assert multicover_coefficient(0, 2, 4, SIN) == oracle_cover_coefficient(0, 2, 4, "sin")
+
+    @pytest.mark.parametrize("transform", [forward_transform, invert_transform])
+    def test_float_put_into_entries_later(self, transform):
+        vec = InvariantVector({0: F(1), 1: F(2)}, c1b=0)
+        vec.entries[1] = 0.1
+        before = _snapshot()
+        with pytest.raises(AttributeError):
+            transform(vec, SINH)
+        assert _snapshot() == before
+
+    def test_exact_values_accepted(self):
+        vec = InvariantVector({0: 3, 1: F(1, 2)}, c1b=-2, max_genus=2)
+        assert vec.entries == {0: F(3), 1: F(1, 2), 2: F(0)}
+        assert all(type(v) is Fraction for v in vec.entries.values())
