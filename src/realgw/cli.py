@@ -43,7 +43,7 @@ def _object_without_repeats(pairs: list) -> dict:
     return doc
 
 
-def _read_input_doc(args) -> dict:
+def _read_input_doc(args):
     if getattr(args, "infile", None):
         with open(args.infile, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -53,8 +53,6 @@ def _read_input_doc(args) -> dict:
         doc = json.loads(text, object_pairs_hook=_object_without_repeats)
     except RecursionError:
         raise ValueError("input document is nested too deeply")
-    if not isinstance(doc, dict):
-        raise ValueError("input document must be a JSON object")
     return doc
 
 
@@ -195,24 +193,14 @@ def _cmd_sign(args) -> int:
 def _vector_from_doc(
     doc: dict, key: str
 ) -> tuple[realgw.multicover.InvariantVector, realgw.multicover.Convention]:
-    for required in ("c1B", "convention", key):
-        if required not in doc:
-            raise ValueError(f"input document is missing {required!r}")
-    # Exactly the schema's enum; only ``coeff --conv`` ignores case.
-    try:
-        convention = realgw.multicover.Convention(doc["convention"])
-    except ValueError:
-        raise ValueError(
-            f"convention must be exactly 'sinh' or 'sin', got {doc['convention']!r}"
-        ) from None
-    mapping = doc[key]
-    if not isinstance(mapping, dict):
-        raise ValueError(f"{key!r} must be an object of genus -> p/q strings")
-    max_genus = doc.get("max_genus")
+    schemas.check(doc, schemas.INVARIANTS_SCHEMA)
+    # the schema asks for 'gw' or 'E'; each command reads one of them
+    if key not in doc:
+        raise ValueError(f"input document is missing {key!r}")
     vector = realgw.multicover.InvariantVector.from_string_map(
-        mapping, doc["c1B"], max_genus
+        doc[key], doc["c1B"], doc.get("max_genus")
     )
-    return vector, convention
+    return vector, realgw.multicover.Convention(doc["convention"])
 
 
 def _cmd_transform(args) -> int:

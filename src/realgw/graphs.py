@@ -27,7 +27,8 @@ per vertex, summed in :func:`congruence_identity_check` -- to (g, d) alone,
 in exact integer arithmetic, with every halved intermediate asserted to be
 an integer and every quarter floored.  Localization weights (the
 rational-function contributions) are out of scope; only sign exponents live
-here.
+here.  A graph document, the JSON wire form, is read through ``schemas.check``
+against ``schemas.GRAPH_SCHEMA`` before any constructor runs.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ import enum
 import random
 from collections import namedtuple
 from math import comb
+
+from .schemas import GRAPH_SCHEMA, check
 
 
 # Most seeds one ``graph-check --seeds`` run may name.
@@ -400,76 +403,19 @@ def graph_to_json_dict(graph: DecoratedGraph) -> dict:
     }
 
 
-def _json_int(value, where: str) -> int:
-    # type() and not int(): int() truncates 1.5 and parses "1", and a JSON
-    # boolean is a Python int.
-    if type(value) is not int:
-        raise GraphError(f"{where} must be a JSON integer, got {value!r}")
-    return value
-
-
-def _json_bool(value, where: str) -> bool:
-    if type(value) is not bool:
-        raise GraphError(f"{where} must be a JSON boolean, got {value!r}")
-    return value
-
-
-def _json_list(value, where: str) -> list:
-    # a JSON string or object would iterate as characters or keys
-    if type(value) is not list:
-        raise GraphError(f"{where} must be a JSON array, got {value!r}")
-    return value
-
-
-def _json_ends(value, where: str) -> tuple[int, int]:
-    if type(value) is not list or len(value) != 2:
-        raise GraphError(f"{where} must list exactly two vertex indices, got {value!r}")
-    return (_json_int(value[0], f"{where}[0]"), _json_int(value[1], f"{where}[1]"))
-
-
 def graph_from_json_dict(doc: dict) -> DecoratedGraph:
-    """Parse a graph document as ``graph_to_json_dict`` writes it.
-
-    Every integer field must be a JSON integer, ``sminus`` a JSON boolean,
-    and ``a``, ``vertices``, ``edges`` and each ``flags`` a JSON array;
-    anything else is a GraphError, never truncated or coerced.
-    """
+    """Parse a graph document as ``graph_to_json_dict`` writes it.  A
+    document that breaks ``schemas.GRAPH_SCHEMA`` (``schemas.check``) or a
+    constructor's check is a GraphError, never truncated or coerced."""
     try:
-        phi_kind = InvolutionKind(doc["phi"])
-    except (KeyError, ValueError):
-        raise GraphError(f"phi must be 'tau' or 'eta', got {doc.get('phi')!r}")
-    try:
-        vertices = tuple(
-            GraphVertex(
-                genus_label=_json_int(v["genus"], f"vertices[{i}].genus"),
-                theta=_json_int(v["theta"], f"vertices[{i}].theta"),
-                flags=tuple(
-                    FlagDecoration(
-                        b=_json_int(f["b"], f"vertices[{i}].flags[{j}].b"),
-                        p=_json_int(f["p"], f"vertices[{i}].flags[{j}].p"),
-                        in_s_minus=_json_bool(
-                            f["sminus"], f"vertices[{i}].flags[{j}].sminus"
-                        ),
-                    )
-                    for j, f in enumerate(_json_list(v["flags"], f"vertices[{i}].flags"))
-                ),
-            )
-            for i, v in enumerate(_json_list(doc["vertices"], "vertices"))
+        check(doc, GRAPH_SCHEMA)
+    except ValueError as exc:
+        raise GraphError(str(exc)) from None
+    vertices = [
+        GraphVertex(
+            v["genus"], v["theta"], [FlagDecoration(f["b"], f["p"], f["sminus"]) for f in v["flags"]]
         )
-        edges = tuple(
-            GraphEdge(
-                kind=EdgeKind(e["kind"]),
-                degree=_json_int(e["degree"], f"edges[{i}].degree"),
-                ends=_json_ends(e["ends"], f"edges[{i}].ends"),
-            )
-            for i, e in enumerate(_json_list(doc["edges"], "edges"))
-        )
-        return DecoratedGraph(
-            vertices=vertices,
-            edges=edges,
-            n=_json_int(doc["n"], "n"),
-            a=tuple(_json_int(x, f"a[{i}]") for i, x in enumerate(_json_list(doc["a"], "a"))),
-            phi_kind=phi_kind,
-        )
-    except (KeyError, TypeError) as exc:
-        raise GraphError(f"malformed graph document: {exc!r}")
+        for v in doc["vertices"]
+    ]
+    edges = [GraphEdge(EdgeKind(e["kind"]), e["degree"], e["ends"]) for e in doc["edges"]]
+    return DecoratedGraph(vertices, edges, doc["n"], doc["a"], InvolutionKind(doc["phi"]))

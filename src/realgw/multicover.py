@@ -56,6 +56,7 @@ from math import lcm
 from operator import mul
 from typing import Mapping
 
+from .schemas import INVARIANTS_SCHEMA, check
 from .series import format_rational, parse_rational
 
 #: Largest genus accepted as a coefficient's cover genus g and as an
@@ -188,6 +189,8 @@ def multicover_coefficient(
     """
     if not 0 <= _integer("genus g", g) <= MAX_GENUS:
         raise ValueError(f"genus g must be in [0, {MAX_GENUS}], got {g}")
+    if type(convention) is not Convention:  # the tables are keyed by it
+        raise ValueError(f"convention must be a Convention, got {convention!r}")
     return Fraction(_table(cover_exponent(h, c1b), convention, g)[g], _DENOMINATORS[g])
 
 
@@ -230,21 +233,13 @@ class InvariantVector(namedtuple("InvariantVector", "entries c1b max_genus")):
     def from_string_map(
         cls, data: Mapping[str, str], c1b: int, max_genus: int | None = None
     ) -> "InvariantVector":
-        """Read the wire form: canonical genus keys (ASCII digits, no leading
-        zero), p/q string values, an int c1b and an int max_genus >= 0
-        (default: the largest key)."""
-        if max_genus is not None and (type(max_genus) is not int or max_genus < 0):
-            raise ValueError(f"max_genus must be an integer >= 0, got {max_genus!r}")
-        entries: dict[int, Fraction] = {}
-        for key, raw in data.items():
-            if not (
-                isinstance(key, str) and key.isascii() and key.isdigit()
-                and (key == "0" or key[0] != "0")
-            ):
-                raise ValueError(
-                    f"genus key must be ASCII digits without a leading zero, got {key!r}"
-                )
-            entries[int(key)] = parse_rational(raw)
+        """Read the wire form: a genus map and max_genus (default: the
+        largest key) as ``schemas.INVARIANTS_SCHEMA`` states them, checked
+        by ``schemas.check``, and an int c1b."""
+        check(data, INVARIANTS_SCHEMA["properties"]["gw"], "genus map")
+        if max_genus is not None:
+            check(max_genus, INVARIANTS_SCHEMA["properties"]["max_genus"], "max_genus")
+        entries = {int(key): parse_rational(raw) for key, raw in data.items()}
         if max_genus is None:
             max_genus = max(entries) if entries else 0
         return cls(entries=entries, c1b=c1b, max_genus=max_genus)
@@ -266,6 +261,8 @@ def _compose(vec: InvariantVector, convention: Convention, inverse: bool) -> Inv
     each h with v_h != 0 is looked up once, and grown once to the largest
     index read if it is shorter; a zero v_h touches no table.
     """
+    if type(convention) is not Convention:  # the tables are keyed by it
+        raise ValueError(f"convention must be a Convention, got {convention!r}")
     max_genus, entries = vec.max_genus, vec.entries
     # Fraction's method: a float put into entries after the checks raises here
     ratios = [Fraction.as_integer_ratio(entries[g]) for g in range(max_genus + 1)]

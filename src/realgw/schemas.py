@@ -1,11 +1,16 @@
-"""JSON schema documents for the wire formats the CLI speaks.
+"""JSON schema documents for the wire formats the CLI speaks, and
+:func:`check`, through which the CLI reads every input document.
 
 Rationals travel as ``"p/q"`` strings (plain ``"p"`` for integers) so that
 no downstream tool can coerce them to floats.  Schemas are static data and
-byte-stable across runs.
+byte-stable across runs.  Of the two rules draft-07 cannot state, ``check``
+refuses an integral float such as ``2.0``, and ``InvariantVector`` a genus
+key above the document's ``max_genus``.
 """
 
 from __future__ import annotations
+
+import re
 
 #: A ``p/q`` string: optional sign, ASCII digits, no whitespace.
 #: ``series.parse_rational`` matches the whole text against this pattern.
@@ -141,3 +146,66 @@ SCHEMAS = {
     "invariants": INVARIANTS_SCHEMA,
     "report": REPORT_SCHEMA,
 }
+
+
+# JSON type name -> the Python type ``json.loads`` gives it.  Exact types:
+# a bool is not an ``integer``, and neither is ``2.0``.
+_TYPES = {"object": dict, "array": list, "string": str, "integer": int, "boolean": bool}
+
+
+def check(doc, schema, where: str = "") -> None:
+    """Raise ``ValueError`` naming the first path in ``doc``, such as
+    ``vertices[0].flags[1].b``, that breaks ``schema``; ``where`` is the
+    path of ``doc`` itself ("" for a whole document).  Reads only the
+    draft-07 keywords ``SCHEMAS`` use (``anyOf`` only of ``required``) and
+    boolean schemas.  Stricter than draft-07: an ``integer`` is a JSON
+    integer, not a bool or ``2.0``.  The recursion follows the schema, never
+    deeper than it however ``doc`` nests.
+    """
+    name = where or "input document"
+    if schema is True:
+        return
+    if schema is False:
+        raise ValueError(f"{name} is not allowed")
+    if "type" in schema and type(doc) is not _TYPES[schema["type"]]:
+        raise ValueError(f"{name} must be a JSON {schema['type']}, got {doc!r}")
+    if "enum" in schema and doc not in schema["enum"]:
+        raise ValueError(f"{name} must be {' or '.join(map(repr, schema['enum']))}, got {doc!r}")
+    if "pattern" in schema and type(doc) is str and not re.search(schema["pattern"], doc):
+        raise ValueError(f"{name} must match {schema['pattern']!r}, got {doc!r}")
+    if type(doc) in (int, float):
+        if doc < schema.get("minimum", doc):
+            raise ValueError(f"{name} must be >= {schema['minimum']}, got {doc!r}")
+        if doc > schema.get("maximum", doc):
+            raise ValueError(f"{name} must be <= {schema['maximum']}, got {doc!r}")
+        if doc % schema.get("multipleOf", 1):
+            raise ValueError(f"{name} must be a multiple of {schema['multipleOf']}, got {doc!r}")
+    elif type(doc) is dict:
+        for key in schema.get("required", ()):
+            if key not in doc:
+                raise ValueError(f"{name} is missing {key!r}")
+        options = [alternative["required"] for alternative in schema.get("anyOf", ())]
+        if options and not any(all(key in doc for key in keys) for keys in options):
+            wanted = " or ".join(" and ".join(map(repr, keys)) for keys in options)
+            raise ValueError(f"{name} is missing {wanted}")
+        properties = schema.get("properties", {})
+        for key, sub in properties.items():
+            if key in doc:
+                check(doc[key], sub, f"{where}.{key}" if where else key)
+        patterns = schema.get("patternProperties", {})
+        extra = schema.get("additionalProperties", True)
+        for key, value in doc.items() if patterns or extra is not True else ():
+            subs = [sub for p, sub in patterns.items() if type(key) is str and re.search(p, key)]
+            for sub in subs or ([] if key in properties else [extra]):
+                check(value, sub, f"{where}[{key!r}]")
+    elif type(doc) is list:
+        low, high = schema.get("minItems", 0), schema.get("maxItems", len(doc))
+        if not low <= len(doc) <= high:
+            bound = f"exactly {low}" if low == high else (
+                f"at least {low}" if len(doc) < low else f"at most {high}")
+            raise ValueError(f"{name} must have {bound} items, got {len(doc)}")
+        items = schema.get("items", True)
+        leading = items if type(items) is list else []
+        rest = schema.get("additionalItems", True) if type(items) is list else items
+        for i, value in enumerate(doc):
+            check(value, leading[i] if i < len(leading) else rest, f"{where}[{i}]")

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import realgw
@@ -259,6 +259,7 @@ class TestTransformInvert:
             pytest.param(["transform"], '{"c1B":0,"convention":"Sin","E":{"0":"1"}}', id="mixed-case-convention"),
             pytest.param(["transform"], f'{{"c1B":0,"convention":"sinh","E":{{}},"max_genus":{MAX_GENUS + 1}}}', id="max_genus-past-cap"),
             pytest.param(["transform"], f'{{"c1B":0,"convention":"sinh","E":{{"{MAX_GENUS + 1}":"1"}}}}', id="key-past-cap"),
+            pytest.param(["invert"], '{"c1B":0,"convention":"sinh","gw":{"0":"1"},"integral":"yes","violations":7}', id="integral-and-violations"),
             pytest.param(["coeff", "--h", "0", "--c1b", "0", "--g", str(MAX_GENUS + 1)], None, id="coeff-g-past-cap"),
         ],
     )
@@ -430,6 +431,16 @@ schema_violations = st.one_of(
             st.integers(), st.none(),
         ),
     ),
+    st.tuples(
+        st.just("integral"),
+        st.one_of(st.sampled_from(["yes", "true", 0, 1, None, []]), st.floats()),
+    ),
+    st.tuples(
+        st.just("violations"),
+        st.sampled_from(
+            [7, "[]", {}, None, [[0]], [["0", "1/3"]], [[0, "1/3", 1]], [[0, 1]], [[True, "1/3"]]]
+        ),
+    ),
 )
 
 
@@ -469,14 +480,17 @@ class TestInvariantsSchema:
     @given(invariants_documents(), schema_violations)
     @settings(max_examples=100, deadline=None)
     def test_violations_fail_the_schema(self, doc, violation):
+        """Each violation fails ``schemas.check`` and ``Draft7Validator``
+        alike, except an integral float such as ``2.0``: JSON Schema counts
+        it as an integer, and only ``check`` rejects it."""
         validator = _draft7_validator()
         where, bad = violation
-        # JSON Schema counts 2.0 as an integer; only the CLI rejects it.
-        assume(not (where in ("c1B", "max_genus") and isinstance(bad, float) and bad.is_integer()))
+        integral_float = where in ("c1B", "max_genus") and type(bad) is float and bad.is_integer()
         for key in ("E", "gw"):
             valid = {k: v for k, v in doc.items() if k != "values"}
             valid[key] = dict(doc["values"])
             assert validator.is_valid(valid)
+            schemas.check(valid, schemas.INVARIANTS_SCHEMA)
             broken = dict(valid, **{key: dict(valid[key])})
             if where == "value":
                 broken[key][max(broken[key], default="0")] = bad
@@ -484,7 +498,9 @@ class TestInvariantsSchema:
                 broken[key][bad] = "1"
             else:
                 broken[where] = bad
-            assert not validator.is_valid(broken), broken
+            assert not validator.is_valid(broken) or integral_float, broken
+            with pytest.raises(ValueError):
+                schemas.check(broken, schemas.INVARIANTS_SCHEMA)
 
     @pytest.mark.parametrize(
         "violations",
@@ -495,6 +511,32 @@ class TestInvariantsSchema:
         doc = {"c1B": 0, "convention": "sinh", "E": {"0": "1/3"}}
         assert validator.is_valid(dict(doc, violations=[[0, "1/3"]]))
         assert not validator.is_valid(dict(doc, violations=violations))
+        schemas.check(dict(doc, violations=[[0, "1/3"]]), schemas.INVARIANTS_SCHEMA)
+        with pytest.raises(ValueError, match=r"^violations\[0\]"):
+            schemas.check(dict(doc, violations=violations), schemas.INVARIANTS_SCHEMA)
+        code, out, err = run_in_process(["transform"], json.dumps(dict(doc, violations=violations)))
+        assert (code, out) == (1, "") and json.loads(err)["error"].startswith("violations[0]")
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"c1B": 2.0, "convention": "sinh", "values": {"0": "1"}},
+            {"c1B": 0, "convention": "sin", "max_genus": 1.0, "values": {"0": "1"}},
+            {"c1B": 0, "convention": "sinh", "max_genus": 1, "values": {"3": "1"}},
+        ],
+        ids=["integral-float-c1B", "integral-float-max_genus", "key-above-max_genus"],
+    )
+    def test_rules_draft7_cannot_state(self, doc):
+        """The two documents the CLI rejects that pass ``Draft7Validator``:
+        an integral float where an integer is due (``schemas.check``), and a
+        genus key above the document's ``max_genus`` (``InvariantVector``)."""
+        validator = _draft7_validator()
+        for command, key in (("transform", "E"), ("invert", "gw")):
+            sent = {k: v for k, v in doc.items() if k != "values"}
+            sent[key] = doc["values"]
+            assert validator.is_valid(sent)
+            code, out, err = run_in_process([command], json.dumps(sent))
+            assert (code, out) == (1, "") and json.loads(err)["error"]
 
     @pytest.mark.parametrize(
         "doc",

@@ -25,7 +25,7 @@ from realgw.graphs import (
     graph_from_json_dict,
     graph_to_json_dict,
 )
-from realgw.schemas import GRAPH_SCHEMA
+from realgw.schemas import GRAPH_SCHEMA, check
 
 TAU, ETA = InvolutionKind.TAU, InvolutionKind.ETA
 
@@ -458,6 +458,22 @@ INT_FIELDS = {
 }
 
 
+INT_VALUES = [1.5, 1.0, "1", True, None, [1]]
+SMINUS_PATH = ("vertices", 0, "flags", 0, "sminus")
+SMINUS_VALUES = ["no", "false", 0, 1, None]
+ARRAY_PATHS = [("a",), ("vertices",), ("edges",), ("vertices", 0, "flags"), ("edges", 0, "ends")]
+ARRAY_VALUES = ["", {}, "5", 3, None]
+ENDS_PATH = ("edges", 0, "ends")
+SHORT_AND_LONG_ENDS = [[], [0], [0, 0, 0]]
+
+
+def schema_at(path, schema=GRAPH_SCHEMA):
+    """The subschema of ``schema`` that the value at ``path`` is held to."""
+    for key in path:
+        schema = schema["items"] if isinstance(key, int) else schema["properties"][key]
+    return schema
+
+
 def required_paths(schema, path=()):
     """The path into ``valid_graph_doc()`` of every key that a ``required``
     list of ``schema`` names, walking objects and array items (index 0)."""
@@ -475,23 +491,20 @@ class TestStrictJsonTypes:
         assert graph_to_json_dict(graph) == valid_graph_doc()
 
     @pytest.mark.parametrize("field", sorted(INT_FIELDS))
-    @pytest.mark.parametrize("value", [1.5, 1.0, "1", True, None, [1]])
+    @pytest.mark.parametrize("value", INT_VALUES)
     def test_integer_fields_reject_other_types(self, field, value):
         doc = set_path(valid_graph_doc(), INT_FIELDS[field], value)
         with pytest.raises(GraphError, match="JSON integer"):
             graph_from_json_dict(doc)
 
-    @pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
+    @pytest.mark.parametrize("value", SMINUS_VALUES)
     def test_sminus_rejects_non_booleans(self, value):
-        doc = set_path(valid_graph_doc(), ("vertices", 0, "flags", 0, "sminus"), value)
+        doc = set_path(valid_graph_doc(), SMINUS_PATH, value)
         with pytest.raises(GraphError, match="JSON boolean"):
             graph_from_json_dict(doc)
 
-    @pytest.mark.parametrize(
-        "path", [("a",), ("vertices",), ("edges",), ("vertices", 0, "flags")],
-        ids=lambda p: ".".join(map(str, p)),
-    )
-    @pytest.mark.parametrize("value", ["", {}, "5", 3, None])
+    @pytest.mark.parametrize("path", ARRAY_PATHS, ids=lambda p: ".".join(map(str, p)))
+    @pytest.mark.parametrize("value", ARRAY_VALUES)
     def test_array_fields_reject_other_types(self, path, value):
         doc = set_path(valid_graph_doc(), path, value)
         with pytest.raises(GraphError, match="JSON array"):
@@ -502,10 +515,10 @@ class TestStrictJsonTypes:
             return
         assert not jsonschema.Draft7Validator(GRAPH_SCHEMA).is_valid(doc)
 
-    @pytest.mark.parametrize("ends", [[], [0], [0, 0, 0], "00", {"0": 0, "1": 0}])
+    @pytest.mark.parametrize("ends", SHORT_AND_LONG_ENDS)
     def test_ends_must_be_a_pair(self, ends):
-        doc = set_path(valid_graph_doc(), ("edges", 0, "ends"), ends)
-        with pytest.raises(GraphError, match="exactly two"):
+        doc = set_path(valid_graph_doc(), ENDS_PATH, ends)
+        with pytest.raises(GraphError, match="exactly 2 items"):
             graph_from_json_dict(doc)
 
     @pytest.mark.parametrize(
@@ -524,3 +537,48 @@ class TestStrictJsonTypes:
         except ImportError:
             return
         assert not jsonschema.Draft7Validator(GRAPH_SCHEMA).is_valid(doc)
+
+
+# Every valid_graph_doc() mutation made above, plus each integer one below
+# its schema minimum, as (path, value); value MISSING deletes the key.
+MISSING = object()
+GRAPH_MUTATIONS = (
+    [(path, value) for path in INT_FIELDS.values() for value in INT_VALUES]
+    + [(path, schema_at(path)["minimum"] - 1) for path in INT_FIELDS.values()]
+    + [(SMINUS_PATH, value) for value in SMINUS_VALUES]
+    + [(path, value) for path in ARRAY_PATHS for value in ARRAY_VALUES]
+    + [(ENDS_PATH, ends) for ends in SHORT_AND_LONG_ENDS]
+    + [(path, MISSING) for path in required_paths(GRAPH_SCHEMA)]
+)
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [((), None)] + GRAPH_MUTATIONS,
+    ids=lambda x: ".".join(map(str, x)) if isinstance(x, tuple) else (
+        "missing" if x is MISSING else repr(x)),
+)
+def test_check_agrees_with_draft7(path, value):
+    """``schemas.check`` rejects a graph document exactly when
+    ``jsonschema.Draft7Validator`` does, except that it alone rejects an
+    integral float such as ``1.0``; whatever it rejects, the parser rejects."""
+    validator = pytest.importorskip("jsonschema").Draft7Validator(GRAPH_SCHEMA)
+    doc = valid_graph_doc()
+    if path:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        if value is MISSING:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+    integral_float = type(value) is float and value.is_integer()
+    try:
+        check(doc, GRAPH_SCHEMA)
+    except ValueError:
+        assert not validator.is_valid(doc) or integral_float
+        with pytest.raises(GraphError):
+            graph_from_json_dict(doc)
+    else:
+        assert validator.is_valid(doc) and not integral_float
+        assert graph_to_json_dict(graph_from_json_dict(doc)) == doc

@@ -27,7 +27,7 @@ from series_oracle import (
     sin_half_coeffs,
     sinh_half_coeffs,
 )
-from transform_oracle import oracle_forward, oracle_invert
+from transform_oracle import cover_power, oracle_forward, oracle_invert
 
 F = Fraction
 SINH, SIN = Convention.SINH, Convention.SIN
@@ -74,13 +74,14 @@ class TestCoefficient:
                         ) == oracle_cover_coefficient(h, c1b, g, conv.value)
 
     def test_oracle_beyond_genus_twenty(self):
+        # the oracle's powers of b, cached per exponent, 31 u-coefficients long
         for h in (0, 3, 6):
             for c1b in (-4, 0, 8):
                 for g in (21, 25, 30):
                     for conv in (SINH, SIN):
                         assert multicover_coefficient(
                             h, c1b, g, conv
-                        ) == oracle_cover_coefficient(h, c1b, g, conv.value)
+                        ) == cover_power(conv, 31, h - 1 + c1b // 2)[g]
 
     def test_growth_order_does_not_matter(self):
         # exponent 3 - 1 + 4/2 = 4
@@ -490,6 +491,19 @@ class TestExactInputs:
             pytest.param(
                 lambda: InvariantVector({0: F(1)}, c1b=2)._replace(c1b=2.0), id="replace-float-c1b"
             ),
+            # a convention must be a Convention: "sin" would read the sinh tables
+            *[
+                pytest.param(lambda c=c: multicover_coefficient(2, 0, 1, c), id=f"coeff-conv-{c}")
+                for c in ("sin", "sinh", None)
+            ],
+            *[
+                pytest.param(
+                    lambda c=c, t=t: t(InvariantVector({0: F(1), 2: F(3)}, c1b=2), c),
+                    id=f"{t.__name__}-conv-{c}",
+                )
+                for t in (forward_transform, invert_transform)
+                for c in ("sin", "sinh", None)
+            ],
         ],
     )
     def test_rejected_and_tables_unchanged(self, call):
