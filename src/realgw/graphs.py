@@ -240,19 +240,24 @@ class GraphBounds(
         defaults=(5, 3, 4, 4, 7, 9, 3, 6, 4),
     )
 ):
-    """Caps for the random graph generator, each at most its BOUND_CAPS entry.
+    """Caps for the random graph generator, each an ``int`` (not a bool) at
+    most its BOUND_CAPS entry.
 
     ``GraphBounds._fields`` names the caps, in order; the CLI accepts exactly
-    these as --bounds keys.  The choice lists the generator draws from
-    depend on the bounds alone, so they are built here, once per
-    GraphBounds, and not once per graph.  They are instance attributes, not
-    fields: they stay out of the field tuple, repr and equality.
+    these as --bounds keys.  The generator draws from the fields alone.
     """
 
+    __slots__ = ()
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace runs __new__
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        for name, cap in BOUND_CAPS.items():
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise GraphError(f"bound {name} must be an integer, got {value!r}")
+            if value > cap:
+                raise GraphError(f"bound {name}={value} exceeds its cap {cap}")
         if (
             self.max_vertices < 1
             or self.max_n < 1
@@ -269,31 +274,7 @@ class GraphBounds(
             raise GraphError(
                 "infeasible bounds: n=1 needs an odd multidegree length"
             )
-        for name, cap in BOUND_CAPS.items():
-            value = getattr(self, name)
-            if value > cap:
-                raise GraphError(f"bound {name}={value} exceeds its cap {cap}")
-
-        lengths = range(0, self.max_multidegree_len + 1)
-        # lengths k of each parity (n - k must be even)
-        ks = ([x for x in lengths if x % 2 == 0], [x for x in lengths if x % 2 == 1])
-        # n needs a length of its parity; the checks above make ns non-empty
-        ns = [n for n in range(1, self.max_n + 1) if ks[n % 2]]
-        # last multidegree entries by residue mod 4 (each list is non-empty)
-        last_cap = max(4, self.max_multidegree_entry)
-        last = [[x for x in range(1, last_cap + 1) if x % 4 == r] for r in range(4)]
-        self.__dict__.update(
-            _ks_by_parity=ks,
-            _ns=ns,
-            _last_by_residue=last,
-            _odd_degrees=list(range(1, self.max_edge_degree + 1, 2)),
-        )
         return self
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"GraphBounds is immutable; cannot change {name!r}")
-
-    __delattr__ = __setattr__
 
 
 def _below(rng: random.Random):
@@ -329,25 +310,30 @@ def generate_random_graph(
     rng = random.Random(seed)
     below = _below(rng)
 
-    ns = bounds._ns
-    n = ns[below(len(ns))]
-    ks = bounds._ks_by_parity[n % 2]
-    k = ks[below(len(ks))]
+    # Each choice is first + step * below(count) over a progression fixed by
+    # the bounds, whose checks keep every count >= 1 (below(0) never returns).
+    # n - k must be even, so with lengths up to 0 n is even.
+    if bounds.max_multidegree_len:
+        n = 1 + below(bounds.max_n)
+    else:
+        n = 2 + 2 * below(bounds.max_n // 2)
+    k = n % 2 + 2 * below((bounds.max_multidegree_len - n % 2) // 2 + 1)
 
-    # Multidegree with |a| = k mod 4: the last entry absorbs the residue.
+    # Multidegree with |a| = k mod 4: the last entry absorbs the residue r,
+    # drawn from r, r + 4, ... up to max(4, max_multidegree_entry).
     a: list[int] = [
         1 + below(bounds.max_multidegree_entry) for _ in range(max(k - 1, 0))
     ]
     if k > 0:
-        last = bounds._last_by_residue[(k - sum(a)) % 4]
-        a.append(last[below(len(last))])
+        r = (k - sum(a)) % 4 or 4
+        a.append(r + 4 * below((max(4, bounds.max_multidegree_entry) - r) // 4 + 1))
 
     phi_kind = _PHI_KINDS[below(len(_PHI_KINDS))]
     num_vertices = 1 + below(bounds.max_vertices)
     genus_labels = [below(bounds.max_vertex_genus + 1) for _ in range(num_vertices)]
     thetas = [1 + below(n) for _ in range(num_vertices)]
 
-    odd_degrees = bounds._odd_degrees
+    odd_degree_count = (bounds.max_edge_degree + 1) // 2
     num_real = below(bounds.max_real_edges + 1)
     num_conj = below(bounds.max_conj_edges + 1)
 
@@ -360,7 +346,7 @@ def generate_random_graph(
 
     for _ in range(num_real):
         v = below(num_vertices)
-        edges.append(GraphEdge(EdgeKind.REAL, odd_degrees[below(len(odd_degrees))], (v, v)))
+        edges.append(GraphEdge(EdgeKind.REAL, 1 + 2 * below(odd_degree_count), (v, v)))
         incidences[v].append(new_flag())
     for _ in range(num_conj):
         u = below(num_vertices)

@@ -54,6 +54,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 from operator import mul
+from types import MappingProxyType
 from typing import Mapping
 
 from .schemas import INVARIANTS_SCHEMA, check
@@ -199,7 +200,9 @@ class InvariantVector(namedtuple("InvariantVector", "entries c1b max_genus")):
     <c1,B> carried along.
 
     Genera above ``max_genus`` are absent (undetermined), not zero; missing
-    genera at or below it are normalized to zero.
+    genera at or below it are normalized to zero.  ``entries`` is read-only:
+    dense over 0..max_genus, in genus order, each value a ``Fraction``.
+    ``__new__`` is the one place these are checked.
     """
 
     __slots__ = ()
@@ -223,11 +226,15 @@ class InvariantVector(namedtuple("InvariantVector", "entries c1b max_genus")):
                 if type(value) is not int and not isinstance(value, Fraction):
                     raise ValueError(f"genus {g} entry {value!r} is not an int or a Fraction")
                 dense[g] = Fraction(value)
-        return tuple.__new__(cls, (dense, c1b, max_genus))
+        return tuple.__new__(cls, (MappingProxyType(dense), c1b, max_genus))
+
+    def __getnewargs__(self):
+        # pickle and copy rebuild through __new__; a mappingproxy cannot be pickled
+        return dict(self.entries), self.c1b, self.max_genus
 
     def to_string_map(self) -> dict[str, str]:
         """Genus-keyed p/q strings, the CLI wire form."""
-        return {str(g): format_rational(v) for g, v in sorted(self.entries.items())}
+        return {str(g): format_rational(v) for g, v in self.entries.items()}
 
     @classmethod
     def from_string_map(
@@ -263,9 +270,8 @@ def _compose(vec: InvariantVector, convention: Convention, inverse: bool) -> Inv
     """
     if type(convention) is not Convention:  # the tables are keyed by it
         raise ValueError(f"convention must be a Convention, got {convention!r}")
-    max_genus, entries = vec.max_genus, vec.entries
-    # Fraction's method: a float put into entries after the checks raises here
-    ratios = [Fraction.as_integer_ratio(entries[g]) for g in range(max_genus + 1)]
+    max_genus = vec.max_genus
+    ratios = [v.as_integer_ratio() for v in vec.entries.values()]
     scale = lcm(*(d for _, d in ratios))  # L: each division below is exact
     scaled = [n * (scale // d) for n, d in ratios]
     shift = cover_exponent(0, vec.c1b)  # genus h reads exponent h + shift
@@ -289,7 +295,7 @@ def _compose(vec: InvariantVector, convention: Convention, inverse: bool) -> Inv
                 acc += numerators[h][j] * e
         out[g] = Fraction(acc, scale * _DENOMINATORS[g // 2])
     # out is dense with Fraction values and vec passed the checks: skip them
-    return tuple.__new__(InvariantVector, (out, vec.c1b, max_genus))
+    return tuple.__new__(InvariantVector, (MappingProxyType(out), vec.c1b, max_genus))
 
 
 def forward_transform(
@@ -314,6 +320,4 @@ def invert_transform(
 
 def integrality_check(vec: InvariantVector) -> list[tuple[int, Fraction]]:
     """Entries whose value is not an integer, as (genus, value) pairs."""
-    return [
-        (g, v) for g, v in sorted(vec.entries.items()) if v.denominator != 1
-    ]
+    return [(g, v) for g, v in vec.entries.items() if v.denominator != 1]

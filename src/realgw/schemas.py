@@ -153,6 +153,13 @@ SCHEMAS = {
 _TYPES = {"object": dict, "array": list, "string": str, "integer": int, "boolean": bool}
 
 
+def _shown(value) -> str:
+    """``repr(value)``, cut after 60 characters and marked ``...``, so that
+    a ``check`` message does not grow with the input."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
 def check(doc, schema, where: str = "") -> None:
     """Raise ``ValueError`` naming the first path in ``doc``, such as
     ``vertices[0].flags[1].b``, that breaks ``schema``; ``where`` is the
@@ -160,7 +167,8 @@ def check(doc, schema, where: str = "") -> None:
     draft-07 keywords ``SCHEMAS`` use (``anyOf`` only of ``required``) and
     boolean schemas.  Stricter than draft-07: an ``integer`` is a JSON
     integer, not a bool or ``2.0``.  The recursion follows the schema, never
-    deeper than it however ``doc`` nests.
+    deeper than it however ``doc`` nests, and a message shows at most 60
+    characters of an offending value or key (see ``_shown``).
     """
     name = where or "input document"
     if schema is True:
@@ -168,18 +176,18 @@ def check(doc, schema, where: str = "") -> None:
     if schema is False:
         raise ValueError(f"{name} is not allowed")
     if "type" in schema and type(doc) is not _TYPES[schema["type"]]:
-        raise ValueError(f"{name} must be a JSON {schema['type']}, got {doc!r}")
+        raise ValueError(f"{name} must be a JSON {schema['type']}, got {_shown(doc)}")
     if "enum" in schema and doc not in schema["enum"]:
-        raise ValueError(f"{name} must be {' or '.join(map(repr, schema['enum']))}, got {doc!r}")
+        raise ValueError(f"{name} must be {' or '.join(map(repr, schema['enum']))}, got {_shown(doc)}")
     if "pattern" in schema and type(doc) is str and not re.search(schema["pattern"], doc):
-        raise ValueError(f"{name} must match {schema['pattern']!r}, got {doc!r}")
+        raise ValueError(f"{name} must match {schema['pattern']!r}, got {_shown(doc)}")
     if type(doc) in (int, float):
         if doc < schema.get("minimum", doc):
-            raise ValueError(f"{name} must be >= {schema['minimum']}, got {doc!r}")
+            raise ValueError(f"{name} must be >= {schema['minimum']}, got {_shown(doc)}")
         if doc > schema.get("maximum", doc):
-            raise ValueError(f"{name} must be <= {schema['maximum']}, got {doc!r}")
+            raise ValueError(f"{name} must be <= {schema['maximum']}, got {_shown(doc)}")
         if doc % schema.get("multipleOf", 1):
-            raise ValueError(f"{name} must be a multiple of {schema['multipleOf']}, got {doc!r}")
+            raise ValueError(f"{name} must be a multiple of {schema['multipleOf']}, got {_shown(doc)}")
     elif type(doc) is dict:
         for key in schema.get("required", ()):
             if key not in doc:
@@ -197,7 +205,7 @@ def check(doc, schema, where: str = "") -> None:
         for key, value in doc.items() if patterns or extra is not True else ():
             subs = [sub for p, sub in patterns.items() if type(key) is str and re.search(p, key)]
             for sub in subs or ([] if key in properties else [extra]):
-                check(value, sub, f"{where}[{key!r}]")
+                check(value, sub, f"{where}[{_shown(key)}]")
     elif type(doc) is list:
         low, high = schema.get("minItems", 0), schema.get("maxItems", len(doc))
         if not low <= len(doc) <= high:

@@ -699,6 +699,19 @@ class TestGraphCheck:
         assert code == 1 and out == ""
         assert str(path[-1]) in json.loads(err)["error"]
 
+    @pytest.mark.parametrize(
+        "key,raw",
+        [("vertices", json.dumps("x" * 10**6)), ("n", "[" * 900 + "]" * 900)],
+        ids=["megabyte-string", "deep-array"],
+    )
+    def test_long_value_short_message(self, capsys, tmp_path, key, raw):
+        # the error shows a bounded prefix of the value: stderr does not grow with it
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({**VALID_GRAPH, key: None}).replace("null", raw))
+        code, out, err = run_cli(capsys, ["graph-check", "--in", str(path)])
+        assert (code, out) == (1, "") and len(err.encode()) < 300
+        assert json.loads(err)["error"].startswith(f"{key} must be a JSON ")
+
     @pytest.mark.parametrize("name", sorted(BOUND_CAPS))
     def test_oversized_bound_generates_no_graph(self, capsys, monkeypatch, name):
         def refuse(*args, **kwargs):

@@ -143,7 +143,7 @@ class TestReplaceRunsChecks:
         with pytest.raises(GraphError, match="exceeds its cap"):
             GraphBounds()._replace(max_n=BOUND_CAPS["max_n"] + 1)
         replaced, fresh = GraphBounds()._replace(max_n=3), GraphBounds(max_n=3)
-        assert replaced == fresh and replaced._ns == fresh._ns == [1, 2, 3]
+        assert replaced == fresh
         assert generate_random_graph(1, replaced) == generate_random_graph(1, fresh)
 
 
@@ -292,6 +292,19 @@ class TestGenerator:
     # the same on CPython 3.10, 3.11, 3.12 and 3.13.
     GOLDEN_STREAM = "d1b9ba18f0dc9652"
 
+    # The same digest for seeds 1..400 under each of these bounds in turn.
+    # They reach the draws the default bounds miss: an even n (lengths up
+    # to 0), a last multidegree entry capped below 4, and an even
+    # max_edge_degree.
+    EDGE_BOUNDS = (
+        GraphBounds(max_n=4, max_multidegree_len=0),
+        GraphBounds(max_multidegree_entry=1),
+        GraphBounds(max_multidegree_len=5, max_multidegree_entry=3),
+        GraphBounds(max_edge_degree=8),
+        GraphBounds(max_n=2, max_multidegree_len=1, max_edge_degree=1),
+    )
+    GOLDEN_EDGE_STREAM = "d9dea81e96798cf6"
+
     def test_golden_stream(self):
         digest = hashlib.sha256()
         for bounds in (GraphBounds(), LARGE_BOUNDS):
@@ -299,6 +312,14 @@ class TestGenerator:
                 doc = graph_to_json_dict(generate_random_graph(seed, bounds))
                 digest.update(json.dumps(doc, sort_keys=True).encode())
         assert digest.hexdigest()[:16] == self.GOLDEN_STREAM
+
+    def test_golden_edge_stream(self):
+        digest = hashlib.sha256()
+        for bounds in self.EDGE_BOUNDS:
+            for seed in range(1, 401):
+                doc = graph_to_json_dict(generate_random_graph(seed, bounds))
+                digest.update(json.dumps(doc, sort_keys=True).encode())
+        assert digest.hexdigest()[:16] == self.GOLDEN_EDGE_STREAM
 
     # 1..257, and 2^k - 1, 2^k, 2^k + 1 up to 2^20
     DRAW_WIDTHS = sorted(
@@ -367,16 +388,17 @@ class TestGenerator:
             with pytest.raises(GraphError, match=f"bound {name}={cap + 1} exceeds its cap {cap}"):
                 GraphBounds(**{name: cap + 1})
 
-    def test_choice_lists_are_not_fields(self):
-        # built once per GraphBounds, but outside equality, repr and fields
-        bounds = GraphBounds(max_n=4, max_multidegree_len=1, max_multidegree_entry=5)
-        assert bounds._ns == [1, 2, 3, 4]
-        assert bounds._ks_by_parity == ([0], [1])
-        assert bounds._last_by_residue == [[4], [1, 5], [2], [3]]
-        assert bounds._odd_degrees == [1, 3, 5, 7]
+    @pytest.mark.parametrize("name,value", [
+        ("max_n", 3.0), ("max_vertices", 2.0), ("max_multidegree_entry", 4.0), ("max_n", True),
+        ("max_flag_label", None), ("max_edge_degree", "7"),
+    ])
+    def test_bounds_are_ints(self, name, value):
+        with pytest.raises(GraphError, match=f"bound {name} must be an integer, got {value!r}"):
+            GraphBounds(**{name: value})
+
+    def test_bounds_hold_only_fields(self):
+        assert GraphBounds.__dictoffset__ == 0 and not hasattr(GraphBounds(), "__dict__")
         assert len(GraphBounds._fields) == 9
-        assert "_ns" not in repr(bounds)
-        assert bounds == GraphBounds(max_n=4, max_multidegree_len=1, max_multidegree_entry=5)
 
     def test_bounds_are_immutable(self):
         bounds = GraphBounds()
@@ -384,8 +406,8 @@ class TestGenerator:
             with pytest.raises(AttributeError):
                 setattr(bounds, name, 3)
         with pytest.raises(AttributeError):
-            del bounds._ns
-        assert bounds._ns == list(range(1, 10)) and hash(bounds) == hash(GraphBounds())
+            del bounds.max_n
+        assert bounds.max_n == 9 and hash(bounds) == hash(GraphBounds())
 
 
 class TestJson:

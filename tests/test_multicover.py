@@ -1,8 +1,10 @@
 """Multiple-cover transform: coefficients against the brute-force oracle,
 forward/inverse round trips, parity decoupling, integrality reporting."""
 
+import copy
 import hashlib
 import json
+import pickle
 from fractions import Fraction
 from math import comb, factorial, lcm
 
@@ -251,6 +253,16 @@ class TestVector:
         back = InvariantVector.from_string_map(doc, c1b=4)
         assert back == vec
 
+    @pytest.mark.parametrize("make", [lambda v: v, forward_transform, invert_transform])
+    def test_copies_round_trip(self, make):
+        vec = make(InvariantVector({0: F(1), 2: F(-1, 24), 3: 5}, c1b=-2))
+        copies = (pickle.loads(pickle.dumps(vec)), copy.deepcopy(vec), copy.copy(vec), vec._replace())
+        for other in copies:
+            assert type(other) is InvariantVector and other == vec
+            assert not other.entries != vec.entries  # read-only entries compare by value
+            assert list(other.entries.items()) == list(vec.entries.items())
+        assert vec._replace(entries={0: 2}).entries != vec.entries
+
 
 class TestForward:
     def test_single_genus_zero(self):
@@ -448,12 +460,14 @@ class TestTableGrowth:
         assert cold == reference(vec, conv)
 
     def test_entries_order_does_not_matter(self):
-        vec = InvariantVector({h: F(h - 3, h % 3 + 1) for h in range(11)}, c1b=-2)
-        expected = (forward_transform(vec, SIN), invert_transform(vec, SIN))
-        reordered = list(vec.entries.items())[::-1]
-        vec.entries.clear()
-        vec.entries.update(reordered)
-        assert (forward_transform(vec, SIN), invert_transform(vec, SIN)) == expected
+        # entries are stored in genus order, whatever order they are given in
+        entries = {h: F(h - 3, h % 3 + 1) for h in range(11)}
+        vec = InvariantVector(entries, c1b=-2)
+        reordered = InvariantVector(dict(reversed(entries.items())), c1b=-2)
+        assert list(reordered.entries) == list(vec.entries) == list(range(11))
+        for transform in (forward_transform, invert_transform):
+            assert transform(reordered, SIN) == transform(vec, SIN)
+            assert list(transform(reordered, SIN).entries) == list(range(11))
 
 
 def _snapshot():
@@ -526,12 +540,16 @@ class TestExactInputs:
 
     @pytest.mark.parametrize("transform", [forward_transform, invert_transform])
     def test_float_put_into_entries_later(self, transform):
+        # entries are read-only, in a constructed vector and in a transform's output
         vec = InvariantVector({0: F(1), 1: F(2)}, c1b=0)
-        vec.entries[1] = 0.1
-        before = _snapshot()
-        with pytest.raises(AttributeError):
-            transform(vec, SINH)
-        assert _snapshot() == before
+        for target in (vec, transform(vec, SINH)):
+            with pytest.raises(TypeError):
+                target.entries[1] = 0.1
+            with pytest.raises(TypeError):
+                del target.entries[1]
+            assert target.entries.keys() == {0, 1} and type(target.entries[1]) is Fraction
+        reference = oracle_forward if transform is forward_transform else oracle_invert
+        assert transform(vec, SINH) == reference(vec, SINH)
 
     def test_exact_values_accepted(self):
         vec = InvariantVector({0: 3, 1: F(1, 2)}, c1b=-2, max_genus=2)
