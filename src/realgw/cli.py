@@ -197,7 +197,8 @@ def _vector_from_doc(
     # the schema asks for 'gw' or 'E'; each command reads one of them
     if key not in doc:
         raise ValueError(f"input document is missing {key!r}")
-    vector = realgw.multicover.InvariantVector.from_string_map(
+    # checked above: skip from_string_map's second check of the same map
+    vector = realgw.multicover.InvariantVector._from_checked_map(
         doc[key], doc["c1B"], doc.get("max_genus")
     )
     return vector, realgw.multicover.Convention(doc["convention"])

@@ -37,11 +37,15 @@ Both transforms are one summation, ``_compose``, which reads the tables'
 integers directly.  D_j divides D_J for j <= J, so with L the lcm of the
 input denominators each output times L D_J, J = floor(g/2), is an integer
 sum, taken by Horner's rule in j, with D_m from one list built at import.
-Each output costs one ``Fraction``.  A transform makes one table lookup per
-genus with a nonzero input, and grows that table once, to the largest index
-it reads, only if it is missing or shorter, before its first term.
+Each output costs one ``Fraction``, built from the quotient alone when the
+sum divides exactly.  The tables a transform reads are found through one
+column index per (c1B, convention, direction), so a warm transform makes
+one cache lookup, not one per genus.  On a miss -- no index yet, or one
+built for a smaller max_genus -- the table of every genus up to max_genus,
+zero entries included, is looked up and grown once to the largest index it
+reads, and the new index replaces the old.
 
-Apart from that cache of exact values, everything here is a pure function
+Apart from those caches of exact values, everything here is a pure function
 over immutable data; the even- and odd-genus towers never mix (g - h is
 even throughout).
 """
@@ -102,6 +106,15 @@ def cover_exponent(h: int, c1b: int) -> int:
 # series s = a.  Every N_j is an integer (see ``_extend``).  Each list only
 # ever grows.
 _TABLES: dict[tuple, list[int]] = {}
+
+# (shift, convention, inverse) -> (reach, tables), shift = c1B/2 - 1: for
+# every h <= reach, tables[h] is the ``_TABLES`` list of exponent h + shift
+# (of the inverse series if ``inverse``), already grown through index
+# (reach - h) // 2, so a transform with max_genus <= reach reads every
+# coefficient it needs through one lookup here.  It holds references only:
+# a table only ever grows, so an index stays right and can only fall short
+# of a larger max_genus, when ``_compose`` replaces it.
+_COLUMNS: dict[tuple, tuple[int, list[list[int]]]] = {}
 
 # The tables' denominators D_m = 4^m (3m)! for m <= MAX_GENUS, built once as
 # the running product of the steps D_m / D_(m-1) = 4 (3m-2)(3m-1)(3m).
@@ -246,6 +259,15 @@ class InvariantVector(namedtuple("InvariantVector", "entries c1b max_genus")):
         check(data, INVARIANTS_SCHEMA["properties"]["gw"], "genus map")
         if max_genus is not None:
             check(max_genus, INVARIANTS_SCHEMA["properties"]["max_genus"], "max_genus")
+        return cls._from_checked_map(data, c1b, max_genus)
+
+    @classmethod
+    def _from_checked_map(
+        cls, data: Mapping[str, str], c1b: int, max_genus: int | None = None
+    ) -> "InvariantVector":
+        """``from_string_map`` without its two ``check`` calls, for a genus
+        map and max_genus that have passed them, such as those of a whole
+        document checked against ``INVARIANTS_SCHEMA``."""
         entries = {int(key): parse_rational(raw) for key, raw in data.items()}
         if max_genus is None:
             max_genus = max(entries) if entries else 0
@@ -264,25 +286,30 @@ def _compose(vec: InvariantVector, convention: Convention, inverse: bool) -> Inv
         L D_J out_g = sum_{j=0..J} N_j(g-2j) e_{g-2j} D_J / D_j,
 
     evaluated by Horner's rule in j with D_j / D_{j-1} = 4 (3j-2)(3j-1)(3j),
-    so each out_g costs one ``Fraction``.  Before the sums, the table of
-    each h with v_h != 0 is looked up once, and grown once to the largest
-    index read if it is shorter; a zero v_h touches no table.
+    so each out_g costs one ``Fraction``: from the quotient alone if L D_J
+    divides the sum, which skips its gcd.  An all-integer v (L = 1) is
+    summed as it is.  The tables come from ``_COLUMNS`` in one lookup; if
+    its index for this c1B, convention and direction is missing or reaches
+    below max_genus, the table of every h <= max_genus, zero v_h included,
+    is looked up and grown to index (max_genus - h) // 2 first, and stored
+    as the new index.
     """
     if type(convention) is not Convention:  # the tables are keyed by it
         raise ValueError(f"convention must be a Convention, got {convention!r}")
     max_genus = vec.max_genus
     ratios = [v.as_integer_ratio() for v in vec.entries.values()]
-    scale = lcm(*(d for _, d in ratios))  # L: each division below is exact
-    scaled = [n * (scale // d) for n, d in ratios]
+    numerators, denominators = zip(*ratios)
+    scale = lcm(*denominators)  # L: each division below is exact
+    scaled = numerators if scale == 1 else [n * (scale // d) for n, d in ratios]
     shift = cover_exponent(0, vec.c1b)  # genus h reads exponent h + shift
-    numerators = [None] * (max_genus + 1)
-    for h, e in enumerate(scaled):
-        if e:
-            key = (h + shift, convention, "inverse") if inverse else (h + shift, convention)
-            table = _TABLES.get(key)
-            if table is None or len(table) <= (max_genus - h) // 2:
-                table = _table(h + shift, convention, (max_genus - h) // 2, inverse)
-            numerators[h] = table
+    key = (shift, convention, inverse)
+    column = _COLUMNS.get(key)
+    if column is None or column[0] < max_genus:
+        column = _COLUMNS[key] = (max_genus, [
+            _table(h + shift, convention, (max_genus - h) // 2, inverse)
+            for h in range(max_genus + 1)
+        ])
+    tables = column[1]
     out: dict[int, Fraction] = {}
     for g in range(max_genus + 1):
         acc = scaled[g]  # j = 0, where S(g, 0) = 1
@@ -292,8 +319,10 @@ def _compose(vec: InvariantVector, convention: Convention, inverse: bool) -> Inv
             acc *= _STEPS[j]
             e = scaled[h]
             if e:
-                acc += numerators[h][j] * e
-        out[g] = Fraction(acc, scale * _DENOMINATORS[g // 2])
+                acc += tables[h][j] * e
+        denominator = scale * _DENOMINATORS[g // 2]
+        quotient, remainder = divmod(acc, denominator)
+        out[g] = Fraction(acc, denominator) if remainder else Fraction(quotient)
     # out is dense with Fraction values and vec passed the checks: skip them
     return tuple.__new__(InvariantVector, (MappingProxyType(out), vec.c1b, max_genus))
 

@@ -10,6 +10,7 @@ key above the document's ``max_genus``.
 
 from __future__ import annotations
 
+import functools
 import re
 
 #: A ``p/q`` string: optional sign, ASCII digits, no whitespace.
@@ -148,6 +149,10 @@ SCHEMAS = {
 }
 
 
+# ``re.compile`` with a cache of its own: ``check`` compiles each pattern
+# once and then matches through the compiled object.
+_compiled = functools.cache(re.compile)
+
 # JSON type name -> the Python type ``json.loads`` gives it.  Exact types:
 # a bool is not an ``integer``, and neither is ``2.0``.
 _TYPES = {"object": dict, "array": list, "string": str, "integer": int, "boolean": bool}
@@ -179,7 +184,7 @@ def check(doc, schema, where: str = "") -> None:
         raise ValueError(f"{name} must be a JSON {schema['type']}, got {_shown(doc)}")
     if "enum" in schema and doc not in schema["enum"]:
         raise ValueError(f"{name} must be {' or '.join(map(repr, schema['enum']))}, got {_shown(doc)}")
-    if "pattern" in schema and type(doc) is str and not re.search(schema["pattern"], doc):
+    if "pattern" in schema and type(doc) is str and not _compiled(schema["pattern"]).search(doc):
         raise ValueError(f"{name} must match {schema['pattern']!r}, got {_shown(doc)}")
     if type(doc) in (int, float):
         if doc < schema.get("minimum", doc):
@@ -203,7 +208,7 @@ def check(doc, schema, where: str = "") -> None:
         patterns = schema.get("patternProperties", {})
         extra = schema.get("additionalProperties", True)
         for key, value in doc.items() if patterns or extra is not True else ():
-            subs = [sub for p, sub in patterns.items() if type(key) is str and re.search(p, key)]
+            subs = [sub for p, sub in patterns.items() if type(key) is str and _compiled(p).search(key)]
             for sub in subs or ([] if key in properties else [extra]):
                 check(value, sub, f"{where}[{_shown(key)}]")
     elif type(doc) is list:

@@ -235,6 +235,25 @@ class TestTransformInvert:
         assert code == 1
         assert "convention" in json.loads(err)["error"]
 
+    def test_zero_denominator(self, capsys, monkeypatch):
+        doc = '{"c1B":0,"convention":"sinh","E":{"0":"1","2":"1/0"}}'
+        code, out, err = run_cli(capsys, ["transform"], stdin=doc, monkeypatch=monkeypatch)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "zero denominator in rational: '1/0'"}
+
+    def test_document_checked_once(self, capsys, monkeypatch):
+        # the whole document passes schemas.check once; the vector is then
+        # built without from_string_map's second check of its genus map
+        def refuse(*args):
+            raise AssertionError("genus map checked a second time")
+
+        monkeypatch.setattr(realgw.multicover, "check", refuse)
+        code, out, _ = run_cli(capsys, ["invert"], stdin=self.GW_DOC, monkeypatch=monkeypatch)
+        assert code == 0
+        assert json.loads(out)["E"] == {"0": "1", "1": "0", "2": "0"}
+        with pytest.raises(AssertionError, match="second time"):
+            realgw.multicover.InvariantVector.from_string_map({"0": "1"}, 0)
+
     @pytest.mark.parametrize(
         "argv,stdin",
         [

@@ -6,7 +6,7 @@ import hashlib
 import json
 import pickle
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -366,6 +366,24 @@ class TestAgainstReference:
                     assert forward_transform(vec, conv) == oracle_forward(vec, conv)
                     assert invert_transform(vec, conv) == oracle_invert(vec, conv)
 
+    def test_outputs_normalized(self):
+        # an output that divides exactly is built from its integer quotient,
+        # any other from numerator and denominator; both must come out in
+        # lowest terms, so that equal values compare and print alike
+        half = {h: F(h % 3 - 1) for h in range(6)} | {1: F(-3, 2)}  # out_1 = E_1
+        denominators = set()
+        for max_genus in GOLDEN_GENERA:
+            for c1b in GOLDEN_C1B:
+                for conv in (SINH, SIN):
+                    for entries in (*golden_inputs(max_genus), half):
+                        vec = InvariantVector(entries, c1b=c1b, max_genus=max(max_genus, 5))
+                        for out in (forward_transform(vec, conv), invert_transform(vec, conv)):
+                            for value in out.entries.values():
+                                n, d = value.numerator, value.denominator
+                                assert type(value) is Fraction and d > 0 and gcd(n, d) == 1
+                                denominators.add(d)
+        assert {1, 2} <= denominators
+
     # sha256 over json.dumps(v.to_string_map(), sort_keys=True) of the forward
     # and then the inverse transform of every golden input, looping over
     # GOLDEN_GENERA, GOLDEN_C1B, (sinh, sin) and the inputs in that order:
@@ -385,79 +403,111 @@ class TestAgainstReference:
 
 
 class TestTableGrowth:
-    """Which tables a transform creates and extends: the forward transform
-    the cover-series table of each h with E_h != 0, the inverse the
-    inverse-series table of each g with GW_g != 0."""
+    """Which tables a transform creates and extends.  A transform reads one
+    column index per (c1B, convention, direction): on a miss it looks up
+    the table of every genus up to max_genus, zero entries included, and a
+    call at or below the index's reach touches no table at all."""
 
     @pytest.fixture
     def tables(self, monkeypatch):
         fresh: dict = {}
         monkeypatch.setattr(multicover, "_TABLES", fresh)
+        monkeypatch.setattr(multicover, "_COLUMNS", {})
         return fresh
 
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """(function, exponent, inverse) of every ``_table`` and ``_extend``
+        call, in order."""
+        seen: list = []
+        table, extend = multicover._table, multicover._extend
+
+        def counting_table(exponent, convention, j, inverse=False):
+            seen.append(("table", exponent, inverse))
+            return table(exponent, convention, j, inverse)
+
+        def counting_extend(table, exponent, convention, j, inverse=False):
+            seen.append(("extend", exponent, inverse))
+            extend(table, exponent, convention, j, inverse)
+
+        monkeypatch.setattr(multicover, "_table", counting_table)
+        monkeypatch.setattr(multicover, "_extend", counting_extend)
+        return seen
+
     @pytest.mark.parametrize("conv", [SINH, SIN])
-    def test_zero_entries_touch_no_table(self, tables, conv):
+    def test_zero_entries_join_the_column(self, tables, conv):
         nonzero = {0: F(2), 3: F(-1, 24), 8: F(5)}
         vec = InvariantVector(nonzero, c1b=4, max_genus=11)
-        expected = {(cover_exponent(h, 4), conv) for h in nonzero}
         gw = forward_transform(vec, conv)
-        assert set(tables) == expected
+        assert set(tables) == {(cover_exponent(h, 4), conv) for h in range(12)}
+        reach, column = multicover._COLUMNS[cover_exponent(0, 4), conv, False]
+        assert reach == 11
+        assert all(column[h] is tables[cover_exponent(h, 4), conv] for h in range(12))
         tables.clear()
         assert invert_transform(gw, conv) == vec
         assert gw.entries[1] == 0  # below the odd tower's first count
-        assert set(tables) == {
-            (cover_exponent(g, 4), conv, "inverse") for g, value in gw.entries.items() if value
-        }
+        assert set(tables) == {(cover_exponent(g, 4), conv, "inverse") for g in range(12)}
+        assert multicover._COLUMNS[cover_exponent(0, 4), conv, True][0] == 11
 
     @pytest.mark.parametrize("conv", [SINH, SIN])
-    def test_one_extend_per_table(self, tables, monkeypatch, conv):
-        calls: dict = {}
-        extend = multicover._extend
-
-        def counting(table, exponent, convention, j, inverse=False):
-            key = (exponent, convention, inverse)
-            calls[key] = calls.get(key, 0) + 1
-            extend(table, exponent, convention, j, inverse)
-
-        monkeypatch.setattr(multicover, "_extend", counting)
-        vec = InvariantVector({h: F(h % 5 - 2 or 1) for h in range(47)}, c1b=4, max_genus=46)
-        # h = 45 and 46 read only C_0, which a new table already holds
-        extended = {(cover_exponent(h, 4), conv, False): 1 for h in range(45)}
+    def test_one_extend_per_table(self, tables, calls, conv):
+        # zero at every h = 2 mod 5
+        vec = InvariantVector({h: F(h % 5 - 2) for h in range(47)}, c1b=4, max_genus=46)
         gw = forward_transform(vec, conv)
-        assert calls == extended
+        # h = 45 and 46 read only C_0, which a new table already holds
+        assert sorted(call for call in calls if call[0] == "extend") == [
+            ("extend", cover_exponent(h, 4), False) for h in range(45)
+        ]
+        assert sorted(call for call in calls if call[0] == "table") == [
+            ("table", cover_exponent(h, 4), False) for h in range(47)
+        ]
         calls.clear()
-        tables.clear()
         assert invert_transform(gw, conv) == vec
-        assert calls == {
-            (cover_exponent(g, 4), conv, True): 1 for g in range(45) if gw.entries[g]
-        }
+        assert sorted(call for call in calls if call[0] == "extend") == [
+            ("extend", cover_exponent(g, 4), True) for g in range(45)
+        ]
 
     @pytest.mark.parametrize("conv", [SINH, SIN])
     @pytest.mark.parametrize("transform", [forward_transform, invert_transform])
-    def test_warm_equals_cold(self, tables, monkeypatch, conv, transform):
-        extends = []
-        extend = multicover._extend
-
-        def counting(table, exponent, convention, j, inverse=False):
-            extends.append((exponent, len(table), j))
-            extend(table, exponent, convention, j, inverse)
-
-        monkeypatch.setattr(multicover, "_extend", counting)
+    def test_warm_equals_cold(self, tables, calls, conv, transform):
+        inverse = transform is invert_transform
+        extends = [("extend", cover_exponent(h, 4), inverse) for h in range(19)]
         entries = {h: F((-1) ** h * (h + 2), (1, 7, 24, 5760)[h % 4]) for h in range(21)}
         vec = InvariantVector(entries, c1b=4, max_genus=20)
         cold = transform(vec, conv)
-        assert len(extends) == 19  # h = 19 and 20 read only the first entry
-        extends.clear()
-        assert transform(vec, conv) == cold  # every lookup hits
-        assert extends == []
+        # h = 19 and 20 read only the first entry
+        assert [call for call in calls if call[0] == "extend"] == extends
+        calls.clear()
+        assert transform(vec, conv) == cold  # one index lookup, no table
+        lower = InvariantVector({h: entries[h] for h in range(13)}, c1b=4)
+        assert transform(lower, conv).entries == {g: cold.entries[g] for g in range(13)}
+        assert calls == []
         tables.clear()
-        # genus 18 grows each table one entry short of what genus 20 reads
+        multicover._COLUMNS.clear()
         transform(InvariantVector({h: entries[h] for h in range(19)}, c1b=4), conv)
-        extends.clear()
+        column = multicover._COLUMNS[cover_exponent(0, 4), conv, inverse][1]
+        # genus 18 grows each table one entry short of what genus 20 reads
+        assert [len(table) for table in column] == [(20 - h) // 2 for h in range(19)]
+        calls.clear()
         assert transform(vec, conv) == cold
-        assert extends == [(cover_exponent(h, 4), (20 - h) // 2, (20 - h) // 2) for h in range(19)]
-        reference = oracle_forward if transform is forward_transform else oracle_invert
+        assert [call for call in calls if call[0] == "extend"] == extends
+        assert [len(table) for table in column] == [(20 - h) // 2 + 1 for h in range(19)]
+        reference = oracle_invert if inverse else oracle_forward
         assert cold == reference(vec, conv)
+
+    @pytest.mark.parametrize("conv", [SINH, SIN])
+    @pytest.mark.parametrize("transform", [forward_transform, invert_transform])
+    def test_keys_sharing_exponents(self, tables, conv, transform):
+        # c1B = 0 reads exponent h - 1 at genus h and c1B = 2 exponent h, so
+        # each grows tables the other indexes; the c1B = 0 index built at
+        # genus 10 must be rebuilt, not reused, at genus 20
+        reference = oracle_forward if transform is forward_transform else oracle_invert
+        for c1b, max_genus in ((0, 10), (2, 20), (0, 20)):
+            entries = {h: F(h % 4 - 1, (1, 3)[h % 2]) for h in range(max_genus + 1)}
+            vec = InvariantVector(entries, c1b=c1b, max_genus=max_genus)
+            assert transform(vec, conv) == reference(vec, conv)
+            inverse = transform is invert_transform
+            assert multicover._COLUMNS[cover_exponent(0, c1b), conv, inverse][0] == max_genus
 
     def test_entries_order_does_not_matter(self):
         # entries are stored in genus order, whatever order they are given in
