@@ -70,20 +70,19 @@ def integer(text: str) -> int:
 
 
 def _parse_kv(text: str | None, what: str) -> dict[str, str]:
+    """Comma-separated ``key=value`` pairs, keys and values exactly as written."""
     params: dict[str, str] = {}
     if not text:
         return params
     for chunk in text.split(","):
-        chunk = chunk.strip()
         if not chunk:
             continue
         if "=" not in chunk:
             raise ValueError(f"{what} entries must look like key=value, got {chunk!r}")
         key, value = chunk.split("=", 1)
-        key = key.strip()
         if key in params:
             raise ValueError(f"{what} gives {key!r} twice")
-        params[key] = value.strip()
+        params[key] = value
     return params
 
 

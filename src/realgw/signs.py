@@ -8,11 +8,15 @@ every such comparison as a total pure predicate returning a
 :class:`Comparison` -- ``preserves`` means the two orientations agree (the
 relevant diagram commutes), and ``sign`` is the derived +-1 factor.
 
-Each predicate ``p`` is a wrapper around its kernel ``p_exponent``, which
-takes the same arguments, makes the same checks and returns an int whose
-parity is the flip bit: the sign is (-1)**exponent, and 0 means the
-orientations agree.  The wrapper adds only the evaluated ``condition``
-text, so each comparison has one formula; sweeps call the kernels.
+Each comparison ``p`` is stated once, as its kernel ``p_exponent``: it
+takes the comparison's arguments, makes its checks and returns an int whose
+parity is the flip bit -- the sign is (-1)**exponent, and 0 means the
+orientations agree.  One factory, ``_predicate``, makes the public
+predicate ``p`` from the kernel and a ``condition`` that renders the
+evaluated formula for humans and the CLI: ``p`` returns the kernel's parity
+as ``preserves``, takes the kernel's parameters by position or by name,
+and carries the kernel's docstring and its name without ``_exponent``.
+Sweeps (:mod:`realgw.verify`) call the kernels.
 
 Two stabilization routes orient the moduli side: PROJECTION stabilizes by
 the summand pair L + conj(L)-bar with its projection orientation, CANONICAL
@@ -78,20 +82,34 @@ class Comparison(namedtuple("Comparison", "preserves condition")):
         return 1 if self.preserves else -1
 
 
-def _cmp(value: int, condition: str) -> Comparison:
-    """Wrap a kernel value: an even value means the orientations agree."""
-    return Comparison(value % 2 == 0, condition)
+def _parity(value: int, formula: str) -> str:
+    """A condition read off a parity: the formula, its value and its parity."""
+    return f"{formula} = {value} is {'even' if value % 2 == 0 else 'odd'}"
 
 
-def _parity_cmp(value: int, formula: str) -> Comparison:
-    word = "even" if value % 2 == 0 else "odd"
-    return _cmp(value, f"{formula} = {value} is {word}")
+def _constant(value: int, note: str = "") -> str:
+    """The condition of a kernel that is constant on the chosen branch."""
+    return ("always preserves" if value % 2 == 0 else "always flips") + note
 
 
-def _constant_cmp(value: int, note: str = "") -> Comparison:
-    """Wrap a kernel that is constant on the chosen branch."""
-    word = "always preserves" if value % 2 == 0 else "always flips"
-    return _cmp(value, word + note)
+def _predicate(kernel, condition):
+    """The public predicate of ``kernel`` (see the module doc).
+
+    ``condition(value, *args, **kwargs)`` gives the evaluated text; it takes
+    the kernel's value and then the kernel's parameters, under their names.
+    """
+
+    def predicate(*args, **kwargs) -> Comparison:
+        value = kernel(*args, **kwargs)
+        return Comparison(value % 2 == 0, condition(value, *args, **kwargs))
+
+    predicate.__name__ = predicate.__qualname__ = kernel.__name__[: -len("_exponent")]
+    predicate.__doc__ = kernel.__doc__
+    predicate.__wrapped__ = kernel
+    return predicate
+
+
+_P = Route.PROJECTION
 
 
 def _require_rank(k: int) -> None:
@@ -116,184 +134,159 @@ def cr_index(g: int, k: int, d: int) -> int:
 
 
 def cvc_parity_exponent(g: int, k: int, d: int) -> int:
-    """Kernel of :func:`cvc_parity`: ind(ind-1)/2."""
+    """Canonical (doubled-pair) vs projection orientation on the determinant.
+
+    Agrees iff ind(ind-1)/2 is even, where ind = (1-g)k + d; the exponent
+    is ind(ind-1)/2.
+    """
     ind = cr_index(g, k, d)
     return ind * (ind - 1) // 2
 
-
-def cvc_parity(g: int, k: int, d: int) -> Comparison:
-    """Canonical (doubled-pair) vs projection orientation on the determinant.
-
-    Agrees iff ind(ind-1)/2 is even, where ind = (1-g)k + d.
-    """
-    value = cvc_parity_exponent(g, k, d)
-    return _parity_cmp(
-        value, f"ind(ind-1)/2 with ind=(1-g)k+d={cr_index(g, k, d)}"
-    )
+cvc_parity = _predicate(cvc_parity_exponent, lambda v, g, k, d: _parity(
+    v, f"ind(ind-1)/2 with ind=(1-g)k+d={cr_index(g, k, d)}"))
 
 
 def conj_pullback_parity_exponent(g: int, k: int, d: int) -> int:
-    """Kernel of :func:`conj_pullback_parity`: the index."""
-    return cr_index(g, k, d)
-
-
-def conj_pullback_parity(g: int, k: int, d: int) -> Comparison:
     """Conjugate-pullback identification vs the two complex orientations.
 
-    Agrees iff the index (1-g)k + d is even.
+    Agrees iff the index (1-g)k + d is even; the exponent is the index.
     """
-    return _parity_cmp(conj_pullback_parity_exponent(g, k, d), "ind=(1-g)k+d")
+    return cr_index(g, k, d)
+
+conj_pullback_parity = _predicate(
+    conj_pullback_parity_exponent, lambda v, g, k, d: _parity(v, "ind=(1-g)k+d"))
 
 
 def union_determinant_exponent(
     g1: int, g2: int, k: int, d1: int, d2: int, route: Route
 ) -> int:
-    """Kernel of :func:`union_determinant`: 0 or ind1*ind2."""
+    """Disjoint-union factorization of the determinant line.
+
+    Projection orientations always survive the split; canonical orientations
+    survive iff the product of the two component indices is even.  The
+    exponent is 0 or ind1*ind2.
+    """
     _require_rank(k)
     if route is Route.PROJECTION:
         return 0
     return cr_index(g1, k, d1) * cr_index(g2, k, d2)
 
-
-def union_determinant(
-    g1: int, g2: int, k: int, d1: int, d2: int, route: Route
-) -> Comparison:
-    """Disjoint-union factorization of the determinant line.
-
-    Projection orientations always survive the split; canonical orientations
-    survive iff the product of the two component indices is even.
-    """
-    value = union_determinant_exponent(g1, g2, k, d1, d2, route)
-    if route is Route.PROJECTION:
-        return _constant_cmp(value)
-    ind1 = cr_index(g1, k, d1)
-    ind2 = cr_index(g2, k, d2)
-    return _parity_cmp(value, f"ind1*ind2 with ind1={ind1}, ind2={ind2}")
+union_determinant = _predicate(
+    union_determinant_exponent, lambda v, g1, g2, k, d1, d2, route: _constant(v) if route is _P
+    else _parity(v, f"ind1*ind2 with ind1={cr_index(g1, k, d1)}, ind2={cr_index(g2, k, d2)}"))
 
 
 def doublet_determinant_exponent(g: int, k: int, d2: int, route: Route) -> int:
-    """Kernel of :func:`doublet_determinant`: (1-g)k + d2 or 0."""
+    """Restriction of a doublet determinant to one half.
+
+    Projection vs complex agrees iff (1-g)k + d2 is even (d2 the degree on
+    the other half); canonical vs complex (which presumes a conjugation lift
+    on the bundle) agrees unconditionally.  The exponent is (1-g)k + d2 or 0.
+    """
     _require_rank(k)
     if route is Route.CANONICAL:
         return 0
     return (1 - g) * k + d2
 
-
-def doublet_determinant(g: int, k: int, d2: int, route: Route) -> Comparison:
-    """Restriction of a doublet determinant to one half.
-
-    Projection vs complex agrees iff (1-g)k + d2 is even (d2 the degree on
-    the other half); canonical vs complex (which presumes a conjugation lift
-    on the bundle) agrees unconditionally.
-    """
-    value = doublet_determinant_exponent(g, k, d2, route)
-    if route is Route.CANONICAL:
-        return _constant_cmp(value)
-    return _parity_cmp(value, "(1-g)k+d2")
+doublet_determinant = _predicate(
+    doublet_determinant_exponent,
+    lambda v, g, k, d2, route: _parity(v, "(1-g)k+d2") if route is _P else _constant(v))
 
 
 def conj_node_determinant_exponent(k: int, route: Route) -> int:
-    """Kernel of :func:`conj_node_determinant`: the rank or 0."""
+    """Normalization at a conjugate node pair vs the evaluation factor.
+
+    Projection orientations survive iff the rank is even; canonical
+    orientations always survive.  The exponent is the rank or 0.
+    """
     _require_rank(k)
     if route is Route.CANONICAL:
         return 0
     return k
 
-
-def conj_node_determinant(k: int, route: Route) -> Comparison:
-    """Normalization at a conjugate node pair vs the evaluation factor.
-
-    Projection orientations survive iff the rank is even; canonical
-    orientations always survive.
-    """
-    value = conj_node_determinant_exponent(k, route)
-    if route is Route.CANONICAL:
-        return _constant_cmp(value)
-    return _parity_cmp(value, "rank k")
+conj_node_determinant = _predicate(
+    conj_node_determinant_exponent,
+    lambda v, k, route: _parity(v, "rank k") if route is _P else _constant(v))
 
 
 def e_node_determinant_exponent(g: int, k: int, d: int, route: Route) -> int:
-    """Kernel of :func:`e_node_determinant`: k or k(g+d)."""
+    """Normalization at an isolated real node vs the quotient factor.
+
+    Projection orientations survive iff the rank k is even; canonical
+    orientations survive iff k(g + d) is even.  The exponent is k or k(g+d).
+    """
     _require_rank(k)
     if route is Route.PROJECTION:
         return k
     return k * (g + d)
 
-
-def e_node_determinant(g: int, k: int, d: int, route: Route) -> Comparison:
-    """Normalization at an isolated real node vs the quotient factor.
-
-    Projection orientations survive iff the rank k is even; canonical
-    orientations survive iff k(g + d) is even.
-    """
-    value = e_node_determinant_exponent(g, k, d, route)
-    if route is Route.PROJECTION:
-        return _parity_cmp(value, "rank k")
-    return _parity_cmp(value, f"k(g+d) with g+d={g + d}")
+e_node_determinant = _predicate(
+    e_node_determinant_exponent, lambda v, g, k, d, route: _parity(
+        v, "rank k" if route is _P else f"k(g+d) with g+d={g + d}"))
 
 
 # --- comparisons of the orientations induced by a real orientation ---
 
 
 def union_induced_exponent(g1: int, g2: int, d1: int, d2: int, route: Route) -> int:
-    """Kernel of :func:`union_induced`."""
+    """Induced-orientation analogue of the disjoint-union split."""
     base = (g1 - 1) * (g2 - 1)
     if route is Route.PROJECTION:
         return base
     return base + (g1 - 1 + d1) * (g2 - 1 + d2)
 
-
-def union_induced(g1: int, g2: int, d1: int, d2: int, route: Route) -> Comparison:
-    """Induced-orientation analogue of the disjoint-union split."""
-    value = union_induced_exponent(g1, g2, d1, d2, route)
-    if route is Route.PROJECTION:
-        return _parity_cmp(value, f"(g1-1)(g2-1) = ({g1 - 1})({g2 - 1})")
-    return _parity_cmp(value, "(g1-1)(g2-1) + (g1-1+d1)(g2-1+d2)")
+union_induced = _predicate(union_induced_exponent, lambda v, g1, g2, d1, d2, route: _parity(
+    v, f"(g1-1)(g2-1) = ({g1 - 1})({g2 - 1})" if route is _P
+    else "(g1-1)(g2-1) + (g1-1+d1)(g2-1+d2)"))
 
 
 def doublet_induced_exponent(g: int, d2: int, route: Route) -> int:
-    """Kernel of :func:`doublet_induced`: g-1+d2 or 0."""
+    """Induced vs complex orientation when restricting a doublet to a half.
+
+    The exponent is g-1+d2 or 0.
+    """
     if route is Route.CANONICAL:
         return 0
     return g - 1 + d2
 
-
-def doublet_induced(g: int, d2: int, route: Route) -> Comparison:
-    """Induced vs complex orientation when restricting a doublet to a half."""
-    value = doublet_induced_exponent(g, d2, route)
-    if route is Route.CANONICAL:
-        return _constant_cmp(value)
-    return _parity_cmp(value, "g-1+d2")
+doublet_induced = _predicate(
+    doublet_induced_exponent,
+    lambda v, g, d2, route: _parity(v, "g-1+d2") if route is _P else _constant(v))
 
 
 def conj_node_induced_exponent(route: Route) -> int:
-    """Kernel of :func:`conj_node_induced`: 1 on the projection route."""
+    """Induced orientations across a conjugate-pair normalization square.
+
+    The exponent is 1 on the projection route.
+    """
     return 1 if route is Route.PROJECTION else 0
 
-
-def conj_node_induced(route: Route) -> Comparison:
-    """Induced orientations across a conjugate-pair normalization square."""
-    return _constant_cmp(conj_node_induced_exponent(route))
+conj_node_induced = _predicate(conj_node_induced_exponent, lambda v, route: _constant(v))
 
 
 def e_node_induced_exponent(g: int, d: int, route: Route) -> int:
-    """Kernel of :func:`e_node_induced`: g-1 or d."""
+    """Induced orientations across an isolated-real-node normalization.
+
+    The exponent is g-1 or d.
+    """
     if route is Route.PROJECTION:
         return g - 1
     return d
 
-
-def e_node_induced(g: int, d: int, route: Route) -> Comparison:
-    """Induced orientations across an isolated-real-node normalization."""
-    value = e_node_induced_exponent(g, d, route)
-    if route is Route.PROJECTION:
-        return _parity_cmp(value, "g-1")
-    return _parity_cmp(value, "deg d")
+e_node_induced = _predicate(
+    e_node_induced_exponent,
+    lambda v, g, d, route: _parity(v, "g-1" if route is _P else "deg d"))
 
 
 def relspin_determinant_exponent(deg_v: int, variant: RelSpinVariant) -> int:
-    """Kernel of :func:`relspin_determinant`: 0 where the orientations
-    agree, 1 where they differ."""
+    """Relative-spin / spin orientation vs an induced one, over the disc pair.
+
+    The relative-spin orientation matches the projection-route one iff
+    deg V is divisible by 4, and the canonical-route one iff deg V mod 8 is
+    0 or 6.  The plain-spin comparison is stated only for deg V in 4Z, where
+    it matches the canonical-route orientation.  The exponent is 0 where the
+    orientations agree, 1 where they differ.
+    """
     _require_even("deg V", deg_v)
     if variant is RelSpinVariant.RELSPIN_VS_PROJECTION:
         return 0 if deg_v % 4 == 0 else 1
@@ -306,29 +299,18 @@ def relspin_determinant_exponent(deg_v: int, variant: RelSpinVariant) -> int:
         )
     return 0
 
-
-def relspin_determinant(deg_v: int, variant: RelSpinVariant) -> Comparison:
-    """Relative-spin / spin orientation vs an induced one, over the disc pair.
-
-    The relative-spin orientation matches the projection-route one iff
-    deg V is divisible by 4, and the canonical-route one iff deg V mod 8 is
-    0 or 6.  The plain-spin comparison is stated only for deg V in 4Z, where
-    it matches the canonical-route orientation.
-    """
-    value = relspin_determinant_exponent(deg_v, variant)
-    if variant is RelSpinVariant.RELSPIN_VS_PROJECTION:
-        return _cmp(value, f"deg V = {deg_v} is {deg_v % 4} mod 4 (agree iff 0)")
-    if variant is RelSpinVariant.RELSPIN_VS_CANONICAL:
-        return _cmp(
-            value, f"deg V = {deg_v} is {deg_v % 8} mod 8 (agree iff 0 or 6)"
-        )
-    return _constant_cmp(value, " (deg V in 4Z)")
+relspin_determinant = _predicate(relspin_determinant_exponent, lambda v, deg_v, variant: (
+    f"deg V = {deg_v} is {deg_v % 4} mod 4 (agree iff 0)"
+    if variant is RelSpinVariant.RELSPIN_VS_PROJECTION
+    else f"deg V = {deg_v} is {deg_v % 8} mod 8 (agree iff 0 or 6)"
+    if variant is RelSpinVariant.RELSPIN_VS_CANONICAL
+    else _constant(v, " (deg V in 4Z)")))
 
 
 def union_moduli_exponent(
     n: int, g1: int, g2: int, c1b1: int, c1b2: int, route: Route
 ) -> int:
-    """Kernel of :func:`union_moduli`."""
+    """Moduli-space product orientation vs the disjoint-union orientation."""
     _require_odd_dim(n)
     _require_even("c1B1", c1b1)
     _require_even("c1B2", c1b2)
@@ -337,23 +319,20 @@ def union_moduli_exponent(
         return base
     return base + (g1 - 1 + c1b1 // 2) * (g2 - 1 + c1b2 // 2)
 
-
-def union_moduli(
-    n: int, g1: int, g2: int, c1b1: int, c1b2: int, route: Route
-) -> Comparison:
-    """Moduli-space product orientation vs the disjoint-union orientation."""
-    value = union_moduli_exponent(n, g1, g2, c1b1, c1b2, route)
-    if route is Route.PROJECTION:
-        return _parity_cmp(value, "(n-1)(g1-1)(g2-1)/2")
-    return _parity_cmp(
-        value, "(n-1)(g1-1)(g2-1)/2 + (g1-1+c1B1/2)(g2-1+c1B2/2)"
-    )
+union_moduli = _predicate(union_moduli_exponent, lambda v, n, g1, g2, c1b1, c1b2, route: _parity(
+    v, "(n-1)(g1-1)(g2-1)/2" if route is _P
+    else "(n-1)(g1-1)(g2-1)/2 + (g1-1+c1B1/2)(g2-1+c1B2/2)"))
 
 
 def doublet_moduli_exponent(
     g: int, s_minus: int, route: Route, c1l_phi_b: int | None = None
 ) -> int:
-    """Kernel of :func:`doublet_moduli`."""
+    """Doubling embedding of a complex moduli space vs its complex orientation.
+
+    The projection route needs the pairing <c1(L), phi_* B> alongside the
+    count |S^-| of negatively-doubled marked points; the canonical route
+    needs only the genus and |S^-|.
+    """
     if s_minus < 0:
         raise ValueError(f"|S^-| must be >= 0, got {s_minus}")
     if route is Route.PROJECTION:
@@ -364,46 +343,34 @@ def doublet_moduli_exponent(
         return c1l_phi_b + s_minus
     return g - 1 + s_minus
 
-
-def doublet_moduli(
-    g: int, s_minus: int, route: Route, c1l_phi_b: int | None = None
-) -> Comparison:
-    """Doubling embedding of a complex moduli space vs its complex orientation.
-
-    The projection route needs the pairing <c1(L), phi_* B> alongside the
-    count |S^-| of negatively-doubled marked points; the canonical route
-    needs only the genus and |S^-|.
-    """
-    value = doublet_moduli_exponent(g, s_minus, route, c1l_phi_b)
-    if route is Route.PROJECTION:
-        return _parity_cmp(value, "<c1(L),phi_*B> + |S^-|")
-    return _parity_cmp(value, "(g-1) + |S^-|")
+doublet_moduli = _predicate(
+    doublet_moduli_exponent, lambda v, g, s_minus, route, c1l_phi_b=None: _parity(
+        v, "<c1(L),phi_*B> + |S^-|" if route is _P else "(g-1) + |S^-|"))
 
 
 def conj_node_moduli_exponent(route: Route) -> int:
-    """Kernel of :func:`conj_node_moduli`: 1 on the canonical route."""
+    """Intrinsic vs pullback orientation on the conjugate-pair-node stratum.
+
+    The exponent is 1 on the canonical route.
+    """
     return 0 if route is Route.PROJECTION else 1
 
-
-def conj_node_moduli(route: Route) -> Comparison:
-    """Intrinsic vs pullback orientation on the conjugate-pair-node stratum."""
-    return _constant_cmp(conj_node_moduli_exponent(route))
+conj_node_moduli = _predicate(conj_node_moduli_exponent, lambda v, route: _constant(v))
 
 
 def e_node_moduli_exponent(g: int, c1b: int, route: Route) -> int:
-    """Kernel of :func:`e_node_moduli`: 1 or g + c1B/2."""
+    """Intrinsic vs pullback orientation on the isolated-real-node stratum.
+
+    The exponent is 1 or g + c1B/2.
+    """
     _require_even("c1B", c1b)
     if route is Route.PROJECTION:
         return 1
     return g + c1b // 2
 
-
-def e_node_moduli(g: int, c1b: int, route: Route) -> Comparison:
-    """Intrinsic vs pullback orientation on the isolated-real-node stratum."""
-    value = e_node_moduli_exponent(g, c1b, route)
-    if route is Route.PROJECTION:
-        return _constant_cmp(value)
-    return _parity_cmp(value, "g + c1B/2")
+e_node_moduli = _predicate(
+    e_node_moduli_exponent,
+    lambda v, g, c1b, route: _constant(v) if route is _P else _parity(v, "g + c1B/2"))
 
 
 def relspin_moduli_exponent(
@@ -411,8 +378,13 @@ def relspin_moduli_exponent(
     variant: RelSpinVariant,
     orientable_fixed_line: bool = False,
 ) -> int:
-    """Kernel of :func:`relspin_moduli`: 0 where the orientations agree,
-    1 where they differ."""
+    """Relative-spin / spin orientation of the rational-map space vs induced.
+
+    The plain-spin claim presumes the fixed-locus restriction of the
+    orienting line bundle is orientable; pass ``orientable_fixed_line=True``
+    to assert that hypothesis (the comparison is an unconditional flip).
+    The exponent is 0 where the orientations agree, 1 where they differ.
+    """
     _require_even("c1B", c1b)
     if variant is RelSpinVariant.RELSPIN_VS_PROJECTION:
         return 0 if c1b % 4 != 0 else 1
@@ -426,46 +398,29 @@ def relspin_moduli_exponent(
         )
     return 1
 
-
-def relspin_moduli(
-    c1b: int,
-    variant: RelSpinVariant,
-    orientable_fixed_line: bool = False,
-) -> Comparison:
-    """Relative-spin / spin orientation of the rational-map space vs induced.
-
-    The plain-spin claim presumes the fixed-locus restriction of the
-    orienting line bundle is orientable; pass ``orientable_fixed_line=True``
-    to assert that hypothesis (the comparison is an unconditional flip).
-    """
-    value = relspin_moduli_exponent(c1b, variant, orientable_fixed_line)
-    if variant is RelSpinVariant.RELSPIN_VS_PROJECTION:
-        return _cmp(
-            value, f"<c1,B> = {c1b} is {c1b % 4} mod 4 (agree iff nonzero)"
-        )
-    if variant is RelSpinVariant.RELSPIN_VS_CANONICAL:
-        return _cmp(
-            value, f"<c1,B> = {c1b} is {c1b % 8} mod 8 (agree iff 2 or 4)"
-        )
-    return _constant_cmp(value, " (orientable fixed-locus bundle)")
+relspin_moduli = _predicate(
+    relspin_moduli_exponent, lambda v, c1b, variant, orientable_fixed_line=False: (
+        f"<c1,B> = {c1b} is {c1b % 4} mod 4 (agree iff nonzero)"
+        if variant is RelSpinVariant.RELSPIN_VS_PROJECTION
+        else f"<c1,B> = {c1b} is {c1b % 8} mod 8 (agree iff 2 or 4)"
+        if variant is RelSpinVariant.RELSPIN_VS_CANONICAL
+        else _constant(v, " (orientable fixed-locus bundle)")))
 
 
 def forget_boundary_sign_exponent(node_side: str, route: Route) -> int:
-    """Kernel of :func:`forget_boundary_sign`: 1 on the minus side."""
+    """Sign of forgetting a conjugate marked pair on a boundary-type stratum.
+
+    +1 when the ghost bubble carries the plus point of the forgotten pair,
+    -1 when it carries the minus point; identical on both routes.  The
+    exponent is 1 on the minus side.
+    """
     if node_side not in ("plus", "minus"):
         raise ValueError(f"node_side must be 'plus' or 'minus', got {node_side!r}")
     return 0 if node_side == "plus" else 1
 
-
-def forget_boundary_sign(node_side: str, route: Route) -> Comparison:
-    """Sign of forgetting a conjugate marked pair on a boundary-type stratum.
-
-    +1 when the ghost bubble carries the plus point of the forgotten pair,
-    -1 when it carries the minus point; identical on both routes.
-    """
-    value = forget_boundary_sign_exponent(node_side, route)
-    sign = "+1" if value % 2 == 0 else "-1"
-    return _cmp(value, f"sign {sign} for the {node_side} side")
+forget_boundary_sign = _predicate(
+    forget_boundary_sign_exponent,
+    lambda v, node_side, route: f"sign {'+1' if v % 2 == 0 else '-1'} for the {node_side} side")
 
 
 # --- dimension and the convention exponents ---

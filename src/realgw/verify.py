@@ -21,7 +21,8 @@ Each identity is written once, as ``_identity(*ranges)`` over a generator
 ``check_<id>(grid)`` that loops over the grid's tuples and yields each
 failure: the grid point, plus a route tag when the identity compares both
 routes.  The decorator makes it the public ``check_<id>(grid=None)``, which
-returns an ``IdentityReport`` named ``<id>``.  The default grid is the
+returns an ``IdentityReport`` named ``<id>``, and registers it in
+``ALL_CHECKS`` in the order the checks are defined.  The default grid is the
 product of the ranges, read lazily, and its size is the product of their
 lengths; a grid passed in is read into a list once.
 """
@@ -74,8 +75,13 @@ class IdentityReport(namedtuple("IdentityReport", "identity_id grid_size failure
         }
 
 
+# Identity id -> its check, in the order the checks are defined.
+ALL_CHECKS: dict[str, Callable[[], IdentityReport]] = {}
+
+
 def _identity(*ranges: Sequence):
-    """Make a failure generator into its public check (see the module doc)."""
+    """Make a failure generator into its public check and register it in
+    ``ALL_CHECKS`` (see the module doc)."""
 
     def decorate(sweep: Callable[[Iterable[tuple]], Iterator[tuple]]):
         identity_id = sweep.__name__[len("check_"):]
@@ -90,6 +96,7 @@ def _identity(*ranges: Sequence):
 
         check.__name__ = check.__qualname__ = sweep.__name__
         check.__doc__ = sweep.__doc__
+        ALL_CHECKS[identity_id] = check
         return check
 
     return decorate
@@ -222,18 +229,6 @@ def check_sin_vs_sinh(grid):
         sinh_value = multicover_coefficient(h, c1b, g, Convention.SINH)
         if sin_value != (-1) ** g * sinh_value:
             yield (h, c1b, g)
-
-
-ALL_CHECKS: dict[str, Callable[[], IdentityReport]] = {
-    "binomial_parity": check_binomial_parity,
-    "union_canonical_vs_cvc": check_union_canonical_vs_cvc,
-    "doublet_vs_cvc": check_doublet_vs_cvc,
-    "relspin_mod8": check_relspin_mod8,
-    "union_induced_vs_determinant": check_union_induced_vs_determinant,
-    "e_node_induced_vs_determinant": check_e_node_induced_vs_determinant,
-    "union_moduli_vs_epsilons": check_union_moduli_vs_epsilons,
-    "sin_vs_sinh": check_sin_vs_sinh,
-}
 
 
 def run_checks(identity_ids: Sequence[str] | None = None) -> list[IdentityReport]:

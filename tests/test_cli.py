@@ -764,7 +764,8 @@ class TestGraphCheck:
 
     @pytest.mark.parametrize(
         "bounds,key",
-        [("max_n=3,max_n=9", "max_n"), ("max_n=3, max_n =3", "max_n"),
+        # a repeat is named before any value is read, even a padded one
+        [("max_n=3,max_n=9", "max_n"), ("max_n=3,max_n= 3", "max_n"),
          ("max_cats=1,max_cats=2", "max_cats")],
     )
     def test_repeated_bound(self, capsys, monkeypatch, bounds, key):
@@ -926,12 +927,31 @@ class TestIntegers:
             (["graph-check", "--seeds", "1..2", "--bounds", "max_n=1_1"], "max_n"),
             (["graph-check", "--seeds", "1..2", "--bounds", "max_n=\u0667"], "max_n"),
             (["graph-check", "--seeds", "1..2", "--bounds", "max_vertices=+2"], "max_vertices"),
+            # keys and values are read exactly as written: no padding is stripped
+            (["sign", "cvc-parity", "--params", "g= 3,k=1,d=1"], "g"),
+            (["graph-check", "--seeds", "1..2", "--bounds", "max_n= 7"], "max_n"),
         ],
     )
     def test_params_and_bounds_reject(self, capsys, argv, name):
         code, out, err = run_cli(capsys, argv)
         assert code == 1 and out == ""
         assert f"{name} must be an integer" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (["sign", "cvc-parity", "--params", "g =0,k=1,d=1"],
+             "cvc-parity needs --params g=<int>"),
+            (["sign", "cvc-parity", "--params", "g=0, k=1,d=1"],
+             "cvc-parity needs --params k=<int>"),
+            (["graph-check", "--seeds", "1..2", "--bounds", " max_n = 7 "],
+             "unknown bound ' max_n '"),
+        ],
+    )
+    def test_padded_keys_reject(self, capsys, argv, error):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"].startswith(error)
 
     @pytest.mark.parametrize(
         "argv",

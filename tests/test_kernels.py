@@ -1,8 +1,10 @@
-"""Each sign predicate is a wrapper around its int kernel: the wrapper's
+"""Each sign predicate is built from its int kernel: the predicate's
 ``preserves`` is the kernel's parity on every argument tuple of the
-``verify`` grids, both raise the same errors, and the ``condition`` text
-the CLI prints is unchanged."""
+``verify`` grids, passed by position or by the kernel's parameter names,
+both raise the same errors, and the ``condition`` text the CLI prints is
+unchanged."""
 
+import inspect
 import re
 from itertools import product
 
@@ -59,16 +61,24 @@ def test_every_kernel_has_a_grid():
 def test_wrapper_is_kernel_parity(name):
     predicate = getattr(signs, name)
     kernel = getattr(signs, f"{name}_exponent")
+    assert predicate.__name__ == name
+    assert predicate.__doc__ == kernel.__doc__
+    parameters = list(inspect.signature(kernel).parameters)
     checked = 0
     for args in product(*GRIDS[name]):
+        kwargs = dict(zip(parameters, args))
         try:
             value = kernel(*args)
         except ValueError as exc:
-            with pytest.raises(ValueError, match=re.escape(str(exc))):
-                predicate(*args)
+            for call in (lambda: predicate(*args), lambda: predicate(**kwargs)):
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    call()
             continue
         assert type(value) is int, (args, value)
-        assert predicate(*args).preserves == (value % 2 == 0), args
+        comparison = predicate(*args)
+        assert comparison.preserves == (value % 2 == 0), args
+        # by keyword: the condition takes the kernel's parameter names
+        assert predicate(**kwargs) == comparison, args
         checked += 1
     assert checked > 0
 

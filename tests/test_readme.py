@@ -1,8 +1,15 @@
-"""The README's library quick start runs, and each documented result holds."""
+"""The README's library quick start and CLI examples run, each documented
+result holds, and the `realgw.signs` row names the predicates `verify`
+reaches."""
 
 import ast
+import json
 import re
+import shlex
 from pathlib import Path
+
+from realgw import signs, verify
+from realgw.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -32,3 +39,49 @@ def test_quick_start_results():
         assert re.fullmatch(re.escape(shown) + "(:.*)?", documented), (node.lineno, shown)
         checked += 1
     assert checked == 5
+
+
+def test_signs_row_names_what_verify_reaches():
+    row = next(
+        line for line in README.read_text(encoding="utf-8").splitlines()
+        if line.startswith("| `realgw.signs` |")
+    )
+    match = re.search(
+        r"evaluate the kernels of (\d+) predicates: (.*?); "
+        r"no identity reaches the other (\d+): (.*?) \|$",
+        row,
+    )
+    assert match, row
+    n_reached, reached_text, n_unreached, unreached_text = match.groups()
+    reached = re.findall(r"`(\w+)`", reached_text)
+    unreached = re.findall(r"`(\w+)`", unreached_text)
+
+    def predicates(module) -> set:
+        return {name[: -len("_exponent")] for name in vars(module) if name.endswith("_exponent")}
+
+    assert set(reached) == predicates(verify)
+    assert set(unreached) == predicates(signs) - predicates(verify)
+    assert (int(n_reached), int(n_unreached)) == (len(reached), len(unreached))
+
+
+def cli_examples() -> list[tuple[list[str], str]]:
+    """The README's `realgw coeff|dim|sign` lines, each with the comment
+    line after it (or "")."""
+    text = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    lines = re.search(r"```sh\n(.*?)```", text, re.S).group(1).splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if re.match(r"realgw (coeff|dim|sign) ", line):
+            after = lines[i + 1] if i + 1 < len(lines) else ""
+            examples.append((shlex.split(line)[1:], after))
+    return examples
+
+
+def test_cli_examples_run(capsys):
+    examples = cli_examples()
+    assert [argv[0] for argv, _ in examples] == ["coeff", "dim", "sign", "sign", "sign"]
+    for argv, after in examples:
+        assert main(argv) == 0, argv
+        doc = json.loads(capsys.readouterr().out)
+        if argv[0] in ("coeff", "dim"):
+            assert after.startswith("# ") and doc == json.loads(after[2:]), argv

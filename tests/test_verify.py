@@ -65,6 +65,21 @@ def test_sin_vs_sinh_grid_size():
     assert report.grid_size == 7 * 6 * 5
 
 
+def test_registry_order():
+    # `verify --all` reports and `verify -h` lists the identities in this order.
+    assert list(ALL_CHECKS) == [
+        "binomial_parity",
+        "union_canonical_vs_cvc",
+        "doublet_vs_cvc",
+        "relspin_mod8",
+        "union_induced_vs_determinant",
+        "e_node_induced_vs_determinant",
+        "union_moduli_vs_epsilons",
+        "sin_vs_sinh",
+    ]
+    assert all(ALL_CHECKS[i] is getattr(verify, f"check_{i}") for i in ALL_CHECKS)
+
+
 def test_run_checks_all_and_selection():
     reports = run_checks()
     assert [r.identity_id for r in reports] == list(ALL_CHECKS)
