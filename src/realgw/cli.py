@@ -89,8 +89,9 @@ def _parse_kv(text: str | None, what: str) -> dict[str, str]:
 # Predicate id -> (its wrapper in realgw.signs, the wrapper's parameters in
 # call order).  Names are strings so that importing the CLI loads no layer.
 # A parameter is an int key, except: ``route`` (key ``variant``, default
-# projection), ``relspin`` (key ``variant``, required), ``side`` (a string),
-# ``orientable`` (a bool, default false) and ``c1lphib`` (an optional int).
+# projection), ``relspin`` (key ``variant``, required), ``side`` (plus or
+# minus), ``orientable`` (a bool, default false) and ``c1lphib`` (an optional
+# int).
 SIGN_PREDICATES: dict[str, tuple[str, tuple[str, ...]]] = {
     "cvc-parity": ("cvc_parity", ("g", "k", "d")),
     "conj-pullback-parity": ("conj_pullback_parity", ("g", "k", "d")),
@@ -113,7 +114,12 @@ SIGN_PREDICATES: dict[str, tuple[str, tuple[str, ...]]] = {
 
 _PARAM_KEYS = {"route": "variant", "relspin": "variant"}
 _PARAM_DEFAULTS = {"route": "projection", "orientable": "false", "c1lphib": None}
-_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+# Choice parameters, read ignoring case: (the error's wording, value -> argument).
+_CHOICES = {
+    "side": ("plus or minus", {"plus": "plus", "minus": "minus"}),
+    "orientable": ("true or false", {"true": True, "1": True, "yes": True,
+                                     "false": False, "0": False, "no": False}),
+}
 
 
 def _sign_args(predicate: str, raw: dict[str, str]) -> list:
@@ -133,17 +139,18 @@ def _sign_args(predicate: str, raw: dict[str, str]) -> list:
         else:
             shape = "..." if name in ("relspin", "side") else "<int>"
             raise ValueError(f"{predicate} needs --params {key}={shape}")
-        if value is None or name == "side":
+        if value is None:
             args.append(value)
+        elif name in _CHOICES:
+            allowed, choices = _CHOICES[name]
+            value = value.lower()
+            if value not in choices:
+                raise ValueError(f"{predicate}: {key} must be {allowed}, got {value!r}")
+            args.append(choices[value])
         elif name == "route":
             args.append(realgw.signs.Route.from_string(value))
         elif name == "relspin":
             args.append(realgw.signs.RelSpinVariant.from_string(value))
-        elif name == "orientable":
-            value = value.lower()
-            if value not in _BOOLS:
-                raise ValueError(f"{predicate}: {key} must be true or false, got {value!r}")
-            args.append(_BOOLS[value])
         else:
             try:
                 args.append(integer(value))
@@ -272,27 +279,14 @@ def _bounds_from_kv(text: str | None) -> realgw.graphs.GraphBounds:
     return realgw.graphs.GraphBounds(**kwargs)
 
 
-def _check_one_graph(graph: realgw.graphs.DecoratedGraph) -> dict:
-    result = realgw.graphs.congruence_identity_check(graph)
-    g, d = realgw.graphs.derive_genus_degree(graph)
-    return {
-        "holds": result.holds,
-        "lhs": result.lhs,
-        "rhs": result.rhs,
-        "genus": g,
-        "degree": d,
-    }
-
-
 def _cmd_graph_check(args) -> int:
     if args.infile:
         if args.seeds is not None or args.bounds is not None:
             raise ValueError("--in checks one graph; it takes no --seeds or --bounds")
-        doc = _read_input_doc(args)
-        graph = realgw.graphs.graph_from_json_dict(doc)
-        outcome = _check_one_graph(graph)
-        _emit(outcome)
-        return 0 if outcome["holds"] else EXIT_CHECK_FAILED
+        graph = realgw.graphs.graph_from_json_dict(_read_input_doc(args))
+        result = realgw.graphs.congruence_identity_check(graph)
+        _emit(result._asdict())
+        return 0 if result.holds else EXIT_CHECK_FAILED
 
     seeds = _parse_seed_range("1..1000" if args.seeds is None else args.seeds)
     bounds = _bounds_from_kv(args.bounds)

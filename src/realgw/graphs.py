@@ -25,7 +25,9 @@ The module checks the closing mod-2 congruence that ties the localization
 sign exponents -- a global term in C(|E_R|, 2), one term per edge and one
 per vertex, summed in :func:`congruence_identity_check` -- to (g, d) alone,
 in exact integer arithmetic, with every halved intermediate asserted to be
-an integer and every quarter floored.  Localization weights (the
+an integer and every quarter floored.  Its verdict is a ``CongruenceResult``
+(holds; lhs and rhs mod 2; genus and degree), whose five fields are the
+keys that ``realgw graph-check --in`` prints.  Localization weights (the
 rational-function contributions) are out of scope; only sign exponents live
 here.  A graph document, the JSON wire form, is read through ``schemas.check``
 against ``schemas.GRAPH_SCHEMA`` before any constructor runs.
@@ -44,20 +46,25 @@ from .schemas import GRAPH_SCHEMA, check
 # Most seeds one ``graph-check --seeds`` run may name.
 MAX_SEEDS = 10**6
 
-# Largest value of each GraphBounds field.  The caps keep one generated
-# graph small (at most 32 vertices, 64 edges and 96 flags), so that
-# MAX_SEEDS seeds also bound the work and memory of a sweep.
-BOUND_CAPS = {
-    "max_vertices": 32,
-    "max_vertex_genus": 100,
-    "max_real_edges": 32,
-    "max_conj_edges": 32,
-    "max_edge_degree": 100,
-    "max_n": 100,
-    "max_multidegree_len": 32,
-    "max_multidegree_entry": 100,
-    "max_flag_label": 100,
+# Each GraphBounds field, in order: (default, least value, cap).  The caps
+# keep one generated graph small (at most 32 vertices, 64 edges and 96
+# flags), so that MAX_SEEDS seeds also bound the work and memory of a sweep.
+_BOUNDS = {
+    "max_vertices": (5, 1, 32),
+    "max_vertex_genus": (3, 0, 100),
+    "max_real_edges": (4, 0, 32),
+    "max_conj_edges": (4, 0, 32),
+    "max_edge_degree": (7, 1, 100),
+    "max_n": (9, 1, 100),
+    "max_multidegree_len": (3, 0, 32),
+    "max_multidegree_entry": (6, 1, 100),
+    "max_flag_label": (4, 0, 100),
 }
+
+_DEFAULTS, _LEAST, _CAPS = zip(*_BOUNDS.values())
+
+# Largest value of each GraphBounds field.
+BOUND_CAPS = dict(zip(_BOUNDS, _CAPS))
 
 
 class GraphError(ValueError):
@@ -161,7 +168,7 @@ def derive_genus_degree(graph: DecoratedGraph) -> tuple[int, int]:
     return g, d
 
 
-CongruenceResult = namedtuple("CongruenceResult", "holds lhs rhs")
+CongruenceResult = namedtuple("CongruenceResult", "holds lhs rhs genus degree")
 
 
 def _half(twice: int, what: str) -> int:
@@ -181,7 +188,8 @@ def congruence_identity_check(graph: DecoratedGraph) -> CongruenceResult:
       RHS = (g + (n-|a|)d/2)(g + (n-|a|)d/2 - 1)/2 + (g - 1).
 
     Preconditions (the nonzero-contribution regime): |a| = k mod 4, every
-    real edge degree odd; n - |a| even then follows from n - k even.
+    real edge degree odd; n - |a| even then follows from n - k even.  The
+    result carries both sides mod 2 and the (g, d) they were computed from.
     """
     n = graph.n
     k = len(graph.a)
@@ -200,9 +208,7 @@ def congruence_identity_check(graph: DecoratedGraph) -> CongruenceResult:
             real.append(e.degree)
         else:
             conj.append(e.degree)
-    nu = n - total
-    if nu % 2 != 0:
-        raise GraphError(f"n - |a| must be even, got {nu}")
+    nu = n - total  # even, as n - k is even (DecoratedGraph) and |a| = k mod 4
 
     r = len(real)
     lhs = _half((n - 2 - k) * comb(r, 2), "(n-2-k)/2 * C(|E_R|,2)")
@@ -217,31 +223,15 @@ def congruence_identity_check(graph: DecoratedGraph) -> CongruenceResult:
     m = _half(2 * g + nu * d, "g + (n-|a|)d/2")
     rhs = m * (m - 1) // 2 + (g - 1)
 
-    return CongruenceResult(holds=lhs % 2 == rhs % 2, lhs=lhs % 2, rhs=rhs % 2)
+    return CongruenceResult(lhs % 2 == rhs % 2, lhs % 2, rhs % 2, g, d)
 
 
 # --- random graphs for fuzzing the congruence ---
 
 
-class GraphBounds(
-    namedtuple(
-        "GraphBounds",
-        (
-            "max_vertices",
-            "max_vertex_genus",
-            "max_real_edges",
-            "max_conj_edges",
-            "max_edge_degree",
-            "max_n",
-            "max_multidegree_len",
-            "max_multidegree_entry",
-            "max_flag_label",
-        ),
-        defaults=(5, 3, 4, 4, 7, 9, 3, 6, 4),
-    )
-):
-    """Caps for the random graph generator, each an ``int`` (not a bool) at
-    most its BOUND_CAPS entry.
+class GraphBounds(namedtuple("GraphBounds", _BOUNDS, defaults=_DEFAULTS)):
+    """Caps for the random graph generator, each an ``int`` (not a bool)
+    between its least value and its BOUND_CAPS entry (``_BOUNDS``).
 
     ``GraphBounds._fields`` names the caps, in order; the CLI accepts exactly
     these as --bounds keys.  The generator draws from the fields alone.
@@ -252,28 +242,15 @@ class GraphBounds(
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        for name, cap in BOUND_CAPS.items():
-            value = getattr(self, name)
+        for name, value, cap in zip(_BOUNDS, self, _CAPS):
             if type(value) is not int:
                 raise GraphError(f"bound {name} must be an integer, got {value!r}")
             if value > cap:
                 raise GraphError(f"bound {name}={value} exceeds its cap {cap}")
-        if (
-            self.max_vertices < 1
-            or self.max_n < 1
-            or self.max_edge_degree < 1
-            or self.max_vertex_genus < 0
-            or self.max_real_edges < 0
-            or self.max_conj_edges < 0
-            or self.max_multidegree_len < 0
-            or self.max_multidegree_entry < 1
-            or self.max_flag_label < 0
-        ):
+        if any(value < least for value, least in zip(self, _LEAST)):
             raise GraphError(f"infeasible bounds: {self}")
         if self.max_n == 1 and self.max_multidegree_len == 0:
-            raise GraphError(
-                "infeasible bounds: n=1 needs an odd multidegree length"
-            )
+            raise GraphError("infeasible bounds: n=1 needs an odd multidegree length")
         return self
 
 
@@ -296,7 +273,7 @@ def _below(rng: random.Random):
     return below
 
 
-_PHI_KINDS = (InvolutionKind.TAU, InvolutionKind.ETA)
+_PHI_KINDS = tuple(InvolutionKind)  # TAU, ETA: the golden stream pins this order
 _DEFAULT_BOUNDS = GraphBounds()
 
 

@@ -213,21 +213,28 @@ class InvariantVector(namedtuple("InvariantVector", "entries c1b max_genus")):
     <c1,B> carried along.
 
     Genera above ``max_genus`` are absent (undetermined), not zero; missing
-    genera at or below it are normalized to zero.  ``entries`` is read-only:
-    dense over 0..max_genus, in genus order, each value a ``Fraction``.
+    genera at or below it are normalized to zero.  ``max_genus=None`` (the
+    default) means the largest genus in ``entries``, so empty ``entries``
+    need an explicit ``max_genus``; a negative one is an error.
+    ``entries`` is read-only: dense over 0..max_genus, in genus order, each
+    value a ``Fraction``.
     ``__new__`` is the one place these are checked.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace runs __new__
 
-    def __new__(cls, entries: Mapping[int, Fraction], c1b: int, max_genus: int = -1):
+    def __new__(
+        cls, entries: Mapping[int, Fraction], c1b: int, max_genus: int | None = None
+    ):
         if _integer("c1B", c1b) % 2 != 0:
             raise ValueError(f"c1B pairing must be even, got {c1b}")
-        if _integer("max_genus", max_genus) < 0:
+        if max_genus is None:
             if not entries:
                 raise ValueError("empty entries require an explicit max_genus")
             max_genus = max((g for g in entries if type(g) is int), default=0)
+        elif _integer("max_genus", max_genus) < 0:
+            raise ValueError(f"max_genus must be >= 0, got {max_genus}")
         if max_genus > MAX_GENUS:
             raise ValueError(f"max_genus must be <= {MAX_GENUS}, got {max_genus}")
         bad = [g for g in entries if type(g) is not int or not 0 <= g <= max_genus]
@@ -269,8 +276,6 @@ class InvariantVector(namedtuple("InvariantVector", "entries c1b max_genus")):
         map and max_genus that have passed them, such as those of a whole
         document checked against ``INVARIANTS_SCHEMA``."""
         entries = {int(key): parse_rational(raw) for key, raw in data.items()}
-        if max_genus is None:
-            max_genus = max(entries) if entries else 0
         return cls(entries=entries, c1b=c1b, max_genus=max_genus)
 
 

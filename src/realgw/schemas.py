@@ -3,9 +3,9 @@
 
 Rationals travel as ``"p/q"`` strings (plain ``"p"`` for integers) so that
 no downstream tool can coerce them to floats.  Schemas are static data and
-byte-stable across runs.  Of the two rules draft-07 cannot state, ``check``
+byte-stable across runs.  Of the rules the schemas do not state, ``check``
 refuses an integral float such as ``2.0``, and ``InvariantVector`` a genus
-key above the document's ``max_genus``.
+key above the document's ``max_genus`` and an empty genus map without one.
 """
 
 from __future__ import annotations

@@ -137,6 +137,7 @@ VALID_SIGN_CALLS = [
      signs.relspin_moduli, (8, S_C, True)),
     ("relspin-moduli", "c1b=4,variant=relspin-vs-projection", signs.relspin_moduli, (4, RS_P, False)),
     ("forget-boundary", "side=minus,variant=canonical", signs.forget_boundary_sign, ("minus", C)),
+    ("forget-boundary", "side=PLUS", signs.forget_boundary_sign, ("plus", P)),
 ]
 
 
@@ -145,13 +146,6 @@ class TestSignRegistry:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         listing = readme.split("Predicate ids for `sign`:", 1)[1].split(".", 1)[0]
         assert re.findall(r"`([a-z-]+)`", listing) == list(SIGN_PREDICATES)
-
-    def test_readme_lists_the_bound_caps(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        table = readme.split("| bound | cap | bound | cap |", 1)[1].split("\n\n", 1)[0]
-        assert dict(re.findall(r"\| `(\w+)` \| (\d+) ", table)) == {
-            name: str(cap) for name, cap in BOUND_CAPS.items()
-        }
 
     def test_every_predicate_has_a_valid_call(self):
         assert {call[0] for call in VALID_SIGN_CALLS} == set(SIGN_PREDICATES)
@@ -178,6 +172,8 @@ class TestSignRegistry:
             ("doublet-moduli", "g=0,sminus=1,c1lphib=x", "doublet-moduli: c1lphib must be an integer, got 'x'"),
             ("forget-boundary", "variant=middle", "forget-boundary needs --params side=..."),
             ("forget-boundary", "side=up,variant=middle",
+             "forget-boundary: side must be plus or minus, got 'up'"),
+            ("forget-boundary", "side=Minus,variant=middle",
              "route must be 'projection' or 'canonical', got 'middle'"),
             ("relspin", "degv=2", "relspin needs --params variant=..."),
             ("relspin-moduli", "c1b=4,variant=spin-vs-canonical,orientable=Maybe",
@@ -215,6 +211,18 @@ class TestTransformInvert:
         normalized = dict(original)
         normalized["gw"] = {"0": "1", "1": "0", "2": "-1/24"}
         assert transformed == json.dumps(normalized, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("command,key,out_key", [("transform", "E", "gw"), ("invert", "gw", "E")])
+    def test_empty_genus_map_needs_max_genus(self, capsys, monkeypatch, command, key, out_key):
+        # a map with no genera names no genus: without max_genus it is refused
+        doc = {"c1B": 0, "convention": "sinh", key: {}}
+        code, out, err = run_cli(capsys, [command], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "empty entries require an explicit max_genus"}
+        doc["max_genus"] = 2
+        code, out, _ = run_cli(capsys, [command], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+        assert code == 0
+        assert json.loads(out)[out_key] == {"0": "0", "1": "0", "2": "0"}
 
     def test_nonintegral_violations_reported(self, capsys, monkeypatch):
         doc = '{"c1B":0,"convention":"sinh","gw":{"0":"1/3"}}'
@@ -407,7 +415,8 @@ def invariants_documents(draw):
         "convention": draw(st.sampled_from(["sinh", "sin"])),
         "values": values,
     }
-    if draw(st.booleans()):
+    # an empty map names no genus, so it needs max_genus
+    if not values or draw(st.booleans()):
         doc["max_genus"] = max_genus
     return doc
 
@@ -542,13 +551,16 @@ class TestInvariantsSchema:
             {"c1B": 2.0, "convention": "sinh", "values": {"0": "1"}},
             {"c1B": 0, "convention": "sin", "max_genus": 1.0, "values": {"0": "1"}},
             {"c1B": 0, "convention": "sinh", "max_genus": 1, "values": {"3": "1"}},
+            {"c1B": 0, "convention": "sinh", "values": {}},
         ],
-        ids=["integral-float-c1B", "integral-float-max_genus", "key-above-max_genus"],
+        ids=["integral-float-c1B", "integral-float-max_genus", "key-above-max_genus",
+             "empty-map-without-max_genus"],
     )
     def test_rules_draft7_cannot_state(self, doc):
-        """The two documents the CLI rejects that pass ``Draft7Validator``:
-        an integral float where an integer is due (``schemas.check``), and a
-        genus key above the document's ``max_genus`` (``InvariantVector``)."""
+        """The documents the CLI rejects that pass ``Draft7Validator``: an
+        integral float where an integer is due (``schemas.check``), a genus
+        key above the document's ``max_genus`` and an empty genus map
+        without ``max_genus`` (both ``InvariantVector``)."""
         validator = _draft7_validator()
         for command, key in (("transform", "E"), ("invert", "gw")):
             sent = {k: v for k, v in doc.items() if k != "values"}
@@ -664,7 +676,7 @@ class TestGraphCheck:
     def test_counterexample_exit_code(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(
             realgw.graphs, "congruence_identity_check",
-            lambda graph: CongruenceResult(holds=False, lhs=1, rhs=0),
+            lambda graph: CongruenceResult(holds=False, lhs=1, rhs=0, genus=0, degree=1),
         )
         code, out, _ = run_cli(capsys, ["graph-check", "--seeds", "1..3"])
         assert code == EXIT_CHECK_FAILED == 3
@@ -827,6 +839,9 @@ class TestGraphCheck:
         parsed = json.loads(out)
         assert parsed["holds"] is True
         assert (parsed["genus"], parsed["degree"]) == (0, 1)
+        # the printed keys are the CongruenceResult fields, sorted
+        assert list(parsed) == sorted(CongruenceResult._fields)
+        assert out == '{\n  "degree": 1,\n  "genus": 0,\n  "holds": true,\n  "lhs": 1,\n  "rhs": 1\n}\n'
 
     def test_explicit_graph_domain_error(self, capsys, tmp_path):
         doc = {

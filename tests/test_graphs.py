@@ -34,6 +34,19 @@ LARGE_BOUNDS = GraphBounds(
 )
 # n <= 3 against entries up to 12: most graphs have n < |a|, i.e. nu < 0.
 NEGATIVE_NU_BOUNDS = GraphBounds(max_n=3, max_multidegree_entry=12)
+# The least value of each bound: the generator draws below(m) only for
+# counts m >= 1, so vertices, n, edge degrees and entries start at 1.
+LEAST_BOUNDS = {
+    "max_vertices": 1,
+    "max_vertex_genus": 0,
+    "max_real_edges": 0,
+    "max_conj_edges": 0,
+    "max_edge_degree": 1,
+    "max_n": 1,
+    "max_multidegree_len": 0,
+    "max_multidegree_entry": 1,
+    "max_flag_label": 0,
+}
 
 
 def flag(b=0, p=0, sminus=False):
@@ -378,6 +391,15 @@ class TestGenerator:
             GraphBounds(max_vertices=0)
         with pytest.raises(GraphError):
             GraphBounds(max_n=1, max_multidegree_len=0)
+
+    @pytest.mark.parametrize("name", GraphBounds._fields)
+    def test_least_value(self, name):
+        least = LEAST_BOUNDS[name]
+        with pytest.raises(GraphError, match=r"^infeasible bounds: GraphBounds\("):
+            GraphBounds(**{name: least - 1})
+        bounds = GraphBounds(**{name: least})
+        for seed in range(1, 21):
+            assert congruence_identity_check(generate_random_graph(seed, bounds)).holds
 
     def test_bound_caps(self):
         assert set(BOUND_CAPS) == set(GraphBounds._fields)

@@ -236,6 +236,17 @@ class TestVector:
         with pytest.raises(ValueError):
             InvariantVector(entries={}, c1b=0)
 
+    def test_max_genus_is_inferred_only_when_none(self):
+        assert InvariantVector({0: 1, 2: 3}, c1b=0, max_genus=None).max_genus == 2
+        for entries in ({}, {0: F(1), 2: F(3)}):
+            with pytest.raises(ValueError, match="max_genus must be >= 0, got -7"):
+                InvariantVector(entries, c1b=0, max_genus=-7)
+        # the wire reader infers nothing of its own: no genera, no max_genus
+        with pytest.raises(ValueError, match="empty entries require an explicit max_genus"):
+            InvariantVector.from_string_map({}, c1b=0)
+        vec = InvariantVector.from_string_map({}, c1b=0, max_genus=2)
+        assert vec.entries == {0: F(0), 1: F(0), 2: F(0)}
+
     def test_replace_runs_checks(self):
         vec = InvariantVector({0: 1}, c1b=0)
         with pytest.raises(ValueError, match="c1B pairing must be even"):

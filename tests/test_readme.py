@@ -1,6 +1,6 @@
 """The README's library quick start and CLI examples run, each documented
-result holds, and the `realgw.signs` row names the predicates `verify`
-reaches."""
+result holds, the `realgw.signs` row names the predicates `verify`
+reaches, and the `--bounds` cap table is `realgw.graphs.BOUND_CAPS`."""
 
 import ast
 import json
@@ -10,6 +10,7 @@ from pathlib import Path
 
 from realgw import signs, verify
 from realgw.cli import main
+from realgw.graphs import BOUND_CAPS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -85,3 +86,10 @@ def test_cli_examples_run(capsys):
         doc = json.loads(capsys.readouterr().out)
         if argv[0] in ("coeff", "dim"):
             assert after.startswith("# ") and doc == json.loads(after[2:]), argv
+
+
+def test_cap_table_is_bound_caps():
+    table = README.read_text(encoding="utf-8").split("| bound | cap | bound | cap |", 1)[1]
+    rows = re.findall(r"\| `(\w+)` \| (\d+) ", table.split("\n\n", 1)[0])
+    assert len(rows) == len(BOUND_CAPS)
+    assert {name: int(cap) for name, cap in rows} == BOUND_CAPS
