@@ -86,34 +86,8 @@ def _parse_kv(text: str | None, what: str) -> dict[str, str]:
     return params
 
 
-# Predicate id -> (its wrapper in realgw.signs, the wrapper's parameters in
-# call order).  Names are strings so that importing the CLI loads no layer.
-# A parameter is an int key, except: ``route`` (key ``variant``, default
-# projection), ``relspin`` (key ``variant``, required), ``side`` (plus or
-# minus), ``orientable`` (a bool, default false) and ``c1lphib`` (an optional
-# int).
-SIGN_PREDICATES: dict[str, tuple[str, tuple[str, ...]]] = {
-    "cvc-parity": ("cvc_parity", ("g", "k", "d")),
-    "conj-pullback-parity": ("conj_pullback_parity", ("g", "k", "d")),
-    "union-determinant": ("union_determinant", ("g1", "g2", "k", "d1", "d2", "route")),
-    "doublet-determinant": ("doublet_determinant", ("g", "k", "d2", "route")),
-    "conj-node-determinant": ("conj_node_determinant", ("k", "route")),
-    "e-node-determinant": ("e_node_determinant", ("g", "k", "d", "route")),
-    "union-induced": ("union_induced", ("g1", "g2", "d1", "d2", "route")),
-    "doublet-induced": ("doublet_induced", ("g", "d2", "route")),
-    "conj-node-induced": ("conj_node_induced", ("route",)),
-    "e-node-induced": ("e_node_induced", ("g", "d", "route")),
-    "relspin": ("relspin_determinant", ("degv", "relspin")),
-    "union-moduli": ("union_moduli", ("n", "g1", "g2", "c1b1", "c1b2", "route")),
-    "doublet-moduli": ("doublet_moduli", ("g", "sminus", "route", "c1lphib")),
-    "conj-node-moduli": ("conj_node_moduli", ("route",)),
-    "e-node-moduli": ("e_node_moduli", ("g", "c1b", "route")),
-    "relspin-moduli": ("relspin_moduli", ("c1b", "relspin", "orientable")),
-    "forget-boundary": ("forget_boundary_sign", ("side", "route")),
-}
-
-_PARAM_KEYS = {"route": "variant", "relspin": "variant"}
-_PARAM_DEFAULTS = {"route": "projection", "orientable": "false", "c1lphib": None}
+# ``sign --params`` keys: a kernel parameter's name without underscores, except these.
+_PARAM_KEYS = {"route": "variant", "node_side": "side", "orientable_fixed_line": "orientable"}
 # Choice parameters, read ignoring case: (the error's wording, value -> argument).
 _CHOICES = {
     "side": ("plus or minus", {"plus": "plus", "minus": "minus"}),
@@ -123,34 +97,43 @@ _CHOICES = {
 
 
 def _sign_args(predicate: str, raw: dict[str, str]) -> list:
-    """The wrapper arguments of ``predicate``, read from ``--params``.
+    """The arguments of ``realgw.signs.PREDICATES[predicate]``, read from
+    ``--params`` against its kernel's positional parameters.
 
-    Parameters are read (and popped from ``raw``) in call order, so the
-    first missing or malformed one is the one an error names; keys left
-    over are reported after that, before the wrapper runs.
+    A ``Route`` defaults to projection, any other parameter to the kernel's
+    default.  Parameters are read (and popped from ``raw``) in call order,
+    so the first missing or malformed one is the one an error names; keys
+    left over are reported after that, before the predicate runs.
     """
+    signs = realgw.signs
+    kernel = signs.PREDICATES[predicate]
+    while hasattr(kernel, "__wrapped__"):  # past any wrapper of the predicate to its kernel
+        kernel = kernel.__wrapped__
+    names = kernel.__code__.co_varnames[: kernel.__code__.co_argcount]
+    defaults = dict(zip(reversed(names), reversed(kernel.__defaults__ or ())))
+    readers = {"Route": signs.Route.from_string, "RelSpinVariant": signs.RelSpinVariant.from_string}
     args = []
-    for name in SIGN_PREDICATES[predicate][1]:
-        key = _PARAM_KEYS.get(name, name)
-        if key in raw:
-            value = raw.pop(key)
-        elif name in _PARAM_DEFAULTS:
-            value = _PARAM_DEFAULTS[name]
-        else:
-            shape = "..." if name in ("relspin", "side") else "<int>"
-            raise ValueError(f"{predicate} needs --params {key}={shape}")
-        if value is None:
-            args.append(value)
-        elif name in _CHOICES:
-            allowed, choices = _CHOICES[name]
+    for name in names:
+        kind = kernel.__annotations__[name]
+        key = _PARAM_KEYS.get(name, name.replace("_", ""))
+        if key not in raw:
+            if kind == "Route":
+                args.append(signs.Route.PROJECTION)
+            elif name in defaults:
+                args.append(defaults[name])
+            else:
+                shape = "<int>" if kind == "int" else "..."
+                raise ValueError(f"{predicate} needs --params {key}={shape}")
+            continue
+        value = raw.pop(key)
+        if key in _CHOICES:
+            allowed, choices = _CHOICES[key]
             value = value.lower()
             if value not in choices:
                 raise ValueError(f"{predicate}: {key} must be {allowed}, got {value!r}")
             args.append(choices[value])
-        elif name == "route":
-            args.append(realgw.signs.Route.from_string(value))
-        elif name == "relspin":
-            args.append(realgw.signs.RelSpinVariant.from_string(value))
+        elif kind in readers:
+            args.append(readers[kind](value))
         else:
             try:
                 args.append(integer(value))
@@ -179,13 +162,13 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_sign(args) -> int:
-    if args.predicate not in SIGN_PREDICATES:
+    predicates = realgw.signs.PREDICATES
+    if args.predicate not in predicates:
         raise ValueError(
-            f"unknown predicate {args.predicate!r}; known: "
-            + ", ".join(sorted(SIGN_PREDICATES))
+            f"unknown predicate {args.predicate!r}; known: " + ", ".join(sorted(predicates))
         )
-    wrapper = getattr(realgw.signs, SIGN_PREDICATES[args.predicate][0])
-    comparison = wrapper(*_sign_args(args.predicate, _parse_kv(args.params, "--params")))
+    raw = _parse_kv(args.params, "--params")
+    comparison = predicates[args.predicate](*_sign_args(args.predicate, raw))
     _emit(
         {
             "preserves": comparison.preserves,
@@ -331,17 +314,18 @@ def _cmd_schema(args) -> int:
     return 0
 
 
-class _VerifyHelp(argparse.Action):
-    """``verify -h``: fills in the identity ids, which live in realgw.verify,
-    only when the help is printed, so other subcommands never import it."""
+class _LazyHelp(argparse.Action):
+    """``-h``: fills in the help of ``argument`` from ``text()`` only when the
+    help is printed, so that building the parser imports no layer."""
 
-    def __init__(self, option_strings, dest, identity, help=None):
+    def __init__(self, option_strings, dest, argument, text,
+                 help="show this help message and exit"):
         super().__init__(option_strings, dest=argparse.SUPPRESS,
                          default=argparse.SUPPRESS, nargs=0, help=help)
-        self.identity = identity
+        self.argument, self.text = argument, text
 
     def __call__(self, parser, namespace, values, option_string=None):
-        self.identity.help = ", ".join(realgw.verify.ALL_CHECKS)
+        self.argument.help = self.text()
         parser.print_help()
         parser.exit()
 
@@ -370,8 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c1b", type=integer, required=True)
     p.set_defaults(func=_cmd_dim)
 
-    p = sub.add_parser("sign", help="evaluate one orientation-comparison predicate")
-    p.add_argument("predicate", help=", ".join(sorted(SIGN_PREDICATES)))
+    p = sub.add_parser(
+        "sign", help="evaluate one orientation-comparison predicate", add_help=False
+    )
+    p.add_argument("-h", "--help", action=_LazyHelp, argument=p.add_argument("predicate"),
+                   text=lambda: ", ".join(sorted(realgw.signs.PREDICATES)))
     p.add_argument("--params", default="", help="comma-separated key=value pairs")
     p.set_defaults(func=_cmd_sign)
 
@@ -399,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run the derivation identity suite", add_help=False
     )
     identity = p.add_argument("identity", nargs="?", default=None)
-    p.add_argument("-h", "--help", action=_VerifyHelp, identity=identity,
-                   help="show this help message and exit")
+    p.add_argument("-h", "--help", action=_LazyHelp, argument=identity,
+                   text=lambda: ", ".join(realgw.verify.ALL_CHECKS))
     p.add_argument("--all", action="store_true", help="run every identity")
     p.set_defaults(func=_cmd_verify)
 

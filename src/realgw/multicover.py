@@ -31,7 +31,7 @@ recurrence.  A table stores integers: the u^m coefficient times
 D_m = 4^m (3m)!, which is an integer for every integer exponent and both
 series (see ``_extend``).  The recurrence runs on them in ``int``, and a
 lookup through ``multicover_coefficient`` builds one ``Fraction``.  Genera
-are capped at ``MAX_GENUS``.
+are capped at ``MAX_GENUS`` and |c1B| at ``MAX_C1B``.
 
 Both transforms are one summation, ``_compose``, which reads the tables'
 integers directly.  D_j divides D_J for j <= J, so with L the lcm of the
@@ -61,13 +61,19 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
-from .schemas import INVARIANTS_SCHEMA, check
+from .schemas import INVARIANTS_SCHEMA, _shown, check
 from .series import format_rational, parse_rational
 
 #: Largest genus accepted as a coefficient's cover genus g and as an
 #: ``InvariantVector``'s ``max_genus``; past it a ``ValueError`` is raised
 #: before any work, which bounds the coefficient tables and dense vectors.
 MAX_GENUS = 128
+
+#: Largest |c1B| accepted wherever a pairing meets the coefficient tables
+#: (a coefficient's c1b, an ``InvariantVector``'s c1b); past it a
+#: ``ValueError`` is raised before any work, which bounds the exponents the
+#: tables are built for and the size of every value they hold.
+MAX_C1B = 10**6
 
 
 class Convention(enum.Enum):
@@ -91,13 +97,22 @@ def _integer(name: str, value) -> int:
     return value
 
 
+def _pairing(c1b) -> int:
+    """``c1b`` if it is an even ``int`` with |c1b| <= ``MAX_C1B``, else
+    ``ValueError``; the message shows at most 60 characters of the value."""
+    if not -MAX_C1B <= _integer("c1B", c1b) <= MAX_C1B:
+        raise ValueError(f"c1B must be in [-{MAX_C1B}, {MAX_C1B}], got {_shown(c1b)}")
+    if c1b % 2 != 0:
+        raise ValueError(f"c1B pairing must be even, got {c1b}")
+    return c1b
+
+
 def cover_exponent(h: int, c1b: int) -> int:
-    """Exponent h - 1 + c1b/2 of the base series; h and c1b are ints, c1b even."""
+    """Exponent h - 1 + c1b/2 of the base series; h and c1b are ints, c1b
+    even with |c1b| <= ``MAX_C1B``."""
     if _integer("genus h", h) < 0:
         raise ValueError(f"genus h must be >= 0, got {h}")
-    if _integer("c1B", c1b) % 2 != 0:
-        raise ValueError(f"c1B pairing must be even, got {c1b}")
-    return h - 1 + c1b // 2
+    return h - 1 + _pairing(c1b) // 2
 
 
 # key -> [N_0, N_1, ...], N_j = D_j C_j with D_j = 4^j (3j)! and C_j the
@@ -199,7 +214,8 @@ def multicover_coefficient(
     The exponent may be negative.  Coefficients are kept as integer
     numerators over D_g = 4^g (3g)! in one table per (exponent, convention),
     grown on demand, so results are exact and a repeated lookup is two list
-    indexes and one ``Fraction``.  h, c1b and g are ints, g <= ``MAX_GENUS``.
+    indexes and one ``Fraction``.  h, c1b and g are ints, g <= ``MAX_GENUS``
+    and |c1b| <= ``MAX_C1B``.
     """
     if not 0 <= _integer("genus g", g) <= MAX_GENUS:
         raise ValueError(f"genus g must be in [0, {MAX_GENUS}], got {g}")
@@ -210,7 +226,7 @@ def multicover_coefficient(
 
 class InvariantVector(namedtuple("InvariantVector", "entries c1b max_genus")):
     """Rational values indexed by genus 0..max_genus, with the even pairing
-    <c1,B> carried along.
+    <c1,B>, |c1B| <= ``MAX_C1B``, carried along.
 
     Genera above ``max_genus`` are absent (undetermined), not zero; missing
     genera at or below it are normalized to zero.  ``max_genus=None`` (the
@@ -227,8 +243,7 @@ class InvariantVector(namedtuple("InvariantVector", "entries c1b max_genus")):
     def __new__(
         cls, entries: Mapping[int, Fraction], c1b: int, max_genus: int | None = None
     ):
-        if _integer("c1B", c1b) % 2 != 0:
-            raise ValueError(f"c1B pairing must be even, got {c1b}")
+        _pairing(c1b)
         if max_genus is None:
             if not entries:
                 raise ValueError("empty entries require an explicit max_genus")

@@ -23,6 +23,8 @@ RATIONAL_PATTERN = r"^[+-]?[0-9]+(/[0-9]+)?(?!\n)$"
 #: ``realgw.multicover.MAX_GENUS``, written out so that this module imports
 #: no layer; a test keeps the two equal.
 _MAX_GENUS = 128
+#: ``realgw.multicover.MAX_C1B``, likewise.
+_MAX_C1B = 10**6
 
 _RATIONAL = {"type": "string", "pattern": RATIONAL_PATTERN}
 _GENUS_MAP = {
@@ -108,7 +110,7 @@ INVARIANTS_SCHEMA = {
     "required": ["c1B", "convention"],
     "anyOf": [{"required": ["gw"]}, {"required": ["E"]}],
     "properties": {
-        "c1B": {"type": "integer", "multipleOf": 2},
+        "c1B": {"type": "integer", "multipleOf": 2, "minimum": -_MAX_C1B, "maximum": _MAX_C1B},
         "convention": {"enum": ["sinh", "sin"]},
         "gw": _GENUS_MAP,
         "E": _GENUS_MAP,
@@ -160,8 +162,11 @@ _TYPES = {"object": dict, "array": list, "string": str, "integer": int, "boolean
 
 def _shown(value) -> str:
     """``repr(value)``, cut after 60 characters and marked ``...``, so that
-    a ``check`` message does not grow with the input."""
-    text = repr(value)
+    an error message does not grow with the input."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int with more digits than CPython writes as a str
+        text = f"an integer of {value.bit_length()} bits"
     return text if len(text) <= 60 else text[:60] + "..."
 
 

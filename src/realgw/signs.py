@@ -16,6 +16,9 @@ predicate ``p`` from the kernel and a ``condition`` that renders the
 evaluated formula for humans and the CLI: ``p`` returns the kernel's parity
 as ``preserves``, takes the kernel's parameters by position or by name,
 and carries the kernel's docstring and its name without ``_exponent``.
+The factory also records each predicate in :data:`PREDICATES`, the
+registry of predicate ids in definition order, from which ``realgw sign``
+reads the ids and, through each kernel's signature, their parameters.
 Sweeps (:mod:`realgw.verify`) call the kernels.
 
 Two stabilization routes orient the moduli side: PROJECTION stabilizes by
@@ -92,8 +95,13 @@ def _constant(value: int, note: str = "") -> str:
     return ("always preserves" if value % 2 == 0 else "always flips") + note
 
 
-def _predicate(kernel, condition):
-    """The public predicate of ``kernel`` (see the module doc).
+#: Predicate id -> public predicate, in definition order; filled by ``_predicate``.
+PREDICATES: dict = {}
+
+
+def _predicate(kernel, condition, predicate_id=None):
+    """The public predicate of ``kernel`` (see the module doc), recorded in
+    ``PREDICATES`` under ``predicate_id``.
 
     ``condition(value, *args, **kwargs)`` gives the evaluated text; it takes
     the kernel's value and then the kernel's parameters, under their names.
@@ -106,6 +114,7 @@ def _predicate(kernel, condition):
     predicate.__name__ = predicate.__qualname__ = kernel.__name__[: -len("_exponent")]
     predicate.__doc__ = kernel.__doc__
     predicate.__wrapped__ = kernel
+    PREDICATES[predicate_id or predicate.__name__.replace("_", "-")] = predicate
     return predicate
 
 
@@ -304,7 +313,7 @@ relspin_determinant = _predicate(relspin_determinant_exponent, lambda v, deg_v, 
     if variant is RelSpinVariant.RELSPIN_VS_PROJECTION
     else f"deg V = {deg_v} is {deg_v % 8} mod 8 (agree iff 0 or 6)"
     if variant is RelSpinVariant.RELSPIN_VS_CANONICAL
-    else _constant(v, " (deg V in 4Z)")))
+    else _constant(v, " (deg V in 4Z)")), "relspin")
 
 
 def union_moduli_exponent(
@@ -420,7 +429,8 @@ def forget_boundary_sign_exponent(node_side: str, route: Route) -> int:
 
 forget_boundary_sign = _predicate(
     forget_boundary_sign_exponent,
-    lambda v, node_side, route: f"sign {'+1' if v % 2 == 0 else '-1'} for the {node_side} side")
+    lambda v, node_side, route: f"sign {'+1' if v % 2 == 0 else '-1'} for the {node_side} side",
+    "forget-boundary")
 
 
 # --- dimension and the convention exponents ---

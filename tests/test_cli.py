@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 
 import realgw
 from realgw import schemas, signs
-from realgw.cli import EXIT_CHECK_FAILED, SIGN_PREDICATES, _parse_seed_range, integer, main
+from realgw.cli import _PARAM_KEYS, EXIT_CHECK_FAILED, _parse_seed_range, integer, main
 from realgw.graphs import BOUND_CAPS, MAX_SEEDS, CongruenceResult
-from realgw.multicover import MAX_GENUS
-from realgw.verify import IdentityReport
+from realgw.multicover import MAX_C1B, MAX_GENUS
+from realgw.signs import PREDICATES
+from realgw.verify import ALL_CHECKS, IdentityReport
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -145,14 +146,26 @@ class TestSignRegistry:
     def test_readme_lists_the_registry(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         listing = readme.split("Predicate ids for `sign`:", 1)[1].split(".", 1)[0]
-        assert re.findall(r"`([a-z-]+)`", listing) == list(SIGN_PREDICATES)
+        assert re.findall(r"`([a-z-]+)`", listing) == list(PREDICATES)
 
     def test_every_predicate_has_a_valid_call(self):
-        assert {call[0] for call in VALID_SIGN_CALLS} == set(SIGN_PREDICATES)
+        assert {call[0] for call in VALID_SIGN_CALLS} == set(PREDICATES)
+
+    @pytest.mark.parametrize("predicate", list(PREDICATES))
+    def test_every_params_key_is_exercised(self, predicate):
+        # A key is its kernel parameter's name, so renaming the parameter
+        # renames the key: the valid calls must then fail to name it.
+        kernel = PREDICATES[predicate].__wrapped__
+        names = kernel.__code__.co_varnames[: kernel.__code__.co_argcount]
+        keys = [_PARAM_KEYS.get(name, name.replace("_", "")) for name in names]
+        assert len(set(keys)) == len(keys)
+        given = {chunk.split("=", 1)[0] for _, params, _, _ in VALID_SIGN_CALLS
+                 for chunk in params.split(",") if chunk}
+        assert set(keys) <= given
 
     @pytest.mark.parametrize("predicate,params,wrapper,args", VALID_SIGN_CALLS)
     def test_valid_call_equals_wrapper(self, capsys, predicate, params, wrapper, args):
-        assert SIGN_PREDICATES[predicate][0] == wrapper.__name__
+        assert PREDICATES[predicate] is wrapper
         code, out, err = run_cli(capsys, ["sign", predicate, "--params", params])
         assert (code, err) == (0, "")
         comparison = wrapper(*args)
@@ -354,6 +367,60 @@ def run_in_process(argv, stdin):
     finally:
         sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
+
+
+THOUSAND_DIGITS = "9" * 999 + "8"
+
+
+class TestC1bCap:
+    """|c1B| is capped at ``MAX_C1B``: past it ``coeff``, ``transform`` and
+    ``invert`` exit 1 before any coefficient table is built, and the error
+    shows at most 60 characters of the value."""
+
+    @pytest.mark.parametrize(
+        "argv,c1b",
+        [
+            pytest.param(["coeff", "--h", "0", "--g", "128", "--c1b"], MAX_C1B + 2, id="coeff-above"),
+            pytest.param(["coeff", "--h", "0", "--g", "128", "--c1b"], -MAX_C1B - 2, id="coeff-below"),
+            pytest.param(["coeff", "--h", "0", "--g", "128", "--c1b"], int(THOUSAND_DIGITS),
+                         id="coeff-1000-digits"),
+            pytest.param(["transform"], MAX_C1B + 2, id="transform-above"),
+            pytest.param(["invert"], -MAX_C1B - 2, id="invert-below"),
+            pytest.param(["transform"], int(THOUSAND_DIGITS), id="transform-1000-digits"),
+            pytest.param(["invert"], -int(THOUSAND_DIGITS), id="invert-1000-digits"),
+        ],
+    )
+    def test_past_the_cap(self, monkeypatch, argv, c1b):
+        def refuse(*args):
+            raise AssertionError("a coefficient table was looked up")
+
+        monkeypatch.setattr(realgw.multicover, "_table", refuse)
+        if argv[0] == "coeff":
+            argv, stdin = argv + [str(c1b)], ""
+        else:
+            key = "E" if argv[0] == "transform" else "gw"
+            stdin = json.dumps({"c1B": c1b, "convention": "sinh", "max_genus": 128, key: {"0": "1"}})
+        code, out, err = run_in_process(argv, stdin)
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        shown = error.rsplit(", got ", 1)[1]
+        assert error.startswith("c1B must be")
+        assert shown == str(c1b) if len(str(c1b)) <= 60 else shown == str(c1b)[:60] + "..."
+
+    @pytest.mark.parametrize("c1b", [MAX_C1B, -MAX_C1B])
+    @pytest.mark.parametrize("conv", ["sinh", "sin"])
+    def test_at_the_cap(self, conv, c1b):
+        code, out, err = run_in_process(
+            ["coeff", "--h", "128", "--c1b", str(c1b), "--g", "128", "--conv", conv], "")
+        assert (code, err) == (0, "") and json.loads(out)["value"]
+        counts = {str(h): str((-1) ** h * (h + 1)) for h in range(MAX_GENUS + 1)}
+        doc = json.dumps({"c1B": c1b, "convention": conv, "E": counts})
+        code, gw, err = run_in_process(["transform"], doc)
+        assert (code, err) == (0, "")
+        code, out, err = run_in_process(["invert"], gw)
+        assert (code, err) == (0, "")
+        back = json.loads(out)
+        assert back["E"] == counts and back["integral"] is True
 
 
 class TestCoverStdoutDigest:
@@ -573,6 +640,8 @@ class TestInvariantsSchema:
         "doc",
         [
             {"c1B": 0, "convention": "sinh", "max_genus": MAX_GENUS + 1, "values": {"0": "1"}},
+            {"c1B": MAX_C1B + 2, "convention": "sinh", "values": {"0": "1"}},
+            {"c1B": -MAX_C1B - 2, "convention": "sin", "values": {"0": "1"}},
             {"c1B": 0, "convention": "sinh", "values": {"0": "1", "00": "2"}},
             {"c1B": 0, "convention": "sinh", "values": {"007": "1"}},
             {"c1B": 0, "convention": "sinh", "values": {"01": "1"}},
@@ -604,6 +673,13 @@ class TestInvariantsSchema:
         assert validator.is_valid(
             {"c1B": 0, "convention": "sin", "max_genus": MAX_GENUS, "gw": {str(MAX_GENUS): "1"}}
         )
+
+    def test_c1b_bound_is_max_c1b(self):
+        c1b = schemas.INVARIANTS_SCHEMA["properties"]["c1B"]
+        assert (c1b["minimum"], c1b["maximum"]) == (-MAX_C1B, MAX_C1B)
+        validator = _draft7_validator()
+        for bound in (MAX_C1B, -MAX_C1B):
+            assert validator.is_valid({"c1B": bound, "convention": "sinh", "gw": {"0": "1"}})
 
     @pytest.mark.parametrize(
         "gw", [{"0": "1/3"}, {"0": "1", "2": "-1/7", "3": "5/2"}, {"1": "1/2", "4": "3"}]
@@ -1066,6 +1142,31 @@ class TestLazyImports:
         )
         assert "dataclasses" not in loaded and "inspect" not in loaded
         assert any(m.startswith("realgw.") and m != "realgw.cli" for m in loaded)
+
+    @pytest.mark.parametrize(
+        "argv", [["graph-check", "--seeds", "1..3"], ["transform", "--in", "{counts}"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_signs_without_sign(self, tmp_path, argv):
+        counts = tmp_path / "counts.json"
+        counts.write_text('{"c1B":0,"convention":"sinh","E":{"0":"1"}}')
+        argv = [arg.format(counts=counts) for arg in argv]
+        loaded = _fresh_interpreter(
+            "from realgw.cli import main\n"
+            f"assert main({argv!r}) == 0"
+        )
+        assert "realgw.signs" not in loaded
+
+    @pytest.mark.parametrize(
+        "command,argument,ids",
+        [("sign", "predicate", sorted(PREDICATES)), ("verify", "identity", list(ALL_CHECKS))],
+    )
+    def test_help_lists_the_ids(self, capsys, monkeypatch, command, argument, ids):
+        monkeypatch.setenv("COLUMNS", "1000")  # one line per argument
+        code, out, err = run_cli(capsys, [command, "-h"])
+        assert (code, err) == (0, "")
+        (line,) = [line for line in out.splitlines() if line.startswith(f"  {argument} ")]
+        assert line.split(None, 1)[1] == ", ".join(ids)
 
     def test_verify_help_lists_identities(self):
         loaded = _fresh_interpreter(

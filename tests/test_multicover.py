@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from realgw import multicover
 from realgw.multicover import (
+    MAX_C1B,
     MAX_GENUS,
     Convention,
     InvariantVector,
@@ -107,6 +108,22 @@ class TestCoefficient:
             InvariantVector({MAX_GENUS + 1: F(1)}, c1b=0)
         assert {key: len(table) for key, table in multicover._TABLES.items()} == sizes
         assert MAX_GENUS > 46  # the benchmark's largest transform
+
+    @pytest.mark.parametrize("c1b", [MAX_C1B + 2, -MAX_C1B - 2, 10**999, -(10**5000)],
+                             ids=["above", "below", "1000-digits", "5001-digits"])
+    def test_c1b_cap(self, c1b):
+        sizes = {key: len(table) for key, table in multicover._TABLES.items()}
+        for build in (
+            lambda: multicover_coefficient(0, c1b, 1, SINH),
+            lambda: cover_exponent(0, c1b),
+            lambda: InvariantVector({0: F(1)}, c1b=c1b),
+        ):
+            with pytest.raises(ValueError, match=r"^c1B must be in \[-1000000, 1000000\], got ") as info:
+                build()
+            assert len(str(info.value)) <= len("c1B must be in [-1000000, 1000000], got ") + 63
+        assert {key: len(table) for key, table in multicover._TABLES.items()} == sizes
+        assert cover_exponent(0, MAX_C1B) == MAX_C1B // 2 - 1
+        assert InvariantVector({0: F(1)}, c1b=-MAX_C1B).c1b == -MAX_C1B
 
     def test_odd_c1b_rejected(self):
         with pytest.raises(ValueError):
