@@ -6,6 +6,10 @@ to stdout with sorted keys so identical inputs give byte-identical output.
 Exit codes: 0 success, 1 domain or input error (structured JSON on stderr),
 2 usage error, 3 a check ran and found a failure (``graph-check`` found a
 congruence counterexample, or a ``verify`` identity has failures).
+
+A process builds only the invoked subcommand's arguments (``build_parser``)
+and imports only the layers it runs; ``realgw.schemas`` only where a
+document is read or a schema is printed.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ import json
 import sys
 
 import realgw  # each layer is imported on first use, see realgw.__getattr__
-
-from . import schemas
 
 
 # Exit code of a check that ran and found a failure.
@@ -182,7 +184,7 @@ def _cmd_sign(args) -> int:
 def _vector_from_doc(
     doc: dict, key: str
 ) -> tuple[realgw.multicover.InvariantVector, realgw.multicover.Convention]:
-    schemas.check(doc, schemas.INVARIANTS_SCHEMA)
+    realgw.schemas.check(doc, realgw.schemas.INVARIANTS_SCHEMA)
     # the schema asks for 'gw' or 'E'; each command reads one of them
     if key not in doc:
         raise ValueError(f"input document is missing {key!r}")
@@ -310,27 +312,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_schema(args) -> int:
-    _emit(schemas.SCHEMAS[args.kind])
+    _emit(realgw.schemas.SCHEMAS[args.kind])
     return 0
 
 
-class _LazyHelp(argparse.Action):
-    """``-h``: fills in the help of ``argument`` from ``text()`` only when the
-    help is printed, so that building the parser imports no layer."""
-
-    def __init__(self, option_strings, dest, argument, text,
-                 help="show this help message and exit"):
-        super().__init__(option_strings, dest=argparse.SUPPRESS,
-                         default=argparse.SUPPRESS, nargs=0, help=help)
-        self.argument, self.text = argument, text
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        self.argument.help = self.text()
-        parser.print_help()
-        parser.exit()
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``: an entry for every subcommand, so that ``-h``
+    and an invalid choice read the same, but arguments (and help texts that
+    import a layer) only for the invoked one, named by the first token not
+    starting with ``-``, as the top-level parser takes no option values."""
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="realgw",
         description=(
@@ -340,66 +331,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("coeff", help="one multiple-cover coefficient")
-    p.add_argument("--h", type=integer, required=True, help="embedded-curve genus h")
-    p.add_argument("--c1b", type=integer, required=True, help="even pairing <c1,B>")
-    p.add_argument("--g", type=integer, required=True, help="cover genus shift g")
-    p.add_argument("--conv", default="sinh", help="sinh or sin")
-    p.set_defaults(func=_cmd_coeff)
+    def invoked(name: str, help: str, func) -> argparse.ArgumentParser | None:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p if name == command else None
 
-    p = sub.add_parser("dim", help="virtual dimension of a real map moduli space")
-    p.add_argument("--g", type=integer, required=True)
-    p.add_argument("--ell", type=integer, required=True)
-    p.add_argument("--n", type=integer, required=True)
-    p.add_argument("--c1b", type=integer, required=True)
-    p.set_defaults(func=_cmd_dim)
+    if p := invoked("coeff", "one multiple-cover coefficient", _cmd_coeff):
+        p.add_argument("--h", type=integer, required=True, help="embedded-curve genus h")
+        p.add_argument("--c1b", type=integer, required=True, help="even pairing <c1,B>")
+        p.add_argument("--g", type=integer, required=True, help="cover genus shift g")
+        p.add_argument("--conv", default="sinh", help="sinh or sin")
 
-    p = sub.add_parser(
-        "sign", help="evaluate one orientation-comparison predicate", add_help=False
-    )
-    p.add_argument("-h", "--help", action=_LazyHelp, argument=p.add_argument("predicate"),
-                   text=lambda: ", ".join(sorted(realgw.signs.PREDICATES)))
-    p.add_argument("--params", default="", help="comma-separated key=value pairs")
-    p.set_defaults(func=_cmd_sign)
+    if p := invoked("dim", "virtual dimension of a real map moduli space", _cmd_dim):
+        p.add_argument("--g", type=integer, required=True)
+        p.add_argument("--ell", type=integer, required=True)
+        p.add_argument("--n", type=integer, required=True)
+        p.add_argument("--c1b", type=integer, required=True)
 
-    p = sub.add_parser("transform", help="integer counts E -> GW invariants")
-    p.add_argument("--in", dest="infile", default=None, help="JSON file (default stdin)")
-    p.set_defaults(func=_cmd_transform)
+    if p := invoked("sign", "evaluate one orientation-comparison predicate", _cmd_sign):
+        p.add_argument("predicate", help=", ".join(sorted(realgw.signs.PREDICATES)))
+        p.add_argument("--params", default="", help="comma-separated key=value pairs")
 
-    p = sub.add_parser("invert", help="GW invariants -> integer counts E")
-    p.add_argument("--in", dest="infile", default=None, help="JSON file (default stdin)")
-    p.set_defaults(func=_cmd_invert)
+    if p := invoked("transform", "integer counts E -> GW invariants", _cmd_transform):
+        p.add_argument("--in", dest="infile", help="JSON file (default stdin)")
 
-    p = sub.add_parser(
-        "graph-check", help="fuzz the localization-graph sign congruence"
-    )
-    p.add_argument(
-        "--seeds", default=None, help="seed range A..B (or a count N; default 1..1000)"
-    )
-    p.add_argument("--bounds", default=None, help="generator caps as key=value pairs")
-    p.add_argument(
-        "--in", dest="infile", default=None, help="check one explicit graph document"
-    )
-    p.set_defaults(func=_cmd_graph_check)
+    if p := invoked("invert", "GW invariants -> integer counts E", _cmd_invert):
+        p.add_argument("--in", dest="infile", help="JSON file (default stdin)")
 
-    p = sub.add_parser(
-        "verify", help="run the derivation identity suite", add_help=False
-    )
-    identity = p.add_argument("identity", nargs="?", default=None)
-    p.add_argument("-h", "--help", action=_LazyHelp, argument=identity,
-                   text=lambda: ", ".join(realgw.verify.ALL_CHECKS))
-    p.add_argument("--all", action="store_true", help="run every identity")
-    p.set_defaults(func=_cmd_verify)
+    if p := invoked("graph-check", "fuzz the localization-graph sign congruence", _cmd_graph_check):
+        p.add_argument("--seeds", help="seed range A..B (or a count N; default 1..1000)")
+        p.add_argument("--bounds", help="generator caps as key=value pairs")
+        p.add_argument("--in", dest="infile", help="check one explicit graph document")
 
-    p = sub.add_parser("schema", help="print a wire-format schema")
-    p.add_argument("kind", choices=sorted(schemas.SCHEMAS))
-    p.set_defaults(func=_cmd_schema)
+    if p := invoked("verify", "run the derivation identity suite", _cmd_verify):
+        p.add_argument("identity", nargs="?", help=", ".join(realgw.verify.ALL_CHECKS))
+        p.add_argument("--all", action="store_true", help="run every identity")
+
+    if p := invoked("schema", "print a wire-format schema", _cmd_schema):
+        p.add_argument("kind", choices=sorted(realgw.schemas.SCHEMAS))
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -40,8 +40,6 @@ import random
 from collections import namedtuple
 from math import comb
 
-from .schemas import GRAPH_SCHEMA, check
-
 
 # Most seeds one ``graph-check --seeds`` run may name.
 MAX_SEEDS = 10**6
@@ -370,6 +368,8 @@ def graph_from_json_dict(doc: dict) -> DecoratedGraph:
     """Parse a graph document as ``graph_to_json_dict`` writes it.  A
     document that breaks ``schemas.GRAPH_SCHEMA`` (``schemas.check``) or a
     constructor's check is a GraphError, never truncated or coerced."""
+    from .schemas import GRAPH_SCHEMA, check  # only a process that reads a document loads it
+
     try:
         check(doc, GRAPH_SCHEMA)
     except ValueError as exc:

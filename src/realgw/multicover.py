@@ -75,6 +75,13 @@ MAX_GENUS = 128
 #: tables are built for and the size of every value they hold.
 MAX_C1B = 10**6
 
+#: The digit budget of a wire genus map: no value string longer than
+#: ``MAX_DIGITS`` characters, and lcm(denominators) * max |numerator| below
+#: 10**MAX_DIGITS, so that transform outputs stay within the 4,300 digits
+#: CPython writes as a ``str`` by default (at most 3,441 measured at the caps).
+MAX_DIGITS = 3000
+_DIGIT_BOUND = 10**MAX_DIGITS
+
 
 class Convention(enum.Enum):
     """Which generating function drives the cover series."""
@@ -289,8 +296,20 @@ class InvariantVector(namedtuple("InvariantVector", "entries c1b max_genus")):
     ) -> "InvariantVector":
         """``from_string_map`` without its two ``check`` calls, for a genus
         map and max_genus that have passed them, such as those of a whole
-        document checked against ``INVARIANTS_SCHEMA``."""
-        entries = {int(key): parse_rational(raw) for key, raw in data.items()}
+        document checked against ``INVARIANTS_SCHEMA``.  It checks the digit
+        budget: a value's length before it is parsed, then the running lcm
+        times the largest |numerator|."""
+        entries, scale, largest = {}, 1, 0
+        for key, raw in data.items():
+            if len(raw) > MAX_DIGITS:
+                raise ValueError(f"genus {key} value has {len(raw)} characters, "
+                                 f"over the digit budget of {MAX_DIGITS}")
+            value = entries[int(key)] = parse_rational(raw)
+            scale = lcm(scale, value.denominator)
+            largest = max(largest, abs(value.numerator))
+            if scale * largest >= _DIGIT_BOUND:
+                raise ValueError("genus map over the digit budget: lcm(denominators) * "
+                                 f"max |numerator| must be below 10**{MAX_DIGITS}")
         return cls(entries=entries, c1b=c1b, max_genus=max_genus)
 
 

@@ -5,7 +5,8 @@ Rationals travel as ``"p/q"`` strings (plain ``"p"`` for integers) so that
 no downstream tool can coerce them to floats.  Schemas are static data and
 byte-stable across runs.  Of the rules the schemas do not state, ``check``
 refuses an integral float such as ``2.0``, and ``InvariantVector`` a genus
-key above the document's ``max_genus`` and an empty genus map without one.
+key above the document's ``max_genus``, an empty genus map without one and
+a genus map over the digit budget (``realgw.multicover.MAX_DIGITS``).
 """
 
 from __future__ import annotations
@@ -101,10 +102,12 @@ INVARIANTS_SCHEMA = {
         "Genus-indexed rational invariants with the even pairing <c1,B> and "
         "the cover-series convention. 'gw' holds moduli-space invariants "
         "(input to invert, output of transform); 'E' holds the integer-count "
-        "side (output of invert, input to transform). Two rules are "
+        "side (output of invert, input to transform). Three rules are "
         "checked by the CLI only, as draft-07 cannot state them: an integer "
-        "field must not be written as an integral float such as 2.0, and no "
-        "genus key may exceed the document's max_genus."
+        "field must not be written as an integral float such as 2.0, no "
+        "genus key may exceed the document's max_genus, and a genus map keeps "
+        "to the digit budget: no value longer than 3000 characters, and "
+        "lcm(denominators) * max |numerator| below 10^3000."
     ),
     "type": "object",
     "required": ["c1B", "convention"],

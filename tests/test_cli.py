@@ -1,13 +1,16 @@
 """CLI contract: JSON output shapes, determinism, exit codes."""
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +21,7 @@ import realgw
 from realgw import schemas, signs
 from realgw.cli import _PARAM_KEYS, EXIT_CHECK_FAILED, _parse_seed_range, integer, main
 from realgw.graphs import BOUND_CAPS, MAX_SEEDS, CongruenceResult
-from realgw.multicover import MAX_C1B, MAX_GENUS
+from realgw.multicover import MAX_C1B, MAX_DIGITS, MAX_GENUS
 from realgw.signs import PREDICATES
 from realgw.verify import ALL_CHECKS, IdentityReport
 
@@ -423,6 +426,119 @@ class TestC1bCap:
         assert back["E"] == counts and back["integral"] is True
 
 
+SMALL_PRIMES = math.prod(q for q in range(3, 200, 2) if all(q % r for r in range(3, q, 2)))
+
+
+@functools.cache
+def _primes(digits: int, count: int) -> tuple[int, ...]:
+    """The ``count`` least odd numbers of ``digits`` digits with no odd
+    factor below 200 that pass Fermat's test to bases 2, 3, 5 and 7:
+    primes, distinct, so pairwise coprime."""
+    found, n = [], 10 ** (digits - 1) + 1
+    while len(found) < count:
+        if math.gcd(n, SMALL_PRIMES) == 1 and all(pow(b, n - 1, n) == 1 for b in (2, 3, 5, 7)):
+            found.append(n)
+        n += 2
+    return tuple(found)
+
+
+def _tower_at_the_bound(excess: int = 0) -> dict[str, str]:
+    """Every even genus 0..MAX_GENUS holds n/p, p distinct 46-digit primes,
+    so all denominators are in one parity tower.  With L their product and
+    n = (10**MAX_DIGITS - 1) // L + excess, L * n is just below the bound
+    for ``excess`` 0 and at or above it for 1."""
+    tower = range(0, MAX_GENUS + 1, 2)
+    primes = _primes(46, len(tower))
+    n = (10**MAX_DIGITS - 1) // math.prod(primes) + excess
+    return {str(h): f"{n}/{p}" for h, p in zip(tower, primes)}
+
+
+class TestDigitBudget:
+    """A genus map is refused, exit 1 with an error naming the digit
+    budget, when a value has more than ``MAX_DIGITS`` characters or its
+    lcm(denominators) * max |numerator| reaches 10**MAX_DIGITS: no
+    document that is accepted fails at output on CPython's 4,300-digit
+    limit for writing an int."""
+
+    @pytest.mark.parametrize("digits", [80, 60])
+    @pytest.mark.parametrize("command,key", [("transform", "E"), ("invert", "gw")])
+    def test_unit_fractions_over_primes(self, command, key, digits):
+        # 129 values 1/p: before the budget, 80-digit primes failed at
+        # output and 60-digit ones wrote half a megabyte
+        values = {str(h): f"1/{p}" for h, p in enumerate(_primes(digits, MAX_GENUS + 1))}
+        doc = json.dumps({"c1B": 0, "convention": "sinh", key: values})
+        code, out, err = run_in_process([command], doc)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == (
+            "genus map over the digit budget: lcm(denominators) * "
+            f"max |numerator| must be below 10**{MAX_DIGITS}"
+        )
+
+    def test_over_the_bound_builds_no_table(self):
+        def sizes():
+            return {key: len(table) for key, table in realgw.multicover._TABLES.items()}
+
+        before = sizes()
+        # a pairing no other test uses, so that a table built for it would show
+        doc = {"c1B": 2 * MAX_GENUS + 2, "convention": "sin", "E": _tower_at_the_bound(1)}
+        code, out, err = run_in_process(["transform"], json.dumps(doc))
+        assert (code, out) == (1, "") and "digit budget" in json.loads(err)["error"]
+        assert sizes() == before
+
+    @pytest.mark.parametrize(
+        "value", ["9" * (MAX_DIGITS + 1), "7" * 4400, "1/" + "0" * 4398 + "3"],
+        ids=["one-over", "past-cpython-limit", "zero-padded"],
+    )
+    def test_long_value_refused_before_parsing(self, monkeypatch, value):
+        def refuse(text):
+            raise AssertionError("a value was parsed")
+
+        monkeypatch.setattr(realgw.multicover, "parse_rational", refuse)
+        doc = {"c1B": 0, "convention": "sinh", "E": {"0": value}}
+        code, out, err = run_in_process(["transform"], json.dumps(doc))
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == (
+            f"genus 0 value has {len(value)} characters, over the digit budget of {MAX_DIGITS}"
+        )
+
+    @pytest.mark.parametrize(
+        "values",
+        [{"0": "9" * MAX_DIGITS}, {"0": "-1/" + "9" * (MAX_DIGITS - 3)}, _tower_at_the_bound()],
+        ids=["largest-integer", "longest-fraction", "one-tower"],
+    )
+    def test_at_the_bound(self, values):
+        doc = {"c1B": 0, "convention": "sinh", "E": values}
+        code, out, err = run_in_process(["transform"], json.dumps(doc))
+        assert (code, err) == (0, "")
+        gw = {genus: Fraction(value) for genus, value in json.loads(out)["gw"].items()}
+        assert gw["0"] == Fraction(values["0"])  # GW_0 = E_0
+
+    @pytest.mark.parametrize("c1b", [MAX_C1B, -MAX_C1B])
+    @pytest.mark.parametrize("conv", ["sinh", "sin"])
+    @pytest.mark.parametrize("command,key,out_key", [("transform", "E", "gw"), ("invert", "gw", "E")])
+    @pytest.mark.parametrize(
+        "values", [_tower_at_the_bound(), {"0": "9" * MAX_DIGITS, str(MAX_GENUS): "0"}],
+        ids=["one-tower", "largest-integer"],
+    )
+    def test_worst_cases_at_the_cap(self, values, command, key, out_key, conv, c1b):
+        # the largest outputs measured: the whole lcm in every output of one
+        # tower, or the largest integer, times the coefficients of the
+        # largest |c1B|
+        doc = {"c1B": c1b, "convention": conv, key: values}
+        code, out, err = run_in_process([command], json.dumps(doc))
+        assert (code, err) == (0, "")
+        outputs = [Fraction(v) for v in json.loads(out)[out_key].values()]
+        assert outputs[1] == 0 and outputs[0] != 0
+        digits = max(len(str(part)) for v in outputs for part in v.as_integer_ratio())
+        assert MAX_DIGITS < digits < 4300
+
+    def test_library_reads_the_same_budget(self):
+        with pytest.raises(ValueError, match="digit budget"):
+            realgw.multicover.InvariantVector.from_string_map(_tower_at_the_bound(1), 0)
+        vec = realgw.multicover.InvariantVector.from_string_map(_tower_at_the_bound(), 0)
+        assert vec.max_genus == MAX_GENUS
+
+
 class TestCoverStdoutDigest:
     """Byte-identical cover output: one digest over the stdout of
     ``transform``, ``invert`` and ``coeff`` at three genus sizes, three
@@ -619,15 +735,19 @@ class TestInvariantsSchema:
             {"c1B": 0, "convention": "sin", "max_genus": 1.0, "values": {"0": "1"}},
             {"c1B": 0, "convention": "sinh", "max_genus": 1, "values": {"3": "1"}},
             {"c1B": 0, "convention": "sinh", "values": {}},
+            {"c1B": 0, "convention": "sinh", "values": {"0": "9" * (MAX_DIGITS + 1)}},
+            {"c1B": 0, "convention": "sinh", "values": {"0": "1/" + "3" * 1600, "1": "5" * 1500}},
         ],
         ids=["integral-float-c1B", "integral-float-max_genus", "key-above-max_genus",
-             "empty-map-without-max_genus"],
+             "empty-map-without-max_genus", "value-over-the-digit-budget",
+             "map-over-the-digit-budget"],
     )
     def test_rules_draft7_cannot_state(self, doc):
         """The documents the CLI rejects that pass ``Draft7Validator``: an
         integral float where an integer is due (``schemas.check``), a genus
-        key above the document's ``max_genus`` and an empty genus map
-        without ``max_genus`` (both ``InvariantVector``)."""
+        key above the document's ``max_genus``, an empty genus map without
+        ``max_genus`` and a genus map over the digit budget (all three
+        ``InvariantVector``)."""
         validator = _draft7_validator()
         for command, key in (("transform", "E"), ("invert", "gw")):
             sent = {k: v for k, v in doc.items() if k != "values"}
@@ -673,6 +793,11 @@ class TestInvariantsSchema:
         assert validator.is_valid(
             {"c1B": 0, "convention": "sin", "max_genus": MAX_GENUS, "gw": {str(MAX_GENUS): "1"}}
         )
+
+    def test_description_states_the_digit_budget(self):
+        description = schemas.INVARIANTS_SCHEMA["description"]
+        assert f"no value longer than {MAX_DIGITS} characters" in description
+        assert f"|numerator| below 10^{MAX_DIGITS}." in description
 
     def test_c1b_bound_is_max_c1b(self):
         c1b = schemas.INVARIANTS_SCHEMA["properties"]["c1B"]
@@ -990,6 +1115,32 @@ class TestExitCodes:
         assert first == second
 
 
+COMMANDS = ("coeff", "dim", "sign", "transform", "invert", "graph-check", "verify", "schema")
+# stdout, stderr and exit code of ``main`` on each argv and COLUMNS value,
+# captured at commit 4b79e15 (each subcommand's arguments built eagerly);
+# CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0 printed the same bytes.
+USAGE_PINS = json.loads((Path(__file__).parent / "cli_usage_pins.json").read_text())
+
+
+class TestUsagePins:
+    """Help and usage errors read as they did when every subcommand's
+    arguments were built in every process."""
+
+    def test_pins_cover_every_help(self):
+        pinned = {(tuple(pin["argv"]), pin["columns"]) for pin in USAGE_PINS}
+        helps = [("-h",), ("--help",)] + [(command, "-h") for command in COMMANDS]
+        assert {(argv, columns) for argv in helps for columns in (80, 1000)} <= pinned
+        helps_printed = [pin for pin in USAGE_PINS if pin["argv"][-1:] == ["-h"]]
+        assert all(pin["code"] == 0 and pin["stdout"] for pin in helps_printed)
+
+    @pytest.mark.parametrize(
+        "pin", USAGE_PINS, ids=lambda pin: f"{' '.join(pin['argv']) or '(none)'}@{pin['columns']}"
+    )
+    def test_output_matches_the_pin(self, capsys, monkeypatch, pin):
+        monkeypatch.setenv("COLUMNS", str(pin["columns"]))
+        assert run_cli(capsys, pin["argv"]) == (pin["code"], pin["stdout"], pin["stderr"])
+
+
 class TestIntegers:
     """Every CLI integer is an optional '-' then ASCII digits; '+3',
     spaces, underscores and Unicode digits are rejected."""
@@ -1167,6 +1318,46 @@ class TestLazyImports:
         assert (code, err) == (0, "")
         (line,) = [line for line in out.splitlines() if line.startswith(f"  {argument} ")]
         assert line.split(None, 1)[1] == ", ".join(ids)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sign", "cvc-parity", "--params", "g=0,k=1,d=1"],
+            ["dim", "--g", "0", "--ell", "1", "--n", "3", "--c1b", "4"],
+            ["verify", "binomial_parity"],
+            ["graph-check", "--seeds", "1..3"],
+            ["-h"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_no_schemas_without_a_document(self, argv):
+        loaded = _fresh_interpreter(
+            "from realgw.cli import main\n"
+            f"assert main({argv!r}) == 0"
+        )
+        assert "realgw.schemas" not in loaded
+
+    def test_top_level_help_loads_the_cli_only(self):
+        loaded = _fresh_interpreter(
+            "from realgw.cli import main\n"
+            "assert main(['-h']) == 0"
+        )
+        assert loaded == ["realgw", "realgw.cli"]
+
+    @pytest.mark.parametrize(
+        "argv", [["graph-check", "--in", "{graph}"], ["transform", "--in", "{counts}"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_document_loads_schemas(self, tmp_path, argv):
+        counts, graph = tmp_path / "counts.json", tmp_path / "graph.json"
+        counts.write_text('{"c1B":0,"convention":"sinh","E":{"0":"1"}}')
+        graph.write_text(json.dumps(VALID_GRAPH))
+        argv = [arg.format(counts=counts, graph=graph) for arg in argv]
+        loaded = _fresh_interpreter(
+            "from realgw.cli import main\n"
+            f"assert main({argv!r}) == 0"
+        )
+        assert "realgw.schemas" in loaded
 
     def test_verify_help_lists_identities(self):
         loaded = _fresh_interpreter(
