@@ -2,7 +2,8 @@
 
 Subpackages by concern:
 
-* :mod:`realgw.series` -- exact rationals and their ``p/q`` wire form;
+* :mod:`realgw.series` -- ``format_rational``, a rational's ``p/q`` wire form
+  (``schemas.check`` and ``Fraction`` read it back);
 * :mod:`realgw.multicover` -- the cover coefficients and the multiple-cover
   transform between moduli invariants and integer curve counts (sinh and
   sin flavors), inverted by the same sum over the arcsinh or arcsin series;
@@ -31,7 +32,6 @@ _EXPORTS = {
     "integrality_check": "multicover",
     "invert_transform": "multicover",
     "multicover_coefficient": "multicover",
-    "parse_rational": "series",
     "virtual_dimension": "signs",
 }
 _SUBMODULES = ("cli", "graphs", "multicover", "schemas", "series", "signs", "verify")

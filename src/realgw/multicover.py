@@ -61,12 +61,12 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
-from .schemas import INVARIANTS_SCHEMA, _shown, check
-from .series import format_rational, parse_rational
+from .series import format_rational
 
-#: Largest genus accepted as a coefficient's cover genus g and as an
-#: ``InvariantVector``'s ``max_genus``; past it a ``ValueError`` is raised
-#: before any work, which bounds the coefficient tables and dense vectors.
+#: Largest genus accepted as a coefficient's embedded genus h and cover
+#: genus g and as an ``InvariantVector``'s ``max_genus``; past it a
+#: ``ValueError`` is raised before any work, which bounds the coefficient
+#: tables and dense vectors.
 MAX_GENUS = 128
 
 #: Largest |c1B| accepted wherever a pairing meets the coefficient tables
@@ -108,6 +108,8 @@ def _pairing(c1b) -> int:
     """``c1b`` if it is an even ``int`` with |c1b| <= ``MAX_C1B``, else
     ``ValueError``; the message shows at most 60 characters of the value."""
     if not -MAX_C1B <= _integer("c1B", c1b) <= MAX_C1B:
+        from .schemas import _shown  # loaded only to word a refusal
+
         raise ValueError(f"c1B must be in [-{MAX_C1B}, {MAX_C1B}], got {_shown(c1b)}")
     if c1b % 2 != 0:
         raise ValueError(f"c1B pairing must be even, got {c1b}")
@@ -115,10 +117,15 @@ def _pairing(c1b) -> int:
 
 
 def cover_exponent(h: int, c1b: int) -> int:
-    """Exponent h - 1 + c1b/2 of the base series; h and c1b are ints, c1b
-    even with |c1b| <= ``MAX_C1B``."""
+    """Exponent h - 1 + c1b/2 of the base series; h and c1b are ints,
+    0 <= h <= ``MAX_GENUS``, c1b even with |c1b| <= ``MAX_C1B``.  An h past
+    the cap is refused with at most 60 characters of it shown."""
     if _integer("genus h", h) < 0:
         raise ValueError(f"genus h must be >= 0, got {h}")
+    if h > MAX_GENUS:
+        from .schemas import _shown  # loaded only to word a refusal
+
+        raise ValueError(f"genus h must be <= {MAX_GENUS}, got {_shown(h)}")
     return h - 1 + _pairing(c1b) // 2
 
 
@@ -221,8 +228,8 @@ def multicover_coefficient(
     The exponent may be negative.  Coefficients are kept as integer
     numerators over D_g = 4^g (3g)! in one table per (exponent, convention),
     grown on demand, so results are exact and a repeated lookup is two list
-    indexes and one ``Fraction``.  h, c1b and g are ints, g <= ``MAX_GENUS``
-    and |c1b| <= ``MAX_C1B``.
+    indexes and one ``Fraction``.  h, c1b and g are ints, h and g in
+    [0, ``MAX_GENUS``] and |c1b| <= ``MAX_C1B``.
     """
     if not 0 <= _integer("genus g", g) <= MAX_GENUS:
         raise ValueError(f"genus g must be in [0, {MAX_GENUS}], got {g}")
@@ -284,7 +291,10 @@ class InvariantVector(namedtuple("InvariantVector", "entries c1b max_genus")):
     ) -> "InvariantVector":
         """Read the wire form: a genus map and max_genus (default: the
         largest key) as ``schemas.INVARIANTS_SCHEMA`` states them, checked
-        by ``schemas.check``, and an int c1b."""
+        by ``schemas.check``, and an int c1b.  Each value is matched there
+        once, then parsed once by ``_from_checked_map``."""
+        from .schemas import INVARIANTS_SCHEMA, check  # only a document reader loads it
+
         check(data, INVARIANTS_SCHEMA["properties"]["gw"], "genus map")
         if max_genus is not None:
             check(max_genus, INVARIANTS_SCHEMA["properties"]["max_genus"], "max_genus")
@@ -296,15 +306,17 @@ class InvariantVector(namedtuple("InvariantVector", "entries c1b max_genus")):
     ) -> "InvariantVector":
         """``from_string_map`` without its two ``check`` calls, for a genus
         map and max_genus that have passed them, such as those of a whole
-        document checked against ``INVARIANTS_SCHEMA``.  It checks the digit
-        budget: a value's length before it is parsed, then the running lcm
-        times the largest |numerator|."""
+        document checked against ``schemas.INVARIANTS_SCHEMA``.  Each value
+        has then matched ``schemas.RATIONAL_PATTERN``, nonzero denominator
+        included, so it is parsed once, by ``Fraction``, and not matched
+        again.  It checks the digit budget: a value's length before it is
+        parsed, then the running lcm times the largest |numerator|."""
         entries, scale, largest = {}, 1, 0
         for key, raw in data.items():
             if len(raw) > MAX_DIGITS:
                 raise ValueError(f"genus {key} value has {len(raw)} characters, "
                                  f"over the digit budget of {MAX_DIGITS}")
-            value = entries[int(key)] = parse_rational(raw)
+            value = entries[int(key)] = Fraction(raw)
             scale = lcm(scale, value.denominator)
             largest = max(largest, abs(value.numerator))
             if scale * largest >= _DIGIT_BOUND:

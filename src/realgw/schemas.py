@@ -2,11 +2,14 @@
 :func:`check`, through which the CLI reads every input document.
 
 Rationals travel as ``"p/q"`` strings (plain ``"p"`` for integers) so that
-no downstream tool can coerce them to floats.  Schemas are static data and
-byte-stable across runs.  Of the rules the schemas do not state, ``check``
-refuses an integral float such as ``2.0``, and ``InvariantVector`` a genus
-key above the document's ``max_genus``, an empty genus map without one and
-a genus map over the digit budget (``realgw.multicover.MAX_DIGITS``).
+no downstream tool can coerce them to floats.  A string that passes
+``check`` against ``RATIONAL_PATTERN`` is a valid ``fractions.Fraction``
+argument, so each is matched once, here, and then parsed once.  Schemas
+are static data and byte-stable across runs.  Of the rules the schemas do
+not state, ``check`` refuses an integral float such as ``2.0``, and
+``InvariantVector`` a genus key above the document's ``max_genus``, an
+empty genus map without one and a genus map over the digit budget
+(``realgw.multicover.MAX_DIGITS``).
 """
 
 from __future__ import annotations
@@ -14,12 +17,11 @@ from __future__ import annotations
 import functools
 import re
 
-#: A ``p/q`` string: optional sign, ASCII digits, no whitespace.
-#: ``series.parse_rational`` matches the whole text against this pattern.
-#: ``[0-9]`` and ``(?!\n)$`` keep it exact under Python ``re`` as well as
-#: ECMA-262, where ``\d`` may match any Unicode digit and ``$`` a final
-#: newline.
-RATIONAL_PATTERN = r"^[+-]?[0-9]+(/[0-9]+)?(?!\n)$"
+#: A ``p/q`` string: optional sign, ASCII digits, a nonzero denominator, no
+#: whitespace.  ``[0-9]`` and ``(?!\n)$`` keep it exact under Python ``re``
+#: as well as ECMA-262, where ``\d`` may match any Unicode digit and ``$`` a
+#: final newline.
+RATIONAL_PATTERN = r"^[+-]?[0-9]+(/0*[1-9][0-9]*)?(?!\n)$"
 
 #: ``realgw.multicover.MAX_GENUS``, written out so that this module imports
 #: no layer; a test keeps the two equal.

@@ -263,20 +263,28 @@ class TestTransformInvert:
         doc = '{"c1B":0,"convention":"sinh","E":{"0":"1","2":"1/0"}}'
         code, out, err = run_cli(capsys, ["transform"], stdin=doc, monkeypatch=monkeypatch)
         assert (code, out) == (1, "")
-        assert json.loads(err) == {"error": "zero denominator in rational: '1/0'"}
+        assert json.loads(err) == {
+            "error": f"E['2'] must match {schemas.RATIONAL_PATTERN!r}, got '1/0'"}
 
     def test_document_checked_once(self, capsys, monkeypatch):
-        # the whole document passes schemas.check once; the vector is then
-        # built without from_string_map's second check of its genus map
-        def refuse(*args):
-            raise AssertionError("genus map checked a second time")
+        # the whole document passes schemas.check once, each value once; the
+        # vector is then built without from_string_map's second check of
+        # its genus map
+        paths, check = [], schemas.check
 
-        monkeypatch.setattr(realgw.multicover, "check", refuse)
+        def watch(doc, schema, where=""):
+            paths.append(where)
+            return check(doc, schema, where)
+
+        monkeypatch.setattr(schemas, "check", watch)
         code, out, _ = run_cli(capsys, ["invert"], stdin=self.GW_DOC, monkeypatch=monkeypatch)
         assert code == 0
         assert json.loads(out)["E"] == {"0": "1", "1": "0", "2": "0"}
-        with pytest.raises(AssertionError, match="second time"):
-            realgw.multicover.InvariantVector.from_string_map({"0": "1"}, 0)
+        values = [path for path in paths if path.startswith("gw[")]
+        assert paths.count("") == 1 and "genus map" not in paths
+        assert values and len(values) == len(set(values))
+        realgw.multicover.InvariantVector.from_string_map({"0": "1"}, 0)
+        assert "genus map" in paths
 
     @pytest.mark.parametrize(
         "argv,stdin",
@@ -426,6 +434,32 @@ class TestC1bCap:
         assert back["E"] == counts and back["integral"] is True
 
 
+class TestEmbeddedGenusCap:
+    """``coeff --h`` is capped at ``MAX_GENUS``: past it ``coeff`` exits 1
+    before any coefficient table is built, and the error shows at most 60
+    characters of h (a 100-digit h used to compute, then fail at output)."""
+
+    @pytest.mark.parametrize("h", [MAX_GENUS + 1, 10**100, int(THOUSAND_DIGITS)],
+                             ids=["129", "100-digits", "1000-digits"])
+    def test_past_the_cap(self, h):
+        def sizes():
+            return {key: len(table) for key, table in realgw.multicover._TABLES.items()}
+
+        before = sizes()
+        shown = str(h) if len(str(h)) <= 60 else str(h)[:60] + "..."
+        error = f"genus h must be <= {MAX_GENUS}, got {shown}"
+        code, out, err = run_in_process(["coeff", "--h", str(h), "--c1b", "0", "--g", "128"], "")
+        assert (code, out, json.loads(err)) == (1, "", {"error": error})
+        with pytest.raises(ValueError) as info:
+            realgw.multicover.multicover_coefficient(h, 0, 0)
+        assert str(info.value) == error
+        assert sizes() == before
+
+    def test_below_zero_reads_as_before(self):
+        code, out, err = run_in_process(["coeff", "--h", "-1", "--c1b", "0", "--g", "0"], "")
+        assert (code, out, json.loads(err)) == (1, "", {"error": "genus h must be >= 0, got -1"})
+
+
 SMALL_PRIMES = math.prod(q for q in range(3, 200, 2) if all(q % r for r in range(3, q, 2)))
 
 
@@ -493,7 +527,7 @@ class TestDigitBudget:
         def refuse(text):
             raise AssertionError("a value was parsed")
 
-        monkeypatch.setattr(realgw.multicover, "parse_rational", refuse)
+        monkeypatch.setattr(realgw.multicover, "Fraction", refuse)
         doc = {"c1B": 0, "convention": "sinh", "E": {"0": value}}
         code, out, err = run_in_process(["transform"], json.dumps(doc))
         assert (code, out) == (1, "")
@@ -768,6 +802,9 @@ class TestInvariantsSchema:
             {"c1B": 0, "convention": "sinh", "values": {str(MAX_GENUS + 1): "1"}},
             {"c1B": 0, "convention": "sinh", "values": {"200": "1"}},
             {"c1B": 0, "convention": "sinh"},
+            {"c1B": 0, "convention": "sinh", "values": {"0": "1/0"}},
+            {"c1B": 0, "convention": "sin", "values": {"0": "1", "2": "1/00"}},
+            {"c1B": 2, "convention": "sinh", "values": {"1": "-3/000"}},
         ],
     )
     def test_cli_rejections_fail_the_schema(self, doc):
@@ -1327,6 +1364,8 @@ class TestLazyImports:
             ["verify", "binomial_parity"],
             ["graph-check", "--seeds", "1..3"],
             ["-h"],
+            ["coeff", "--h", "2", "--c1b", "0", "--g", "1"],
+            ["verify", "sin_vs_sinh"],
         ],
         ids=lambda argv: " ".join(argv[:2]),
     )
@@ -1369,7 +1408,7 @@ class TestLazyImports:
     def test_package_names_resolve(self):
         loaded = _fresh_interpreter(
             "import realgw\n"
-            "from realgw import Convention, Route, parse_rational\n"
+            "from realgw import Convention, Route\n"
             "assert Convention.SINH is realgw.multicover.Convention.SINH\n"
             "assert callable(realgw.multicover.forward_transform)\n"
             "assert sorted(realgw.__all__) == realgw.__all__\n"

@@ -1,6 +1,6 @@
-"""Rationals and their p/q wire form; the two generating series, read from
-the cover-coefficient table at exponent 1, cross-checked against the
-termwise oracle."""
+"""Rationals and their p/q wire form, read by ``schemas.check`` and then
+``Fraction``; the two generating series, read from the cover-coefficient
+table at exponent 1, cross-checked against the termwise oracle."""
 
 from fractions import Fraction
 
@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from realgw import schemas, series
+from realgw import schemas
 from realgw.multicover import Convention, multicover_coefficient
-from realgw.series import format_rational, parse_rational
+from realgw.schemas import INVARIANTS_SCHEMA, RATIONAL_PATTERN
+from realgw.series import format_rational
 from series_oracle import oracle_pow, sin_half_coeffs, sinh_half_coeffs
 
 F = Fraction
@@ -19,6 +20,16 @@ SINH, SIN = Convention.SINH, Convention.SIN
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
 )
+
+
+# The schema of one wire rational, as every genus-map value is checked.
+RATIONAL = {"type": "string", "pattern": RATIONAL_PATTERN}
+
+
+def parse(text):
+    """The one read of a wire rational: one ``schemas.check``, one ``Fraction``."""
+    schemas.check(text, RATIONAL)
+    return Fraction(text)
 
 
 def base_coefficient(j, convention):
@@ -36,7 +47,7 @@ class TestRationals:
         [("3/4", F(3, 4)), ("-5", F(-5)), ("7", F(7)), ("-9/12", F(-3, 4))],
     )
     def test_parse(self, text, value):
-        assert parse_rational(text) == value
+        assert parse(text) == value
 
     @pytest.mark.parametrize(
         "bad",
@@ -44,15 +55,28 @@ class TestRationals:
          " 1/2", "1/2 ", " 1/2 ", "1/2\n", "\t-3", "1 /2", "1/ 2", "\u00a01"],
     )
     def test_parse_rejects(self, bad):
-        with pytest.raises(ValueError):
-            parse_rational(bad)
+        # refused by the check, so Fraction, which takes " 1/2" and "1e3",
+        # never sees it
+        with pytest.raises(ValueError, match="must"):
+            schemas.check(bad, RATIONAL)
 
     def test_parser_uses_schema_pattern(self):
-        assert series._RATIONAL_RE.pattern == schemas.RATIONAL_PATTERN
+        # every rational slot of the invariants schema is that one schema
+        properties = INVARIANTS_SCHEMA["properties"]
+        slots = [*properties["gw"]["patternProperties"].values(),
+                 *properties["E"]["patternProperties"].values(),
+                 properties["violations"]["items"]["items"][1]]
+        assert slots == [RATIONAL] * 3
+
+    @given(st.from_regex(RATIONAL_PATTERN, fullmatch=True))
+    def test_every_match_is_one_fraction(self, text):
+        schemas.check(text, RATIONAL)
+        p, _, q = text.partition("/")
+        assert Fraction(text) == Fraction(int(p), int(q or "1"))
 
     @given(rationals)
     def test_format_parse_round_trip(self, q):
-        assert parse_rational(format_rational(q)) == q
+        assert parse(format_rational(q)) == q
 
 
 class TestGeneratingSeries:
