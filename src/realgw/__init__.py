@@ -2,8 +2,6 @@
 
 Subpackages by concern:
 
-* :mod:`realgw.series` -- ``format_rational``, a rational's ``p/q`` wire form
-  (``schemas.check`` and ``Fraction`` read it back);
 * :mod:`realgw.multicover` -- the cover coefficients and the multiple-cover
   transform between moduli invariants and integer curve counts (sinh and
   sin flavors), inverted by the same sum over the arcsinh or arcsin series;
@@ -14,6 +12,10 @@ Subpackages by concern:
 * :mod:`realgw.verify` -- derivation chains between the predicates, swept
   over integer grids;
 * :mod:`realgw.cli` -- the ``realgw`` command.
+
+A rational is written to the wire as ``str(Fraction)`` (``"p/q"``, or
+``"p"`` when q = 1) and read back by ``schemas.check`` and ``Fraction``;
+``realgw.series`` holds no code.
 """
 
 from importlib import import_module
@@ -27,14 +29,13 @@ _EXPORTS = {
     "InvariantVector": "multicover",
     "ModuliDescriptor": "signs",
     "Route": "signs",
-    "format_rational": "series",
     "forward_transform": "multicover",
     "integrality_check": "multicover",
     "invert_transform": "multicover",
     "multicover_coefficient": "multicover",
     "virtual_dimension": "signs",
 }
-_SUBMODULES = ("cli", "graphs", "multicover", "schemas", "series", "signs", "verify")
+_SUBMODULES = ("cli", "graphs", "multicover", "schemas", "signs", "verify")
 
 __all__ = sorted(_EXPORTS)
 

@@ -46,7 +46,7 @@ def _object_without_repeats(pairs: list) -> dict:
 
 
 def _read_input_doc(args):
-    if getattr(args, "infile", None):
+    if getattr(args, "infile", None) is not None:
         with open(args.infile, "r", encoding="utf-8") as handle:
             text = handle.read()
     else:
@@ -90,12 +90,23 @@ def _parse_kv(text: str | None, what: str) -> dict[str, str]:
 
 # ``sign --params`` keys: a kernel parameter's name without underscores, except these.
 _PARAM_KEYS = {"route": "variant", "node_side": "side", "orientable_fixed_line": "orientable"}
-# Choice parameters, read ignoring case: (the error's wording, value -> argument).
+# The spellings of the choice parameters that are not enums, by --params key.
 _CHOICES = {
-    "side": ("plus or minus", {"plus": "plus", "minus": "minus"}),
-    "orientable": ("true or false", {"true": True, "1": True, "yes": True,
-                                     "false": False, "0": False, "no": False}),
+    "side": {"plus": "plus", "minus": "minus"},
+    "orientable": {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False},
 }
+
+
+def _choice(what: str, text: str, choices):
+    """The value that ``text``, ignoring case, spells in ``choices``: a dict
+    from each spelling to its value, or an enum, spelled by its members'
+    values.  Every choice the CLI takes is read here."""
+    spellings = choices if isinstance(choices, dict) else {member.value: member for member in choices}
+    try:
+        return spellings[text.lower()]
+    except KeyError:
+        *rest, last = map(repr, spellings)
+        raise ValueError(f"{what} must be {', '.join(rest)} or {last}, got {text!r}") from None
 
 
 def _sign_args(predicate: str, raw: dict[str, str]) -> list:
@@ -113,7 +124,6 @@ def _sign_args(predicate: str, raw: dict[str, str]) -> list:
         kernel = kernel.__wrapped__
     names = kernel.__code__.co_varnames[: kernel.__code__.co_argcount]
     defaults = dict(zip(reversed(names), reversed(kernel.__defaults__ or ())))
-    readers = {"Route": signs.Route.from_string, "RelSpinVariant": signs.RelSpinVariant.from_string}
     args = []
     for name in names:
         kind = kernel.__annotations__[name]
@@ -128,30 +138,26 @@ def _sign_args(predicate: str, raw: dict[str, str]) -> list:
                 raise ValueError(f"{predicate} needs --params {key}={shape}")
             continue
         value = raw.pop(key)
-        if key in _CHOICES:
-            allowed, choices = _CHOICES[key]
-            value = value.lower()
-            if value not in choices:
-                raise ValueError(f"{predicate}: {key} must be {allowed}, got {value!r}")
-            args.append(choices[value])
-        elif kind in readers:
-            args.append(readers[kind](value))
-        else:
-            try:
-                args.append(integer(value))
-            except ValueError:
-                raise ValueError(f"{predicate}: {key} must be an integer, got {value!r}")
+        # a choice has a spelling table, or is annotated with an enum of realgw.signs
+        choices = _CHOICES.get(key) or getattr(signs, kind, None)
+        if choices is not None:
+            args.append(_choice(f"{predicate}: {key}", value, choices))
+            continue
+        try:
+            args.append(integer(value))
+        except ValueError:
+            raise ValueError(f"{predicate}: {key} must be an integer, got {value!r}")
     if raw:
         raise ValueError(f"{predicate}: unknown params {sorted(raw)}")
     return args
 
 
 def _cmd_coeff(args) -> int:
-    convention = realgw.multicover.Convention.from_string(args.conv)
+    convention = _choice("--conv", args.conv, realgw.multicover.Convention)
     value = realgw.multicover.multicover_coefficient(
         args.h, args.c1b, args.g, convention
     )
-    _emit({"value": realgw.series.format_rational(value)})
+    _emit({"value": str(value)})
     return 0
 
 
@@ -220,10 +226,7 @@ def _cmd_invert(args) -> int:
             "c1B": counts.c1b,
             "convention": convention.value,
             "integral": not violations,
-            "violations": [
-                [genus, realgw.series.format_rational(value)]
-                for genus, value in violations
-            ],
+            "violations": [[genus, str(value)] for genus, value in violations],
         }
     )
     return 0
@@ -265,7 +268,7 @@ def _bounds_from_kv(text: str | None) -> realgw.graphs.GraphBounds:
 
 
 def _cmd_graph_check(args) -> int:
-    if args.infile:
+    if args.infile is not None:
         if args.seeds is not None or args.bounds is not None:
             raise ValueError("--in checks one graph; it takes no --seeds or --bounds")
         graph = realgw.graphs.graph_from_json_dict(_read_input_doc(args))
@@ -303,9 +306,9 @@ def _cmd_graph_check(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.identity and args.all:
+    if args.identity is not None and args.all:
         raise ValueError("pass either --all or one identity id, not both")
-    identity_ids = None if (args.all or not args.identity) else [args.identity]
+    identity_ids = None if args.identity is None else [args.identity]
     reports = realgw.verify.run_checks(identity_ids)
     _emit([r.to_json_dict() for r in reports])
     return 0 if all(r.holds for r in reports) else EXIT_CHECK_FAILED

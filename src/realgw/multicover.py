@@ -61,8 +61,6 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
-from .series import format_rational
-
 #: Largest genus accepted as a coefficient's embedded genus h and cover
 #: genus g and as an ``InvariantVector``'s ``max_genus``; past it a
 #: ``ValueError`` is raised before any work, which bounds the coefficient
@@ -88,13 +86,6 @@ class Convention(enum.Enum):
 
     SINH = "sinh"
     SIN = "sin"
-
-    @classmethod
-    def from_string(cls, name: str) -> "Convention":
-        try:
-            return cls(name.lower())
-        except (AttributeError, ValueError):  # AttributeError: not a string
-            raise ValueError(f"convention must be 'sinh' or 'sin', got {name!r}")
 
 
 def _integer(name: str, value) -> int:
@@ -282,8 +273,8 @@ class InvariantVector(namedtuple("InvariantVector", "entries c1b max_genus")):
         return dict(self.entries), self.c1b, self.max_genus
 
     def to_string_map(self) -> dict[str, str]:
-        """Genus-keyed p/q strings, the CLI wire form."""
-        return {str(g): format_rational(v) for g, v in self.entries.items()}
+        """Genus-keyed p/q strings (``str`` of each ``Fraction``), the CLI wire form."""
+        return {str(g): str(v) for g, v in self.entries.items()}
 
     @classmethod
     def from_string_map(

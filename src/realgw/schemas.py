@@ -29,7 +29,12 @@ _MAX_GENUS = 128
 #: ``realgw.multicover.MAX_C1B``, likewise.
 _MAX_C1B = 10**6
 
-_RATIONAL = {"type": "string", "pattern": RATIONAL_PATTERN}
+# A ``pattern``'s ``description`` is the rule a mismatch error names.
+_RATIONAL = {
+    "type": "string",
+    "pattern": RATIONAL_PATTERN,
+    "description": "a rational p/q or p in ASCII digits, with a nonzero q and no whitespace",
+}
 _GENUS_MAP = {
     "type": "object",
     # canonical decimal genera 0.._MAX_GENUS: no sign, no leading zero
@@ -183,7 +188,8 @@ def check(doc, schema, where: str = "") -> None:
     boolean schemas.  Stricter than draft-07: an ``integer`` is a JSON
     integer, not a bool or ``2.0``.  The recursion follows the schema, never
     deeper than it however ``doc`` nests, and a message shows at most 60
-    characters of an offending value or key (see ``_shown``).
+    characters of an offending value or key (see ``_shown``).  A
+    ``pattern`` mismatch names the rule, the schema's ``description``.
     """
     name = where or "input document"
     if schema is True:
@@ -195,7 +201,7 @@ def check(doc, schema, where: str = "") -> None:
     if "enum" in schema and doc not in schema["enum"]:
         raise ValueError(f"{name} must be {' or '.join(map(repr, schema['enum']))}, got {_shown(doc)}")
     if "pattern" in schema and type(doc) is str and not _compiled(schema["pattern"]).search(doc):
-        raise ValueError(f"{name} must match {schema['pattern']!r}, got {_shown(doc)}")
+        raise ValueError(f"{name} must be {schema['description']}, got {_shown(doc)}")
     if type(doc) in (int, float):
         if doc < schema.get("minimum", doc):
             raise ValueError(f"{name} must be >= {schema['minimum']}, got {_shown(doc)}")

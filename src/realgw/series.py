@@ -1,20 +1,8 @@
-"""Exact rationals in their ``"p/q"`` wire form.
+"""Holds no code.
 
-Rationals are ``fractions.Fraction`` values: arbitrary precision, always
-stored reduced with a positive denominator.  They serialize as the string
-``"p/q"`` (``"p"`` when the denominator is 1).  A wire string is read back
-by ``schemas.check`` against ``schemas.RATIONAL_PATTERN`` and then by
-``Fraction`` itself.  No floating point is used anywhere in this module.
+A rational's ``p/q`` wire form is ``str(Fraction)``, read back by
+``schemas.check`` against ``schemas.RATIONAL_PATTERN`` and then by
+``Fraction``.  No ``realgw`` module imports this one; it is kept only
+because the benchmark tracer (``perfbench/tracer.py``) lists ``series``
+in ``LAYERS`` and imports it, and goes once that list drops it.
 """
-
-from __future__ import annotations
-
-from fractions import Fraction
-
-
-def format_rational(value: int | Fraction) -> str:
-    """Serialize a rational as ``"p/q"``, or ``"p"`` when q = 1."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"

@@ -44,15 +44,6 @@ class Route(enum.Enum):
     PROJECTION = "projection"
     CANONICAL = "canonical"
 
-    @classmethod
-    def from_string(cls, name: str) -> "Route":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ValueError(
-                f"route must be 'projection' or 'canonical', got {name!r}"
-            )
-
 
 class RelSpinVariant(enum.Enum):
     """Which pair of orientations a relative-spin comparison weighs."""
@@ -60,14 +51,6 @@ class RelSpinVariant(enum.Enum):
     RELSPIN_VS_PROJECTION = "relspin-vs-projection"
     RELSPIN_VS_CANONICAL = "relspin-vs-canonical"
     SPIN_VS_CANONICAL = "spin-vs-canonical"
-
-    @classmethod
-    def from_string(cls, name: str) -> "RelSpinVariant":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            choices = ", ".join(v.value for v in cls)
-            raise ValueError(f"relspin variant must be one of {choices}, got {name!r}")
 
 
 class Comparison(namedtuple("Comparison", "preserves condition")):

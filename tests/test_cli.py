@@ -184,16 +184,31 @@ class TestSignRegistry:
             # parameters are read in call order; the first bad one is named
             ("doublet-moduli", "variant=middle,c1lphib=x", "doublet-moduli needs --params g=<int>"),
             ("doublet-moduli", "g=0,sminus=1,variant=middle,c1lphib=x",
-             "route must be 'projection' or 'canonical', got 'middle'"),
+             "doublet-moduli: variant must be 'projection' or 'canonical', got 'middle'"),
             ("doublet-moduli", "g=0,sminus=1,c1lphib=x", "doublet-moduli: c1lphib must be an integer, got 'x'"),
             ("forget-boundary", "variant=middle", "forget-boundary needs --params side=..."),
             ("forget-boundary", "side=up,variant=middle",
-             "forget-boundary: side must be plus or minus, got 'up'"),
+             "forget-boundary: side must be 'plus' or 'minus', got 'up'"),
             ("forget-boundary", "side=Minus,variant=middle",
-             "route must be 'projection' or 'canonical', got 'middle'"),
+             "forget-boundary: variant must be 'projection' or 'canonical', got 'middle'"),
             ("relspin", "degv=2", "relspin needs --params variant=..."),
             ("relspin-moduli", "c1b=4,variant=spin-vs-canonical,orientable=Maybe",
-             "relspin-moduli: orientable must be true or false, got 'maybe'"),
+             "relspin-moduli: orientable must be 'true', '1', 'yes', 'false', '0' or 'no', got 'Maybe'"),
+            # every choice is read by one reader: a mixed-case spelling is
+            # taken (the next parameter is then the one named), and a bad
+            # value is named as typed, with every spelling allowed
+            ("doublet-moduli", "g=0,sminus=1,variant=CanOnical,c1lphib=x",
+             "doublet-moduli: c1lphib must be an integer, got 'x'"),
+            ("forget-boundary", "side=UP", "forget-boundary: side must be 'plus' or 'minus', got 'UP'"),
+            ("forget-boundary", "side=pLus,variant=Middle",
+             "forget-boundary: variant must be 'projection' or 'canonical', got 'Middle'"),
+            ("relspin", "degv=2,variant=Spin",
+             "relspin: variant must be 'relspin-vs-projection', 'relspin-vs-canonical' "
+             "or 'spin-vs-canonical', got 'Spin'"),
+            ("relspin-moduli", "c1b=4,variant=Spin-Vs-Canonical,orientable=Maybe",
+             "relspin-moduli: orientable must be 'true', '1', 'yes', 'false', '0' or 'no', got 'Maybe'"),
+            ("relspin-moduli", "c1b=4,variant=spin-vs-canonical,orientable=YES,zz=1",
+             "relspin-moduli: unknown params ['zz']"),
             # unknown keys come before the wrapper's own domain errors
             ("cvc-parity", "g=0,k=0,d=0,zz=1", "cvc-parity: unknown params ['zz']"),
             ("cvc-parity", "g=0,k=0,d=0", "rank must be >= 1, got 0"),
@@ -264,7 +279,8 @@ class TestTransformInvert:
         code, out, err = run_cli(capsys, ["transform"], stdin=doc, monkeypatch=monkeypatch)
         assert (code, out) == (1, "")
         assert json.loads(err) == {
-            "error": f"E['2'] must match {schemas.RATIONAL_PATTERN!r}, got '1/0'"}
+            "error": "E['2'] must be a rational p/q or p in ASCII digits, "
+                     "with a nonzero q and no whitespace, got '1/0'"}
 
     def test_document_checked_once(self, capsys, monkeypatch):
         # the whole document passes schemas.check once, each value once; the
@@ -365,6 +381,13 @@ class TestTransformInvert:
         code, out, _ = run_cli(capsys, ["coeff", "--h", "2", "--c1b", "0", "--g", "1", "--conv", "SIN"])
         assert code == 0
         assert json.loads(out) == {"value": "-1/24"}
+        code, out, _ = run_cli(capsys, ["coeff", "--h", "2", "--c1b", "0", "--g", "1", "--conv", "sInH"])
+        assert code == 0
+        assert json.loads(out) == {"value": "1/24"}
+        # refused in the wording of every choice, the value as typed
+        code, out, err = run_cli(capsys, ["coeff", "--h", "2", "--c1b", "0", "--g", "1", "--conv", "Cosh"])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "--conv must be 'sinh' or 'sin', got 'Cosh'"}
 
 
 def run_in_process(argv, stdin):
@@ -1146,6 +1169,25 @@ class TestExitCodes:
         assert main(["coeff", "--h", "1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (["graph-check", "--in", ""], "cannot read input: "),
+            (["transform", "--in", ""], "cannot read input: "),
+            (["invert", "--in", ""], "cannot read input: "),
+            (["verify", ""], "unknown identity ''; known: "),
+            (["verify", "", "--all"], "pass either --all or one identity id, not both"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+    )
+    def test_empty_value_is_a_value(self, capsys, monkeypatch, argv, error):
+        # "" names no file and no identity: it is not an option left out,
+        # so no seed sweep, stdin read or full suite runs in its place
+        stdin = '{"c1B":0,"convention":"sinh","E":{"0":"1"},"gw":{"0":"1"}}'
+        code, out, err = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"].startswith(error)
+
     def test_determinism_in_process(self, capsys):
         first = run_cli(capsys, ["coeff", "--h", "3", "--c1b", "2", "--g", "4"])
         second = run_cli(capsys, ["coeff", "--h", "3", "--c1b", "2", "--g", "4"])
@@ -1293,6 +1335,26 @@ class TestLazyImports:
         for layer in ("realgw.graphs", "realgw.signs", "realgw.verify"):
             assert layer not in loaded
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeff", "--h", "2", "--c1b", "0", "--g", "1"],
+            ["transform", "--in", "{counts}"],
+            ["invert", "--in", "{counts}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_cover_commands_skip_series(self, tmp_path, argv):
+        # a rational is written by str(Fraction): nothing needs realgw.series
+        counts = tmp_path / "counts.json"
+        counts.write_text('{"c1B":0,"convention":"sinh","E":{"0":"1/3"},"gw":{"0":"1/3"}}')
+        argv = [arg.format(counts=counts) for arg in argv]
+        loaded = _fresh_interpreter(
+            "from realgw.cli import main\n"
+            f"assert main({argv!r}) == 0"
+        )
+        assert "realgw.multicover" in loaded and "realgw.series" not in loaded
+
     def test_verify_loads_multicover_only_for_sin_vs_sinh(self):
         loaded = _fresh_interpreter(
             "from realgw.cli import main\n"
@@ -1414,7 +1476,8 @@ class TestLazyImports:
             "assert sorted(realgw.__all__) == realgw.__all__\n"
             "assert all(hasattr(realgw, name) for name in realgw.__all__)\n"
         )
-        assert {"realgw.multicover", "realgw.signs", "realgw.series"} <= set(loaded)
+        assert {"realgw.multicover", "realgw.signs"} <= set(loaded)
+        assert "realgw.series" not in loaded
 
     def test_unknown_attribute(self):
         with pytest.raises(AttributeError):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realgw import multicover
+from realgw.cli import _choice
 from realgw.multicover import (
     MAX_C1B,
     MAX_GENUS,
@@ -136,9 +137,15 @@ class TestCoefficient:
             multicover_coefficient(1, 0, -1, SINH)
 
     def test_convention_from_string(self):
-        assert Convention.from_string("SINH") is SINH
+        # the library reads a convention by its exact value; the CLI's one
+        # choice reader ignores case and takes nothing else
+        assert Convention("sin") is SIN
         with pytest.raises(ValueError):
-            Convention.from_string("cosh")
+            Convention("SINH")
+        for member in Convention:
+            assert _choice("--conv", member.value.upper(), Convention) is member
+        with pytest.raises(ValueError, match=r"^--conv must be 'sinh' or 'sin', got 'cosh'$"):
+            _choice("--conv", "cosh", Convention)
 
 
 def cap_table(exponent, conv, inverse=False):

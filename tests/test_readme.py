@@ -3,6 +3,7 @@ result holds, the `realgw.signs` row names the predicates `verify`
 reaches, and the `--bounds` cap table is `realgw.graphs.BOUND_CAPS`."""
 
 import ast
+import inspect
 import json
 import re
 import shlex
@@ -57,11 +58,17 @@ def test_signs_row_names_what_verify_reaches():
     reached = re.findall(r"`(\w+)`", reached_text)
     unreached = re.findall(r"`(\w+)`", unreached_text)
 
-    def predicates(module) -> set:
-        return {name[: -len("_exponent")] for name in vars(module) if name.endswith("_exponent")}
+    def predicates(names) -> set:
+        return {name[: -len("_exponent")] for name in names if name.endswith("_exponent")}
 
-    assert set(reached) == predicates(verify)
-    assert set(unreached) == predicates(signs) - predicates(verify)
+    # a predicate is reached when some identity's own sweep calls its kernel
+    swept = {
+        name
+        for check in verify.ALL_CHECKS.values()
+        for name in inspect.getclosurevars(check).nonlocals["sweep"].__code__.co_names
+    }
+    assert set(reached) == predicates(swept)
+    assert set(unreached) == predicates(vars(signs)) - predicates(swept)
     assert (int(n_reached), int(n_unreached)) == (len(reached), len(unreached))
 
 

@@ -40,6 +40,15 @@ def test_every_keyword_is_read(kind):
         assert schema.get("type", "object") in schemas._TYPES
 
 
+@pytest.mark.parametrize("kind", sorted(SCHEMAS))
+def test_every_pattern_has_a_description(kind):
+    # a pattern error names the rule, its description, not the regex
+    patterned = [schema for schema in subschemas(SCHEMAS[kind])
+                 if not isinstance(schema, bool) and "pattern" in schema]
+    assert all(type(schema.get("description")) is str for schema in patterned)
+    assert patterned or kind != "invariants"
+
+
 def graph_doc(**flag):
     return {
         "n": 5, "a": [5], "phi": "tau",
@@ -63,7 +72,8 @@ def graph_doc(**flag):
         ),
         (
             {"c1B": 0, "convention": "sinh", "E": {"0": "1/2 "}},
-            INVARIANTS_SCHEMA, f"E['0'] must match {schemas.RATIONAL_PATTERN!r}, got '1/2 '",
+            INVARIANTS_SCHEMA,
+            "E['0'] must be a rational p/q or p in ASCII digits, with a nonzero q and no whitespace, got '1/2 '",
         ),
         ({"c1B": 3, "convention": "sin", "E": {}}, INVARIANTS_SCHEMA, "c1B must be a multiple of 2, got 3"),
         (

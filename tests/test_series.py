@@ -1,6 +1,7 @@
-"""Rationals and their p/q wire form, read by ``schemas.check`` and then
-``Fraction``; the two generating series, read from the cover-coefficient
-table at exponent 1, cross-checked against the termwise oracle."""
+"""Rationals and their p/q wire form, written by ``str`` and read by
+``schemas.check`` and then ``Fraction``; the two generating series, read
+from the cover-coefficient table at exponent 1, cross-checked against the
+termwise oracle."""
 
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from realgw import schemas
 from realgw.multicover import Convention, multicover_coefficient
 from realgw.schemas import INVARIANTS_SCHEMA, RATIONAL_PATTERN
-from realgw.series import format_rational
 from series_oracle import oracle_pow, sin_half_coeffs, sinh_half_coeffs
 
 F = Fraction
@@ -23,7 +23,7 @@ rationals = st.fractions(
 
 
 # The schema of one wire rational, as every genus-map value is checked.
-RATIONAL = {"type": "string", "pattern": RATIONAL_PATTERN}
+RATIONAL = schemas._RATIONAL
 
 
 def parse(text):
@@ -67,6 +67,7 @@ class TestRationals:
                  *properties["E"]["patternProperties"].values(),
                  properties["violations"]["items"]["items"][1]]
         assert slots == [RATIONAL] * 3
+        assert RATIONAL["pattern"] == RATIONAL_PATTERN
 
     @given(st.from_regex(RATIONAL_PATTERN, fullmatch=True))
     def test_every_match_is_one_fraction(self, text):
@@ -76,7 +77,9 @@ class TestRationals:
 
     @given(rationals)
     def test_format_parse_round_trip(self, q):
-        assert parse(format_rational(q)) == q
+        # str(Fraction) is the wire form: "p/q", or "p" when q = 1
+        assert parse(str(q)) == q
+        assert ("/" in str(q)) == (q.denominator != 1)
 
 
 class TestGeneratingSeries:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from realgw.cli import _choice
 from realgw.signs import (
     ModuliDescriptor,
     RelSpinVariant,
@@ -181,9 +182,16 @@ class TestRelSpin:
             relspin_determinant(3, RS_P)
 
     def test_variant_from_string(self):
-        assert RelSpinVariant.from_string("spin-vs-canonical") is S_C
+        # the library reads a variant by its exact value; the CLI's one
+        # choice reader ignores case and takes nothing else
+        assert RelSpinVariant("spin-vs-canonical") is S_C
         with pytest.raises(ValueError):
-            RelSpinVariant.from_string("nope")
+            RelSpinVariant("Spin-vs-canonical")
+        for member in RelSpinVariant:
+            assert _choice("variant", member.value.title(), RelSpinVariant) is member
+        with pytest.raises(ValueError, match=r"^variant must be 'relspin-vs-projection', "
+                           r"'relspin-vs-canonical' or 'spin-vs-canonical', got 'nope'$"):
+            _choice("variant", "nope", RelSpinVariant)
 
 
 class TestModuliComparisons:
@@ -308,6 +316,12 @@ class TestDimensionAndFriends:
         assert (eps.eps_conv, eps.eps_factor) == (conv, factor)
 
     def test_route_from_string(self):
-        assert Route.from_string("Projection") is P
+        # the library reads a route by its exact value; the CLI's one
+        # choice reader ignores case and takes nothing else
+        assert Route("projection") is P
         with pytest.raises(ValueError):
-            Route.from_string("middle")
+            Route("Projection")
+        for member in Route:
+            assert _choice("variant", member.value.capitalize(), Route) is member
+        with pytest.raises(ValueError, match=r"^variant must be 'projection' or 'canonical', got 'Middle'$"):
+            _choice("variant", "Middle", Route)
