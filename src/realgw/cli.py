@@ -24,6 +24,23 @@ import realgw  # each layer is imported on first use, see realgw.__getattr__
 # Exit code of a check that ran and found a failure.
 EXIT_CHECK_FAILED = 3
 
+# Most digits of an integer that ``sign`` and ``dim`` read.  Every sign kernel
+# and ``virtual_dimension`` is a polynomial of degree <= 4 in its inputs, so
+# every integer they print stays under CPython's 4,300-digit str limit.
+MAX_INT_DIGITS = 1000
+
+
+def _shown(value) -> str:
+    """At most 60 characters of a refused value (``realgw.schemas._shown``)."""
+    return realgw.schemas._shown(value)
+
+
+def _capped(name: str, value: int) -> int:
+    """``value`` if it has at most ``MAX_INT_DIGITS`` digits, else ``ValueError``."""
+    if abs(value) < 10**MAX_INT_DIGITS:
+        return value
+    raise ValueError(f"{name} must have at most {MAX_INT_DIGITS} digits, got {_shown(value)}")
+
 
 def _emit(doc) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -41,7 +58,7 @@ def _object_without_repeats(pairs: list) -> dict:
     if len(doc) < len(pairs):
         keys = [key for key, _ in pairs]
         repeated = next(key for key in keys if keys.count(key) > 1)
-        raise ValueError(f"input document gives the key {repeated!r} twice")
+        raise ValueError(f"input document gives the key {_shown(repeated)} twice")
     return doc
 
 
@@ -80,10 +97,10 @@ def _parse_kv(text: str | None, what: str) -> dict[str, str]:
         if not chunk:
             continue
         if "=" not in chunk:
-            raise ValueError(f"{what} entries must look like key=value, got {chunk!r}")
+            raise ValueError(f"{what} entries must look like key=value, got {_shown(chunk)}")
         key, value = chunk.split("=", 1)
         if key in params:
-            raise ValueError(f"{what} gives {key!r} twice")
+            raise ValueError(f"{what} gives {_shown(key)} twice")
         params[key] = value
     return params
 
@@ -106,7 +123,7 @@ def _choice(what: str, text: str, choices):
         return spellings[text.lower()]
     except KeyError:
         *rest, last = map(repr, spellings)
-        raise ValueError(f"{what} must be {', '.join(rest)} or {last}, got {text!r}") from None
+        raise ValueError(f"{what} must be {', '.join(rest)} or {last}, got {_shown(text)}") from None
 
 
 def _sign_args(predicate: str, raw: dict[str, str]) -> list:
@@ -144,11 +161,12 @@ def _sign_args(predicate: str, raw: dict[str, str]) -> list:
             args.append(_choice(f"{predicate}: {key}", value, choices))
             continue
         try:
-            args.append(integer(value))
+            number = integer(value)
         except ValueError:
-            raise ValueError(f"{predicate}: {key} must be an integer, got {value!r}")
+            raise ValueError(f"{predicate}: {key} must be an integer, got {_shown(value)}")
+        args.append(_capped(f"{predicate}: {key}", number))
     if raw:
-        raise ValueError(f"{predicate}: unknown params {sorted(raw)}")
+        raise ValueError(f"{predicate}: unknown params {_shown(sorted(raw))}")
     return args
 
 
@@ -163,7 +181,7 @@ def _cmd_coeff(args) -> int:
 
 def _cmd_dim(args) -> int:
     descriptor = realgw.signs.ModuliDescriptor(
-        g=args.g, ell=args.ell, n=args.n, c1b=args.c1b
+        *(_capped(f"--{name}", getattr(args, name)) for name in ("g", "ell", "n", "c1b"))
     )
     _emit({"dim": realgw.signs.virtual_dimension(descriptor)})
     return 0
@@ -173,7 +191,7 @@ def _cmd_sign(args) -> int:
     predicates = realgw.signs.PREDICATES
     if args.predicate not in predicates:
         raise ValueError(
-            f"unknown predicate {args.predicate!r}; known: " + ", ".join(sorted(predicates))
+            f"unknown predicate {_shown(args.predicate)}; known: " + ", ".join(sorted(predicates))
         )
     raw = _parse_kv(args.params, "--params")
     comparison = predicates[args.predicate](*_sign_args(args.predicate, raw))
@@ -239,13 +257,15 @@ def _parse_seed_range(text: str) -> range:
     # ASCII digits only: int() alone also takes "1_000" and Unicode digits.
     if not all(part.isascii() and part.isdigit() for part in (lo, hi)):
         shape = "A..B" if dots else "A..B or N"
-        raise ValueError(f"--seeds must look like {shape} (ASCII digits), got {text!r}")
+        raise ValueError(f"--seeds must look like {shape} (ASCII digits), got {_shown(text)}")
+    if len(lo) > 4300 or len(hi) > 4300:  # where CPython's int(str) stops, in its own words
+        raise ValueError(f"--seeds numbers must have at most 4300 digits, got {_shown(text)}")
     first, last = int(lo), int(hi)
     if last < first:
-        raise ValueError(f"--seeds range {text!r} is empty")
+        raise ValueError(f"--seeds range {_shown(text)} is empty")
     if last - first + 1 > realgw.graphs.MAX_SEEDS:
         raise ValueError(
-            f"--seeds range {text!r} names {last - first + 1} seeds; "
+            f"--seeds range {_shown(text)} names {_shown(last - first + 1)} seeds; "
             f"at most {realgw.graphs.MAX_SEEDS} are allowed"
         )
     return range(first, last + 1)
@@ -258,12 +278,12 @@ def _bounds_from_kv(text: str | None) -> realgw.graphs.GraphBounds:
     for key, value in raw.items():
         if key not in fields:
             raise ValueError(
-                f"unknown bound {key!r}; known: {', '.join(sorted(fields))}"
+                f"unknown bound {_shown(key)}; known: {', '.join(sorted(fields))}"
             )
         try:
             kwargs[key] = integer(value)
         except ValueError:
-            raise ValueError(f"bound {key} must be an integer, got {value!r}")
+            raise ValueError(f"bound {key} must be an integer, got {_shown(value)}")
     return realgw.graphs.GraphBounds(**kwargs)
 
 

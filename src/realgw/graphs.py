@@ -244,7 +244,9 @@ class GraphBounds(namedtuple("GraphBounds", _BOUNDS, defaults=_DEFAULTS)):
             if type(value) is not int:
                 raise GraphError(f"bound {name} must be an integer, got {value!r}")
             if value > cap:
-                raise GraphError(f"bound {name}={value} exceeds its cap {cap}")
+                from .schemas import _shown  # loaded only to word a refusal
+
+                raise GraphError(f"bound {name}={_shown(value)} exceeds its cap {cap}")
         if any(value < least for value, least in zip(self, _LEAST)):
             raise GraphError(f"infeasible bounds: {self}")
         if self.max_n == 1 and self.max_multidegree_len == 0:

@@ -101,7 +101,9 @@ def _predicate(kernel, condition, predicate_id=None):
     return predicate
 
 
-_P = Route.PROJECTION
+# The projection and canonical routes, read off the enum once: every kernel
+# and condition compares against these module constants.
+_P, _C = Route
 
 
 def _require_rank(k: int) -> None:
@@ -159,9 +161,7 @@ def union_determinant_exponent(
     exponent is 0 or ind1*ind2.
     """
     _require_rank(k)
-    if route is Route.PROJECTION:
-        return 0
-    return cr_index(g1, k, d1) * cr_index(g2, k, d2)
+    return 0 if route is _P else cr_index(g1, k, d1) * cr_index(g2, k, d2)
 
 union_determinant = _predicate(
     union_determinant_exponent, lambda v, g1, g2, k, d1, d2, route: _constant(v) if route is _P
@@ -176,9 +176,7 @@ def doublet_determinant_exponent(g: int, k: int, d2: int, route: Route) -> int:
     on the bundle) agrees unconditionally.  The exponent is (1-g)k + d2 or 0.
     """
     _require_rank(k)
-    if route is Route.CANONICAL:
-        return 0
-    return (1 - g) * k + d2
+    return 0 if route is _C else (1 - g) * k + d2
 
 doublet_determinant = _predicate(
     doublet_determinant_exponent,
@@ -192,9 +190,7 @@ def conj_node_determinant_exponent(k: int, route: Route) -> int:
     orientations always survive.  The exponent is the rank or 0.
     """
     _require_rank(k)
-    if route is Route.CANONICAL:
-        return 0
-    return k
+    return 0 if route is _C else k
 
 conj_node_determinant = _predicate(
     conj_node_determinant_exponent,
@@ -208,9 +204,7 @@ def e_node_determinant_exponent(g: int, k: int, d: int, route: Route) -> int:
     orientations survive iff k(g + d) is even.  The exponent is k or k(g+d).
     """
     _require_rank(k)
-    if route is Route.PROJECTION:
-        return k
-    return k * (g + d)
+    return k if route is _P else k * (g + d)
 
 e_node_determinant = _predicate(
     e_node_determinant_exponent, lambda v, g, k, d, route: _parity(
@@ -223,9 +217,7 @@ e_node_determinant = _predicate(
 def union_induced_exponent(g1: int, g2: int, d1: int, d2: int, route: Route) -> int:
     """Induced-orientation analogue of the disjoint-union split."""
     base = (g1 - 1) * (g2 - 1)
-    if route is Route.PROJECTION:
-        return base
-    return base + (g1 - 1 + d1) * (g2 - 1 + d2)
+    return base if route is _P else base + (g1 - 1 + d1) * (g2 - 1 + d2)
 
 union_induced = _predicate(union_induced_exponent, lambda v, g1, g2, d1, d2, route: _parity(
     v, f"(g1-1)(g2-1) = ({g1 - 1})({g2 - 1})" if route is _P
@@ -237,9 +229,7 @@ def doublet_induced_exponent(g: int, d2: int, route: Route) -> int:
 
     The exponent is g-1+d2 or 0.
     """
-    if route is Route.CANONICAL:
-        return 0
-    return g - 1 + d2
+    return 0 if route is _C else g - 1 + d2
 
 doublet_induced = _predicate(
     doublet_induced_exponent,
@@ -251,7 +241,7 @@ def conj_node_induced_exponent(route: Route) -> int:
 
     The exponent is 1 on the projection route.
     """
-    return 1 if route is Route.PROJECTION else 0
+    return 1 if route is _P else 0
 
 conj_node_induced = _predicate(conj_node_induced_exponent, lambda v, route: _constant(v))
 
@@ -261,9 +251,7 @@ def e_node_induced_exponent(g: int, d: int, route: Route) -> int:
 
     The exponent is g-1 or d.
     """
-    if route is Route.PROJECTION:
-        return g - 1
-    return d
+    return g - 1 if route is _P else d
 
 e_node_induced = _predicate(
     e_node_induced_exponent,
@@ -307,9 +295,7 @@ def union_moduli_exponent(
     _require_even("c1B1", c1b1)
     _require_even("c1B2", c1b2)
     base = (n - 1) * (g1 - 1) * (g2 - 1) // 2
-    if route is Route.PROJECTION:
-        return base
-    return base + (g1 - 1 + c1b1 // 2) * (g2 - 1 + c1b2 // 2)
+    return base if route is _P else base + (g1 - 1 + c1b1 // 2) * (g2 - 1 + c1b2 // 2)
 
 union_moduli = _predicate(union_moduli_exponent, lambda v, n, g1, g2, c1b1, c1b2, route: _parity(
     v, "(n-1)(g1-1)(g2-1)/2" if route is _P
@@ -327,7 +313,7 @@ def doublet_moduli_exponent(
     """
     if s_minus < 0:
         raise ValueError(f"|S^-| must be >= 0, got {s_minus}")
-    if route is Route.PROJECTION:
+    if route is _P:
         if c1l_phi_b is None:
             raise ValueError(
                 "projection-route doubling comparison needs c1l_phi_b"
@@ -345,7 +331,7 @@ def conj_node_moduli_exponent(route: Route) -> int:
 
     The exponent is 1 on the canonical route.
     """
-    return 0 if route is Route.PROJECTION else 1
+    return 0 if route is _P else 1
 
 conj_node_moduli = _predicate(conj_node_moduli_exponent, lambda v, route: _constant(v))
 
@@ -356,9 +342,7 @@ def e_node_moduli_exponent(g: int, c1b: int, route: Route) -> int:
     The exponent is 1 or g + c1B/2.
     """
     _require_even("c1B", c1b)
-    if route is Route.PROJECTION:
-        return 1
-    return g + c1b // 2
+    return 1 if route is _P else g + c1b // 2
 
 e_node_moduli = _predicate(
     e_node_moduli_exponent,

@@ -20,9 +20,12 @@ product orientation -- is derived from the convention exponents
 Each identity is written once, as ``_identity(*ranges)`` over a generator
 ``check_<id>(grid)`` that loops over the grid's tuples and yields each
 failure: the grid point, plus a route tag when the identity compares both
-routes.  The decorator makes it the public ``check_<id>(grid=None)``, which
-returns an ``IdentityReport`` named ``<id>``, and registers it in
-``ALL_CHECKS`` in the order the checks are defined.  The default grid is the
+routes: the route's value.  The routes are read once, into ``_ROUTES``
+(projection, then canonical), and an identity that holds on each route
+alike is stated once, in a loop over that pair after its route-free terms.
+The decorator makes it the public ``check_<id>(grid=None)``, which returns
+an ``IdentityReport`` named ``<id>``, and registers it in ``ALL_CHECKS`` in
+the order the checks are defined.  The default grid is the
 product of the ranges, read lazily, and its size is the product of their
 lengths; a grid passed in is read into a list once.
 """
@@ -57,6 +60,9 @@ DEG_V_RANGE = range(-16, 17, 2)
 BINOMIAL_RANGE = range(-6, 7)
 ODD_DIM_RANGE = (1, 3, 5, 7)
 PAIRING_RANGE = range(-8, 9, 2)
+
+# The two stabilization routes, in report order: projection, then canonical.
+_ROUTES = _P, _C = tuple(Route)
 
 
 class IdentityReport(namedtuple("IdentityReport", "identity_id grid_size failures")):
@@ -117,7 +123,7 @@ def check_union_canonical_vs_cvc(grid):
     """Disjoint-union canonical survival equals the XOR of the three
     canonical-vs-projection parities at ind1, ind2 and ind1+ind2."""
     for g1, g2, k, d1, d2 in grid:
-        direct = union_determinant_exponent(g1, g2, k, d1, d2, Route.CANONICAL)
+        direct = union_determinant_exponent(g1, g2, k, d1, d2, _C)
         # The union surface has genus g1 + g2 - 1 and degree d1 + d2.
         combined = (
             cvc_parity_exponent(g1 + g2 - 1, k, d1 + d2)
@@ -133,7 +139,7 @@ def check_doublet_vs_cvc(grid):
     """Doublet projection-vs-complex parity equals the canonical-vs-projection
     parity on the doublet (genus 2g-1, a conjugation forces degree 2d)."""
     for g, d in grid:
-        lhs = doublet_determinant_exponent(g, 1, d, Route.PROJECTION)
+        lhs = doublet_determinant_exponent(g, 1, d, _P)
         rhs = cvc_parity_exponent(2 * g - 1, 1, 2 * d)
         if (lhs - rhs) % 2:
             yield (g, d)
@@ -160,21 +166,12 @@ def check_union_induced_vs_determinant(grid):
     determinant-level union conditions at (k=1, degrees -d1, -d2) and at
     the trivial line bundle."""
     for g1, g2, d1, d2 in grid:
-        trivial = union_determinant_exponent(g1, g2, 1, 0, 0, Route.CANONICAL)
-        proj = union_induced_exponent(g1, g2, d1, d2, Route.PROJECTION)
-        proj_expected = (
-            union_determinant_exponent(g1, g2, 1, -d1, -d2, Route.PROJECTION)
-            + trivial
-        )
-        if (proj - proj_expected) % 2:
-            yield (g1, g2, d1, d2, "projection")
-        can = union_induced_exponent(g1, g2, d1, d2, Route.CANONICAL)
-        can_expected = (
-            union_determinant_exponent(g1, g2, 1, -d1, -d2, Route.CANONICAL)
-            + trivial
-        )
-        if (can - can_expected) % 2:
-            yield (g1, g2, d1, d2, "canonical")
+        trivial = union_determinant_exponent(g1, g2, 1, 0, 0, _C)
+        for route in _ROUTES:
+            induced = union_induced_exponent(g1, g2, d1, d2, route)
+            determinant = union_determinant_exponent(g1, g2, 1, -d1, -d2, route)
+            if (induced - determinant - trivial) % 2:
+                yield (g1, g2, d1, d2, route.value)
 
 
 @_identity(GENUS_RANGE, DEGREE_RANGE)
@@ -184,19 +181,12 @@ def check_e_node_induced_vs_determinant(grid):
     trivial line bundle; in particular the projection-route condition is
     NOT(g even)."""
     for g, d in grid:
-        trivial = e_node_determinant_exponent(g, 1, 0, Route.CANONICAL)
-        proj = e_node_induced_exponent(g, d, Route.PROJECTION)
-        proj_expected = (
-            e_node_determinant_exponent(g, 1, -d, Route.PROJECTION) + trivial
-        )
-        if (proj - proj_expected) % 2:
-            yield (g, d, "projection")
-        can = e_node_induced_exponent(g, d, Route.CANONICAL)
-        can_expected = (
-            e_node_determinant_exponent(g, 1, -d, Route.CANONICAL) + trivial
-        )
-        if (can - can_expected) % 2:
-            yield (g, d, "canonical")
+        trivial = e_node_determinant_exponent(g, 1, 0, _C)
+        for route in _ROUTES:
+            induced = e_node_induced_exponent(g, d, route)
+            determinant = e_node_determinant_exponent(g, 1, -d, route)
+            if (induced - determinant - trivial) % 2:
+                yield (g, d, route.value)
 
 
 @_identity(ODD_DIM_RANGE, GENUS_RANGE, GENUS_RANGE, PAIRING_RANGE, PAIRING_RANGE)
@@ -210,12 +200,12 @@ def check_union_moduli_vs_epsilons(grid):
         union = orientcomp_epsilons(g1 + g2 - 1, c1b1 + c1b2, n)
         first = orientcomp_epsilons(g1, c1b1, n)
         second = orientcomp_epsilons(g2, c1b2, n)
-        proj = union_moduli_exponent(n, g1, g2, c1b1, c1b2, Route.PROJECTION)
+        proj = union_moduli_exponent(n, g1, g2, c1b1, c1b2, _P)
         if (proj - union.eps_factor - first.eps_factor - second.eps_factor) % 2:
-            yield (n, g1, g2, c1b1, c1b2, "projection")
-        can = union_moduli_exponent(n, g1, g2, c1b1, c1b2, Route.CANONICAL)
+            yield (n, g1, g2, c1b1, c1b2, _P.value)
+        can = union_moduli_exponent(n, g1, g2, c1b1, c1b2, _C)
         if (can - proj - union.eps_conv - first.eps_conv - second.eps_conv) % 2:
-            yield (n, g1, g2, c1b1, c1b2, "canonical")
+            yield (n, g1, g2, c1b1, c1b2, _C.value)
 
 
 @_identity(range(0, 7), (-4, -2, 0, 2, 4, 8), range(0, 9))
@@ -238,8 +228,10 @@ def run_checks(identity_ids: Sequence[str] | None = None) -> list[IdentityReport
     reports = []
     for identity_id in identity_ids:
         if identity_id not in ALL_CHECKS:
+            from .schemas import _shown  # loaded only to word a refusal
+
             raise ValueError(
-                f"unknown identity {identity_id!r}; known: {', '.join(ALL_CHECKS)}"
+                f"unknown identity {_shown(identity_id)}; known: {', '.join(ALL_CHECKS)}"
             )
         reports.append(ALL_CHECKS[identity_id]())
     return reports

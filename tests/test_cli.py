@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 
 import realgw
 from realgw import schemas, signs
-from realgw.cli import _PARAM_KEYS, EXIT_CHECK_FAILED, _parse_seed_range, integer, main
+from realgw.cli import (
+    _PARAM_KEYS, EXIT_CHECK_FAILED, MAX_INT_DIGITS, _parse_seed_range, integer, main,
+)
 from realgw.graphs import BOUND_CAPS, MAX_SEEDS, CongruenceResult
 from realgw.multicover import MAX_C1B, MAX_DIGITS, MAX_GENUS
 from realgw.signs import PREDICATES
@@ -1296,6 +1298,119 @@ class TestIntegers:
         assert code == 0 and json.loads(out) == {"value": "-1/24"}
         code, out, _ = run_cli(capsys, ["dim", "--g", "0", "--ell", "1", "--n", "3", "--c1b", "-4"])
         assert code == 0 and json.loads(out) == {"dim": -2}
+
+
+
+def _at_the_cap(value: int) -> int:
+    """The largest integer of at most ``MAX_INT_DIGITS`` digits that is
+    ``value`` mod 8: it keeps every parity rule a kernel states (even, odd,
+    a multiple of 4, a residue mod 8) and every lower bound."""
+    return 10**MAX_INT_DIGITS - 8 + value % 8
+
+
+class TestIntegerCap:
+    """``sign`` and ``dim`` read integers of at most ``MAX_INT_DIGITS``
+    digits.  Every kernel and ``virtual_dimension`` is a polynomial of
+    degree <= 4 in its inputs, so at the cap every printed integer stays
+    under CPython's 4,300-digit limit; past it, the command exits 1 before
+    any kernel runs, naming the parameter and showing at most 60 characters."""
+
+    @pytest.mark.parametrize("predicate,params,wrapper,args", VALID_SIGN_CALLS)
+    def test_sign_at_the_cap(self, capsys, predicate, params, wrapper, args):
+        chunks = [chunk.split("=", 1) for chunk in params.split(",") if chunk]
+        params = ",".join(
+            f"{key}={value if key in ('variant', 'side', 'orientable') else _at_the_cap(int(value))}"
+            for key, value in chunks
+        )
+        args = [_at_the_cap(a) if type(a) is int else a for a in args]
+        code, out, err = run_cli(capsys, ["sign", predicate, "--params", params])
+        assert (code, err) == (0, "")
+        comparison = wrapper(*args)
+        assert json.loads(out) == {
+            "preserves": comparison.preserves,
+            "sign": comparison.sign,
+            "condition": comparison.condition,
+        }
+
+    def test_dim_at_the_cap(self, capsys):
+        g, ell, n, c1b = (_at_the_cap(v) for v in (0, 1, 3, 4))
+        argv = ["dim", "--g", str(g), "--ell", str(ell), "--n", str(n), "--c1b", str(c1b)]
+        code, out, err = run_cli(capsys, argv)
+        descriptor = signs.ModuliDescriptor(g, ell, n, c1b)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"dim": signs.virtual_dimension(descriptor)}
+
+    @pytest.mark.parametrize(
+        "argv,name,value",
+        [
+            (["sign", "cvc-parity", "--params", "g={},k=1,d=1"], "cvc-parity: g", 10**MAX_INT_DIGITS),
+            (["sign", "cvc-parity", "--params", "g={0},k={0},d=1"], "cvc-parity: g", 10**3000 - 1),
+            (["sign", "union-moduli", "--params", "n=3,g1=0,g2=0,c1b1={},c1b2=0"],
+             "union-moduli: c1b1", -(10**MAX_INT_DIGITS)),
+            (["dim", "--g", "{}", "--ell", "0", "--n", "3", "--c1b", "0"], "--g", 10**MAX_INT_DIGITS),
+            (["dim", "--g", "{0}", "--ell", "0", "--n", "{0}", "--c1b", "0"], "--g", 10**3000 - 1),
+            (["dim", "--g", "0", "--ell", "0", "--n", "3", "--c1b", "{}"], "--c1b", -(10**MAX_INT_DIGITS + 2)),
+        ],
+        ids=["sign-1001-digits", "sign-3000-digits", "sign-negative", "dim-1001-digits",
+             "dim-3000-digits", "dim-negative"],
+    )
+    def test_past_the_cap(self, capsys, monkeypatch, argv, name, value):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a kernel ran")
+
+        monkeypatch.setattr(realgw.signs, "virtual_dimension", refuse)
+        monkeypatch.setattr(realgw.signs, "ModuliDescriptor", refuse)
+        for predicate, wrapper in PREDICATES.items():
+            # the same parameters, read off the kernel, but no kernel runs
+            monkeypatch.setitem(PREDICATES, predicate, functools.wraps(wrapper)(lambda *a: refuse()))
+        code, out, err = run_cli(capsys, [arg.format(value) for arg in argv])
+        assert (code, out) == (1, "")
+        shown = str(value)[:60] + "..."
+        assert json.loads(err) == {"error": f"{name} must have at most {MAX_INT_DIGITS} digits, got {shown}"}
+
+
+LONG = "9" * 5000
+
+
+class TestBoundedEcho:
+    """Every exit-1 error about a value read from the command line or a
+    document key shows at most 60 characters of it (``schemas._shown``)."""
+
+    @pytest.mark.parametrize(
+        "argv,stdin,error",
+        [
+            (["sign", LONG], None, "unknown predicate"),
+            (["verify", LONG], None, "unknown identity"),
+            (["sign", "union-determinant", "--params", "g1=0,g2=0,k=1,d1=0,d2=0,variant=" + LONG],
+             None, "union-determinant: variant must be"),
+            (["coeff", "--h", "1", "--c1b", "0", "--g", "1", "--conv", LONG], None, "--conv must be"),
+            (["sign", "cvc-parity", "--params", LONG], None, "--params entries must look like"),
+            (["graph-check", "--bounds", LONG], None, "--bounds entries must look like"),
+            (["sign", "cvc-parity", "--params", f"{LONG}=1,{LONG}=2"], None, "--params gives"),
+            (["sign", "cvc-parity", "--params", f"g=0,k=1,d=1,z{LONG}=1"], None,
+             "cvc-parity: unknown params"),
+            (["graph-check", "--bounds", f"z{LONG}=1"], None, "unknown bound"),
+            (["sign", "cvc-parity", "--params", f"g={LONG},k=1,d=1"], None,
+             "cvc-parity: g must be an integer"),
+            (["graph-check", "--bounds", f"max_n={LONG}"], None, "bound max_n must be an integer"),
+            (["graph-check", "--bounds", f"max_n={LONG[:4000]}"], None, "bound max_n="),
+            (["graph-check", "--seeds", f"1..{LONG}"], None, "--seeds numbers must have at most 4300"),
+            (["graph-check", "--seeds", LONG], None, "--seeds numbers must have at most 4300"),
+            (["graph-check", "--seeds", f"x{LONG}"], None, "--seeds must look like"),
+            (["graph-check", "--seeds", f"{LONG[:4000]}..1"], None, "--seeds range"),
+            (["graph-check", "--seeds", f"1..{LONG[:4000]}"], None, "--seeds range"),
+            (["transform"], f'{{"{LONG}": 1, "{LONG}": 2}}', "input document gives the key"),
+        ],
+        ids=["predicate", "identity", "variant", "conv", "params-chunk", "bounds-chunk",
+             "params-twice", "params-key", "bounds-key", "params-integer", "bounds-integer",
+             "bounds-cap", "seeds-4300-digits", "seeds-count", "seeds-shape", "seeds-empty",
+             "seeds-too-many", "document-key-twice"],
+    )
+    def test_long_value_short_message(self, capsys, monkeypatch, argv, stdin, error):
+        code, out, err = run_cli(capsys, argv, stdin, monkeypatch)
+        assert (code, out) == (1, "") and len(err.encode()) < 1024
+        message = json.loads(err)["error"]
+        assert message.startswith(error) and "9" * 61 not in message and "..." in message
 
 
 def _fresh_interpreter(code: str) -> list[str]:

@@ -8,7 +8,14 @@ import json
 import pytest
 
 from realgw import verify
-from realgw.signs import OrientationEpsilons, cr_index, orientcomp_epsilons
+from realgw.signs import (
+    OrientationEpsilons,
+    Route,
+    cr_index,
+    e_node_determinant_exponent,
+    orientcomp_epsilons,
+    union_determinant_exponent,
+)
 from realgw.verify import (
     ALL_CHECKS,
     check_binomial_parity,
@@ -144,3 +151,73 @@ def test_union_moduli_vs_epsilons_grid():
     assert report.grid_size == 4 * 10 * 10 * 9 * 9
     # n = 3, g1 = g2 = 0: the projection exponent 1 and d eps_factor are odd.
     assert verify.check_union_moduli_vs_epsilons([(3, 0, 0, 0, 0)]).holds
+
+
+def _plus_one_on(kernel, route):
+    """``kernel`` + 1 on ``route`` only."""
+    original = getattr(verify, kernel)
+    return lambda *args: original(*args) + (args[-1] is route)
+
+
+P, C = Route.PROJECTION, Route.CANONICAL
+
+
+# Failures of each route-tagged identity under a mutated kernel, pinned
+# before the dual-route identities were stated once over one route pair:
+# (count, first failure, last failure, sha256 of the JSON failure list).
+@pytest.mark.parametrize(
+    "identity_id,kernel,mutant,pinned",
+    [
+        pytest.param(
+            "union_induced_vs_determinant", "union_induced_exponent",
+            lambda: _plus_one_on("union_induced_exponent", C),
+            (28_900, (-3, -3, -8, -8, "canonical"), (6, 6, 8, 8, "canonical"), "6f0058baf4cc957c"),
+            id="union-induced-canonical"),
+        pytest.param(
+            "union_induced_vs_determinant", "union_induced_exponent",
+            lambda: _plus_one_on("union_induced_exponent", P),
+            (28_900, (-3, -3, -8, -8, "projection"), (6, 6, 8, 8, "projection"), "d23b1350e354f7d5"),
+            id="union-induced-projection"),
+        pytest.param(
+            "e_node_induced_vs_determinant", "e_node_induced_exponent",
+            lambda: _plus_one_on("e_node_induced_exponent", P),
+            (170, (-3, -8, "projection"), (6, 8, "projection"), "0531fec6f9ff4e63"),
+            id="e-node-induced-projection"),
+        pytest.param(
+            "e_node_induced_vs_determinant", "e_node_induced_exponent",
+            lambda: _plus_one_on("e_node_induced_exponent", C),
+            (170, (-3, -8, "canonical"), (6, 8, "canonical"), "bfe58d4cf2873556"),
+            id="e-node-induced-canonical"),
+        # + d1 on both routes: at each odd d1 both routes fail, projection first
+        pytest.param(
+            "union_induced_vs_determinant", "union_determinant_exponent",
+            lambda: lambda g1, g2, k, d1, d2, route: (
+                union_determinant_exponent(g1, g2, k, d1, d2, route) + d1),
+            (27_200, (-3, -3, -7, -8, "projection"), (6, 6, 7, 8, "canonical"), "e817b4ea7fa37933"),
+            id="union-determinant-both"),
+        pytest.param(
+            "e_node_induced_vs_determinant", "e_node_determinant_exponent",
+            lambda: lambda g, k, d, route: e_node_determinant_exponent(g, k, d, route) + g * d,
+            (80, (-3, -7, "projection"), (5, 7, "canonical"), "86841ac91ef671a5"),
+            id="e-node-determinant-both"),
+        # the canonical relation is stated against the projection exponent,
+        # so a projection-only mutation fails both
+        pytest.param(
+            "union_moduli_vs_epsilons", "union_moduli_exponent",
+            lambda: _plus_one_on("union_moduli_exponent", P),
+            (64_800, (1, -3, -3, -8, -8, "projection"), (7, 6, 6, 8, 8, "canonical"),
+             "2a7a1cd33027ff05"),
+            id="union-moduli-projection"),
+        pytest.param(
+            "union_moduli_vs_epsilons", "union_moduli_exponent",
+            lambda: _plus_one_on("union_moduli_exponent", C),
+            (32_400, (1, -3, -3, -8, -8, "canonical"), (7, 6, 6, 8, 8, "canonical"),
+             "8d7a3e1c6e6415f6"),
+            id="union-moduli-canonical"),
+    ],
+)
+def test_mutated_route_failures_are_pinned(monkeypatch, identity_id, kernel, mutant, pinned):
+    monkeypatch.setattr(verify, kernel, mutant())
+    failures = ALL_CHECKS[identity_id]().failures
+    digest = hashlib.sha256(json.dumps([list(f) for f in failures]).encode()).hexdigest()[:16]
+    assert (len(failures), failures[0], failures[-1], digest) == pinned
