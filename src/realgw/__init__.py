@@ -15,7 +15,7 @@ Subpackages by concern:
 
 A rational is written to the wire as ``str(Fraction)`` (``"p/q"``, or
 ``"p"`` when q = 1) and read back by ``schemas.check`` and ``Fraction``;
-``realgw.series`` holds no code.
+``realgw.series`` holds no code.  Every layer words a refused value by :func:`_shown`.
 """
 
 from importlib import import_module
@@ -48,6 +48,17 @@ def __getattr__(name: str):
         globals()[name] = value
         return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _shown(value) -> str:
+    """``repr(value)``, cut after 60 characters and marked ``...``, so that
+    an error message does not grow with the input."""
+    try:
+        text = repr(value)
+    except ValueError:  # it is, or holds, an int too long for CPython to write
+        text = (f"an integer of {value.bit_length()} bits" if type(value) is int
+                else "a value too long to write")
+    return text if len(text) <= 60 else text[:60] + "..."
 
 
 __version__ = "0.1.0"

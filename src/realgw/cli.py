@@ -19,6 +19,7 @@ import json
 import sys
 
 import realgw  # each layer is imported on first use, see realgw.__getattr__
+from realgw import _shown
 
 
 # Exit code of a check that ran and found a failure.
@@ -28,11 +29,6 @@ EXIT_CHECK_FAILED = 3
 # and ``virtual_dimension`` is a polynomial of degree <= 4 in its inputs, so
 # every integer they print stays under CPython's 4,300-digit str limit.
 MAX_INT_DIGITS = 1000
-
-
-def _shown(value) -> str:
-    """At most 60 characters of a refused value (``realgw.schemas._shown``)."""
-    return realgw.schemas._shown(value)
 
 
 def _capped(name: str, value: int) -> int:
@@ -62,6 +58,13 @@ def _object_without_repeats(pairs: list) -> dict:
     return doc
 
 
+def _document_int(text: str) -> int:
+    """A JSON integer of an input document, refused past CPython's 4,300-digit ``int(str)``."""
+    if len(text.lstrip("-")) > 4300:
+        raise ValueError(f"input document integers must have at most 4300 digits, got {_shown(text)}")
+    return int(text)
+
+
 def _read_input_doc(args):
     if getattr(args, "infile", None) is not None:
         with open(args.infile, "r", encoding="utf-8") as handle:
@@ -69,22 +72,22 @@ def _read_input_doc(args):
     else:
         text = sys.stdin.read()
     try:
-        doc = json.loads(text, object_pairs_hook=_object_without_repeats)
+        return json.loads(text, object_pairs_hook=_object_without_repeats, parse_int=_document_int)
     except RecursionError:
         raise ValueError("input document is nested too deeply")
-    return doc
 
 
-def integer(text: str) -> int:
-    """Parse an integer written as an optional leading ``-`` and ASCII digits.
+def integer(text: str, what: str = "value") -> int:
+    """Parse an integer written as an optional leading ``-`` and at most 4,300
+    ASCII digits; anything else is refused as ``what`` not being an integer.
 
     ``int()`` alone also takes ``+3``, surrounding spaces, ``1_0`` and
     Unicode digits such as ``١``.  The ``coeff`` and ``dim`` options,
     ``sign --params`` and ``graph-check --bounds`` all read integers here.
     """
     digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not an integer: {text!r}")
+    if not (digits.isascii() and digits.isdigit()) or len(digits) > 4300:
+        raise ValueError(f"{what} must be an integer, got {_shown(text)}")
     return int(text)
 
 
@@ -154,17 +157,11 @@ def _sign_args(predicate: str, raw: dict[str, str]) -> list:
                 shape = "<int>" if kind == "int" else "..."
                 raise ValueError(f"{predicate} needs --params {key}={shape}")
             continue
-        value = raw.pop(key)
+        value, what = raw.pop(key), f"{predicate}: {key}"
         # a choice has a spelling table, or is annotated with an enum of realgw.signs
         choices = _CHOICES.get(key) or getattr(signs, kind, None)
-        if choices is not None:
-            args.append(_choice(f"{predicate}: {key}", value, choices))
-            continue
-        try:
-            number = integer(value)
-        except ValueError:
-            raise ValueError(f"{predicate}: {key} must be an integer, got {_shown(value)}")
-        args.append(_capped(f"{predicate}: {key}", number))
+        args.append(_capped(what, integer(value, what)) if choices is None
+                    else _choice(what, value, choices))
     if raw:
         raise ValueError(f"{predicate}: unknown params {_shown(sorted(raw))}")
     return args
@@ -280,10 +277,7 @@ def _bounds_from_kv(text: str | None) -> realgw.graphs.GraphBounds:
             raise ValueError(
                 f"unknown bound {_shown(key)}; known: {', '.join(sorted(fields))}"
             )
-        try:
-            kwargs[key] = integer(value)
-        except ValueError:
-            raise ValueError(f"bound {key} must be an integer, got {_shown(value)}")
+        kwargs[key] = integer(value, f"bound {key}")
     return realgw.graphs.GraphBounds(**kwargs)
 
 
@@ -339,13 +333,21 @@ def _cmd_schema(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Cuts a usage error after 200 characters, as argparse quotes a bad value
+    whole; ``add_subparsers`` gives each subcommand's parser this class too."""
+
+    def error(self, message: str):
+        super().error(message if len(message) <= 200 else message[:200] + "...")
+
+
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     """The parser for ``argv``: an entry for every subcommand, so that ``-h``
     and an invalid choice read the same, but arguments (and help texts that
     import a layer) only for the invoked one, named by the first token not
     starting with ``-``, as the top-level parser takes no option values."""
     command = next((arg for arg in argv if not arg.startswith("-")), None)
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="realgw",
         description=(
             "Exact sign calculus, localization-graph congruences and the "
@@ -414,7 +416,9 @@ def main(argv: list[str] | None = None) -> int:
             }
         )
     except OSError as exc:
-        return _fail({"error": f"cannot read input: {exc}"})
+        # str(exc) would quote the whole file name
+        text = exc if exc.filename is None else f"[Errno {exc.errno}] {exc.strerror}: {_shown(exc.filename)}"
+        return _fail({"error": f"cannot read input: {text}"})
     except (ValueError, ZeroDivisionError) as exc:
         return _fail({"error": str(exc)})
 

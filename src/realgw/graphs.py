@@ -40,6 +40,8 @@ import random
 from collections import namedtuple
 from math import comb
 
+from . import _shown
+
 
 # Most seeds one ``graph-check --seeds`` run may name.
 MAX_SEEDS = 10**6
@@ -74,6 +76,9 @@ class EdgeKind(enum.Enum):
     CONJ = "conj"
 
 
+_REAL, _CONJ = EdgeKind  # read off the enum once: every check compares against these
+
+
 class InvolutionKind(enum.Enum):
     """Topological type of the target involution (fixed circle vs free)."""
 
@@ -89,7 +94,7 @@ class FlagDecoration(namedtuple("FlagDecoration", "b p in_s_minus")):
 
     def __new__(cls, b: int, p: int, in_s_minus: bool):
         if b < 0 or p < 0:
-            raise GraphError(f"flag labels must be >= 0, got b={b}, p={p}")
+            raise GraphError(f"flag labels must be >= 0, got b={_shown(b)}, p={_shown(p)}")
         return tuple.__new__(cls, (b, p, in_s_minus))
 
 
@@ -99,9 +104,9 @@ class GraphVertex(namedtuple("GraphVertex", "genus_label theta flags")):
 
     def __new__(cls, genus_label: int, theta: int, flags=()):
         if genus_label < 0:
-            raise GraphError(f"vertex genus must be >= 0, got {genus_label}")
+            raise GraphError(f"vertex genus must be >= 0, got {_shown(genus_label)}")
         if theta < 1:
-            raise GraphError(f"fixed-point label theta must be >= 1, got {theta}")
+            raise GraphError(f"fixed-point label theta must be >= 1, got {_shown(theta)}")
         return tuple.__new__(cls, (genus_label, theta, tuple(flags)))
 
 
@@ -111,14 +116,14 @@ class GraphEdge(namedtuple("GraphEdge", "kind degree ends")):
 
     def __new__(cls, kind: EdgeKind, degree: int, ends):
         if degree < 1:
-            raise GraphError(f"edge degree must be >= 1, got {degree}")
+            raise GraphError(f"edge degree must be >= 1, got {_shown(degree)}")
         ends = tuple(ends)
         if len(ends) != 2 or type(ends[0]) is not int or type(ends[1]) is not int:
-            raise GraphError(f"edge ends must list two vertex indices, got {ends}")
-        if kind is EdgeKind.REAL and ends[0] != ends[1]:
+            raise GraphError(f"edge ends must list two vertex indices, got {_shown(ends)}")
+        if kind is _REAL and ends[0] != ends[1]:
             raise GraphError(
                 "a real edge meets a single quotient vertex; its two ends "
-                f"must coincide, got {ends}"
+                f"must coincide, got {_shown(ends)}"
             )
         return tuple.__new__(cls, (kind, degree, ends))
 
@@ -132,11 +137,11 @@ class DecoratedGraph(namedtuple("DecoratedGraph", "vertices edges n a phi_kind")
         edges = tuple(edges)
         a = tuple(a)
         if n < 1:
-            raise GraphError(f"n must be >= 1, got {n}")
+            raise GraphError(f"n must be >= 1, got {_shown(n)}")
         if any(x < 1 for x in a):
-            raise GraphError(f"multidegree entries must be positive, got {a}")
+            raise GraphError(f"multidegree entries must be positive, got {_shown(a)}")
         if (n - len(a)) % 2 != 0:
-            raise GraphError(f"n - k must be even, got n={n}, k={len(a)}")
+            raise GraphError(f"n - k must be even, got n={_shown(n)}, k={len(a)}")
         if not vertices:
             raise GraphError("a graph needs at least one vertex")
         num_vertices = len(vertices)
@@ -144,8 +149,8 @@ class DecoratedGraph(namedtuple("DecoratedGraph", "vertices edges n a phi_kind")
         for i, e in enumerate(edges):
             for end in e.ends:
                 if not 0 <= end < num_vertices:
-                    raise GraphError(f"edge {i} references unknown vertex {end}")
-            if e.kind is EdgeKind.CONJ:
+                    raise GraphError(f"edge {i} references unknown vertex {_shown(end)}")
+            if e.kind is _CONJ:
                 edge_ends += 1
         flag_count = sum(len(v.flags) for v in vertices)
         if edge_ends != flag_count:
@@ -160,7 +165,7 @@ def derive_genus_degree(graph: DecoratedGraph) -> tuple[int, int]:
     """Arithmetic genus and total degree determined by the decorations."""
     d = 0
     for e in graph.edges:
-        d += e.degree if e.kind is EdgeKind.REAL else 2 * e.degree
+        d += e.degree if e.kind is _REAL else 2 * e.degree
     # |Edg| = sum_v |E_v|: the flags count the edge-ends (checked at construction)
     g = 1 + sum(len(v.flags) + 2 * (v.genus_label - 1) for v in graph.vertices)
     return g, d
@@ -193,14 +198,14 @@ def congruence_identity_check(graph: DecoratedGraph) -> CongruenceResult:
     k = len(graph.a)
     total = sum(graph.a)
     if (total - k) % 4 != 0:
-        raise GraphError(f"|a| must equal k mod 4, got |a|={total}, k={k}")
+        raise GraphError(f"|a| must equal k mod 4, got |a|={_shown(total)}, k={k}")
     real: list[int] = []
     conj: list[int] = []
     for i, e in enumerate(graph.edges):
-        if e.kind is EdgeKind.REAL:
+        if e.kind is _REAL:
             if e.degree % 2 == 0:
                 raise GraphError(
-                    f"real edge {i} has even degree {e.degree}; the congruence "
+                    f"real edge {i} has even degree {_shown(e.degree)}; the congruence "
                     "is stated for odd real-edge degrees"
                 )
             real.append(e.degree)
@@ -242,13 +247,12 @@ class GraphBounds(namedtuple("GraphBounds", _BOUNDS, defaults=_DEFAULTS)):
         self = super().__new__(cls, *args, **kwargs)
         for name, value, cap in zip(_BOUNDS, self, _CAPS):
             if type(value) is not int:
-                raise GraphError(f"bound {name} must be an integer, got {value!r}")
+                raise GraphError(f"bound {name} must be an integer, got {_shown(value)}")
             if value > cap:
-                from .schemas import _shown  # loaded only to word a refusal
-
                 raise GraphError(f"bound {name}={_shown(value)} exceeds its cap {cap}")
         if any(value < least for value, least in zip(self, _LEAST)):
-            raise GraphError(f"infeasible bounds: {self}")
+            shown = ", ".join(f"{name}={_shown(value)}" for name, value in zip(_BOUNDS, self))
+            raise GraphError(f"infeasible bounds: GraphBounds({shown})")
         if self.max_n == 1 and self.max_multidegree_len == 0:
             raise GraphError("infeasible bounds: n=1 needs an odd multidegree length")
         return self
@@ -323,12 +327,12 @@ def generate_random_graph(
 
     for _ in range(num_real):
         v = below(num_vertices)
-        edges.append(GraphEdge(EdgeKind.REAL, 1 + 2 * below(odd_degree_count), (v, v)))
+        edges.append(GraphEdge(_REAL, 1 + 2 * below(odd_degree_count), (v, v)))
         incidences[v].append(new_flag())
     for _ in range(num_conj):
         u = below(num_vertices)
         w = below(num_vertices)
-        edges.append(GraphEdge(EdgeKind.CONJ, 1 + below(bounds.max_edge_degree), (u, w)))
+        edges.append(GraphEdge(_CONJ, 1 + below(bounds.max_edge_degree), (u, w)))
         incidences[u].append(new_flag())
         incidences[w].append(new_flag())
 

@@ -61,6 +61,8 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
+from . import _shown
+
 #: Largest genus accepted as a coefficient's embedded genus h and cover
 #: genus g and as an ``InvariantVector``'s ``max_genus``; past it a
 #: ``ValueError`` is raised before any work, which bounds the coefficient
@@ -91,7 +93,7 @@ class Convention(enum.Enum):
 def _integer(name: str, value) -> int:
     """``value`` if it is an ``int`` (a bool is not), else ``ValueError``."""
     if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {_shown(value)}")
     return value
 
 
@@ -99,8 +101,6 @@ def _pairing(c1b) -> int:
     """``c1b`` if it is an even ``int`` with |c1b| <= ``MAX_C1B``, else
     ``ValueError``; the message shows at most 60 characters of the value."""
     if not -MAX_C1B <= _integer("c1B", c1b) <= MAX_C1B:
-        from .schemas import _shown  # loaded only to word a refusal
-
         raise ValueError(f"c1B must be in [-{MAX_C1B}, {MAX_C1B}], got {_shown(c1b)}")
     if c1b % 2 != 0:
         raise ValueError(f"c1B pairing must be even, got {c1b}")
@@ -109,13 +109,11 @@ def _pairing(c1b) -> int:
 
 def cover_exponent(h: int, c1b: int) -> int:
     """Exponent h - 1 + c1b/2 of the base series; h and c1b are ints,
-    0 <= h <= ``MAX_GENUS``, c1b even with |c1b| <= ``MAX_C1B``.  An h past
-    the cap is refused with at most 60 characters of it shown."""
+    0 <= h <= ``MAX_GENUS``, c1b even with |c1b| <= ``MAX_C1B``; a refusal
+    shows at most 60 characters of the value (``realgw._shown``)."""
     if _integer("genus h", h) < 0:
-        raise ValueError(f"genus h must be >= 0, got {h}")
+        raise ValueError(f"genus h must be >= 0, got {_shown(h)}")
     if h > MAX_GENUS:
-        from .schemas import _shown  # loaded only to word a refusal
-
         raise ValueError(f"genus h must be <= {MAX_GENUS}, got {_shown(h)}")
     return h - 1 + _pairing(c1b) // 2
 
@@ -223,9 +221,9 @@ def multicover_coefficient(
     [0, ``MAX_GENUS``] and |c1b| <= ``MAX_C1B``.
     """
     if not 0 <= _integer("genus g", g) <= MAX_GENUS:
-        raise ValueError(f"genus g must be in [0, {MAX_GENUS}], got {g}")
+        raise ValueError(f"genus g must be in [0, {MAX_GENUS}], got {_shown(g)}")
     if type(convention) is not Convention:  # the tables are keyed by it
-        raise ValueError(f"convention must be a Convention, got {convention!r}")
+        raise ValueError(f"convention must be a Convention, got {_shown(convention)}")
     return Fraction(_table(cover_exponent(h, c1b), convention, g)[g], _DENOMINATORS[g])
 
 
@@ -254,9 +252,9 @@ class InvariantVector(namedtuple("InvariantVector", "entries c1b max_genus")):
                 raise ValueError("empty entries require an explicit max_genus")
             max_genus = max((g for g in entries if type(g) is int), default=0)
         elif _integer("max_genus", max_genus) < 0:
-            raise ValueError(f"max_genus must be >= 0, got {max_genus}")
+            raise ValueError(f"max_genus must be >= 0, got {_shown(max_genus)}")
         if max_genus > MAX_GENUS:
-            raise ValueError(f"max_genus must be <= {MAX_GENUS}, got {max_genus}")
+            raise ValueError(f"max_genus must be <= {MAX_GENUS}, got {_shown(max_genus)}")
         bad = [g for g in entries if type(g) is not int or not 0 <= g <= max_genus]
         if bad:
             raise ValueError(f"genera {bad} outside [0, {max_genus}]")
@@ -264,7 +262,7 @@ class InvariantVector(namedtuple("InvariantVector", "entries c1b max_genus")):
         for g, value in dense.items():
             if type(value) is not Fraction:
                 if type(value) is not int and not isinstance(value, Fraction):
-                    raise ValueError(f"genus {g} entry {value!r} is not an int or a Fraction")
+                    raise ValueError(f"genus {g} entry {_shown(value)} is not an int or a Fraction")
                 dense[g] = Fraction(value)
         return tuple.__new__(cls, (MappingProxyType(dense), c1b, max_genus))
 
@@ -337,7 +335,7 @@ def _compose(vec: InvariantVector, convention: Convention, inverse: bool) -> Inv
     as the new index.
     """
     if type(convention) is not Convention:  # the tables are keyed by it
-        raise ValueError(f"convention must be a Convention, got {convention!r}")
+        raise ValueError(f"convention must be a Convention, got {_shown(convention)}")
     max_genus = vec.max_genus
     ratios = [v.as_integer_ratio() for v in vec.entries.values()]
     numerators, denominators = zip(*ratios)

@@ -17,6 +17,8 @@ from __future__ import annotations
 import functools
 import re
 
+from . import _shown
+
 #: A ``p/q`` string: optional sign, ASCII digits, a nonzero denominator, no
 #: whitespace.  ``[0-9]`` and ``(?!\n)$`` keep it exact under Python ``re``
 #: as well as ECMA-262, where ``\d`` may match any Unicode digit and ``$`` a
@@ -170,16 +172,6 @@ _compiled = functools.cache(re.compile)
 _TYPES = {"object": dict, "array": list, "string": str, "integer": int, "boolean": bool}
 
 
-def _shown(value) -> str:
-    """``repr(value)``, cut after 60 characters and marked ``...``, so that
-    an error message does not grow with the input."""
-    try:
-        text = repr(value)
-    except ValueError:  # an int with more digits than CPython writes as a str
-        text = f"an integer of {value.bit_length()} bits"
-    return text if len(text) <= 60 else text[:60] + "..."
-
-
 def check(doc, schema, where: str = "") -> None:
     """Raise ``ValueError`` naming the first path in ``doc``, such as
     ``vertices[0].flags[1].b``, that breaks ``schema``; ``where`` is the
@@ -188,7 +180,7 @@ def check(doc, schema, where: str = "") -> None:
     boolean schemas.  Stricter than draft-07: an ``integer`` is a JSON
     integer, not a bool or ``2.0``.  The recursion follows the schema, never
     deeper than it however ``doc`` nests, and a message shows at most 60
-    characters of an offending value or key (see ``_shown``).  A
+    characters of an offending value or key (``realgw._shown``).  A
     ``pattern`` mismatch names the rule, the schema's ``description``.
     """
     name = where or "input document"

@@ -37,6 +37,8 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 
+from . import _shown
+
 
 class Route(enum.Enum):
     """Which distinguished orientation backs a comparison."""
@@ -108,17 +110,17 @@ _P, _C = Route
 
 def _require_rank(k: int) -> None:
     if k < 1:
-        raise ValueError(f"rank must be >= 1, got {k}")
+        raise ValueError(f"rank must be >= 1, got {_shown(k)}")
 
 
 def _require_even(name: str, value: int) -> None:
     if value % 2 != 0:
-        raise ValueError(f"{name} must be even, got {value}")
+        raise ValueError(f"{name} must be even, got {_shown(value)}")
 
 
 def _require_odd_dim(n: int) -> None:
     if n < 1 or n % 2 == 0:
-        raise ValueError(f"complex dimension n must be odd and positive, got {n}")
+        raise ValueError(f"complex dimension n must be odd and positive, got {_shown(n)}")
 
 
 def cr_index(g: int, k: int, d: int) -> int:
@@ -275,7 +277,7 @@ def relspin_determinant_exponent(deg_v: int, variant: RelSpinVariant) -> int:
     if deg_v % 4 != 0:
         raise ValueError(
             "spin-vs-canonical comparison is only stated for deg V in 4Z, "
-            f"got {deg_v}"
+            f"got {_shown(deg_v)}"
         )
     return 0
 
@@ -312,7 +314,7 @@ def doublet_moduli_exponent(
     needs only the genus and |S^-|.
     """
     if s_minus < 0:
-        raise ValueError(f"|S^-| must be >= 0, got {s_minus}")
+        raise ValueError(f"|S^-| must be >= 0, got {_shown(s_minus)}")
     if route is _P:
         if c1l_phi_b is None:
             raise ValueError(
@@ -391,7 +393,7 @@ def forget_boundary_sign_exponent(node_side: str, route: Route) -> int:
     exponent is 1 on the minus side.
     """
     if node_side not in ("plus", "minus"):
-        raise ValueError(f"node_side must be 'plus' or 'minus', got {node_side!r}")
+        raise ValueError(f"node_side must be 'plus' or 'minus', got {_shown(node_side)}")
     return 0 if node_side == "plus" else 1
 
 forget_boundary_sign = _predicate(
@@ -415,7 +417,7 @@ class ModuliDescriptor(namedtuple("ModuliDescriptor", "g ell n c1b")):
 
     def __new__(cls, g: int, ell: int, n: int, c1b: int):
         if ell < 0:
-            raise ValueError(f"marked-pair count ell must be >= 0, got {ell}")
+            raise ValueError(f"marked-pair count ell must be >= 0, got {_shown(ell)}")
         _require_odd_dim(n)
         _require_even("c1B", c1b)
         return tuple.__new__(cls, (g, ell, n, c1b))

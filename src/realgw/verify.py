@@ -37,6 +37,7 @@ import math
 from collections import namedtuple
 from typing import Callable, Iterable, Iterator, Sequence
 
+from . import _shown
 from .signs import (
     RelSpinVariant,
     Route,
@@ -228,8 +229,6 @@ def run_checks(identity_ids: Sequence[str] | None = None) -> list[IdentityReport
     reports = []
     for identity_id in identity_ids:
         if identity_id not in ALL_CHECKS:
-            from .schemas import _shown  # loaded only to word a refusal
-
             raise ValueError(
                 f"unknown identity {_shown(identity_id)}; known: {', '.join(ALL_CHECKS)}"
             )

@@ -363,11 +363,15 @@ class TestTransformInvert:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["transform", "--in", "/nonexistent.json"])
         assert code == 1
-        assert "cannot read input" in json.loads(err)["error"]
+        assert json.loads(err) == {
+            "error": "cannot read input: [Errno 2] No such file or directory: '/nonexistent.json'"
+        }
         for command in ("transform", "invert", "graph-check"):
             code, out, err = run_cli(capsys, [command, "--in", str(tmp_path)])
             assert (code, out) == (1, ""), command
-            assert "cannot read input" in json.loads(err)["error"], command
+            assert json.loads(err) == {
+                "error": f"cannot read input: [Errno 21] Is a directory: {str(tmp_path)!r}"
+            }, command
 
     @pytest.mark.parametrize("command", ["transform", "graph-check"])
     @pytest.mark.parametrize("opening", ["[", '{"a":'])
@@ -1237,8 +1241,14 @@ class TestIntegers:
         "text", ["", "-", "+3", " 3", "3 ", "1_0", "\u0661", "-\u0662", "3.0", "0x10", "--3", "1e3"]
     )
     def test_rejected(self, text):
-        with pytest.raises(ValueError):
-            integer(text)
+        with pytest.raises(ValueError, match=f"^g must be an integer, got {re.escape(repr(text))}$"):
+            integer(text, "g")
+
+    def test_digit_limit(self):
+        # CPython's int(str) stops after 4,300 digits; integer says so in its own words
+        assert integer("-" + "9" * 4300) == -int("9" * 4300)
+        with pytest.raises(ValueError, match=r"^--h must be an integer, got '9{59}\.\.\.$"):
+            integer("9" * 4301, "--h")
 
     @pytest.mark.parametrize(
         "argv,name",
@@ -1370,11 +1380,17 @@ class TestIntegerCap:
 
 
 LONG = "9" * 5000
+HUGE = 10**4000  # 4,001 digits: under CPython's int(str) limit
+
+
+def _graph_doc(**changes) -> str:
+    return json.dumps({**VALID_GRAPH, **changes})
 
 
 class TestBoundedEcho:
-    """Every exit-1 error about a value read from the command line or a
-    document key shows at most 60 characters of it (``schemas._shown``)."""
+    """Every exit-1 error about a value read from the command line or an
+    input document shows at most 60 characters of it (``realgw._shown``),
+    and a usage error (exit 2) is cut after 200 characters."""
 
     @pytest.mark.parametrize(
         "argv,stdin,error",
@@ -1400,17 +1416,85 @@ class TestBoundedEcho:
             (["graph-check", "--seeds", f"{LONG[:4000]}..1"], None, "--seeds range"),
             (["graph-check", "--seeds", f"1..{LONG[:4000]}"], None, "--seeds range"),
             (["transform"], f'{{"{LONG}": 1, "{LONG}": 2}}', "input document gives the key"),
+            (["coeff", "--h", "0", "--c1b", "0", "--g", LONG[:4000]], None, "genus g must be in"),
+            (["coeff", "--h", f"-{LONG[:4000]}", "--c1b", "0", "--g", "0"], None,
+             "genus h must be >= 0"),
+            (["dim", "--g", "0", "--ell", "0", "--n", f"{LONG[:999]}8", "--c1b", "0"], None,
+             "complex dimension n must be odd"),
+            (["dim", "--g", "0", "--ell", f"-{LONG[:1000]}", "--n", "3", "--c1b", "0"], None,
+             "marked-pair count ell must be >= 0"),
+            (["dim", "--g", "0", "--ell", "0", "--n", "3", "--c1b", LONG[:1000]], None,
+             "c1B must be even"),
+            (["sign", "cvc-parity", "--params", f"g=0,k=-{LONG[:1000]},d=1"], None, "rank must be"),
+            (["sign", "doublet-moduli", "--params", f"g=0,sminus=-{LONG[:1000]},c1lphib=0"], None,
+             "|S^-| must be >= 0"),
+            (["sign", "relspin", "--params", f"degv={LONG[:998]}8,variant=spin-vs-canonical"],
+             None, "spin-vs-canonical comparison is only stated"),
+            (["graph-check", "--in", "{path}"],
+             _graph_doc(edges=[{"kind": "real", "degree": 1, "ends": [HUGE, HUGE]}]),
+             "edge 0 references unknown vertex"),
+            (["graph-check", "--in", "{path}"],
+             _graph_doc(edges=[{"kind": "real", "degree": 1, "ends": [0, HUGE]}]),
+             "a real edge meets a single quotient vertex"),
+            (["graph-check", "--in", "{path}"], _graph_doc(n=HUGE), "n - k must be even"),
+            (["graph-check", "--in", "{path}"], _graph_doc(n=1, a=[HUGE]), "|a| must equal k mod 4"),
+            (["graph-check", "--in", "{path}"],
+             _graph_doc(edges=[{"kind": "real", "degree": HUGE, "ends": [0, 0]}]),
+             "real edge 0 has even degree"),
+            (["graph-check", "--bounds", f"max_n=-{LONG[:4000]}"], None, "infeasible bounds: "),
+            (["transform", "--in", f"/nonexistent/{LONG[:4000]}"], None, "cannot read input: "),
+            (["transform"], f'{{"c1B": {LONG}, "convention": "sinh", "E": {{"0": "1"}}}}',
+             "input document integers must have at most 4300 digits"),
+            (["graph-check", "--in", "{path}"], _graph_doc().replace('"n": 5', f'"n": {LONG}'),
+             "input document integers must have at most 4300 digits"),
         ],
         ids=["predicate", "identity", "variant", "conv", "params-chunk", "bounds-chunk",
              "params-twice", "params-key", "bounds-key", "params-integer", "bounds-integer",
              "bounds-cap", "seeds-4300-digits", "seeds-count", "seeds-shape", "seeds-empty",
-             "seeds-too-many", "document-key-twice"],
+             "seeds-too-many", "document-key-twice", "coeff-g", "coeff-h", "dim-n", "dim-ell",
+             "dim-c1b", "sign-rank", "sign-s-minus", "sign-deg-v", "graph-unknown-vertex",
+             "graph-real-ends", "graph-n-k", "graph-a-residue", "graph-even-degree",
+             "bounds-infeasible", "unreadable-path", "document-int-digits",
+             "graph-int-digits"],
     )
-    def test_long_value_short_message(self, capsys, monkeypatch, argv, stdin, error):
+    def test_long_value_short_message(self, capsys, monkeypatch, tmp_path, argv, stdin, error):
+        if "{path}" in argv:  # the document is read from a file
+            (tmp_path / "doc.json").write_text(stdin)
+            argv, stdin = [arg.format(path=tmp_path / "doc.json") for arg in argv], None
         code, out, err = run_cli(capsys, argv, stdin, monkeypatch)
         assert (code, out) == (1, "") and len(err.encode()) < 1024
         message = json.loads(err)["error"]
         assert message.startswith(error) and "9" * 61 not in message and "..." in message
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[f"x{LONG}"], ["coeff", "--h", LONG, "--c1b", "0", "--g", "0"], ["schema", f"x{LONG}"],
+         ["graph-check", f"--bogus{LONG}"], ["sign", "--params"] + [LONG] * 3],
+        ids=["command", "option-integer", "choice", "unknown-option", "extra-arguments"],
+    )
+    def test_long_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "") and len(err.encode()) < 1024
+        assert err.endswith("...\n")
+
+    @pytest.mark.parametrize("command", ["transform", "invert"])
+    def test_document_integer_past_the_int_limit(self, capsys, monkeypatch, command):
+        doc = f'{{"c1B": 0, "convention": "sinh", "E": {{"0": "1"}}, "max_genus": -{LONG}}}'
+        code, out, err = run_cli(capsys, [command], doc, monkeypatch)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "input document integers must have at most 4300 digits, got '-"
+            + "9" * 58 + "..."
+        }
+        # 4,300 digits are read, and the schema refuses the value
+        code, out, err = run_cli(capsys, [command], doc.replace(LONG, LONG[:4300]), monkeypatch)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"].startswith("max_genus must be >= 0, got -999")
+
+    @pytest.mark.parametrize("module", ["cli", "graphs", "multicover", "schemas", "signs", "verify"])
+    def test_one_function(self, module):
+        # every layer words a refused value through the package's one _shown
+        assert getattr(realgw, module)._shown is realgw._shown
 
 
 def _fresh_interpreter(code: str) -> list[str]:
@@ -1550,6 +1634,23 @@ class TestLazyImports:
         loaded = _fresh_interpreter(
             "from realgw.cli import main\n"
             f"assert main({argv!r}) == 0"
+        )
+        assert "realgw.schemas" not in loaded
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sign", "nope"],
+            ["coeff", "--h", "200", "--c1b", "0", "--g", "0"],
+            ["graph-check", "--bounds", "max_n=1000"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_refusals_load_no_schemas(self, argv):
+        # a refusal words its value with realgw._shown, loaded with the package
+        loaded = _fresh_interpreter(
+            "from realgw.cli import main\n"
+            f"assert main({argv!r}) == 1"
         )
         assert "realgw.schemas" not in loaded
 

@@ -95,6 +95,9 @@ class TestStructure:
     def test_real_edge_ends_must_coincide(self):
         with pytest.raises(GraphError):
             GraphEdge(EdgeKind.REAL, 1, (0, 1))
+        # ends too long for CPython to write are refused all the same, not echoed
+        with pytest.raises(GraphError, match="must coincide, got a value too long to write$"):
+            GraphEdge(EdgeKind.REAL, 1, (0, 10**5000))
 
     def test_n_minus_k_parity_enforced(self):
         with pytest.raises(GraphError):
