@@ -25,9 +25,14 @@ from realgw import _shown
 # Exit code of a check that ran and found a failure.
 EXIT_CHECK_FAILED = 3
 
+# Most digits of any integer the CLI reads or writes.  ``main`` sets it as
+# the interpreter's int/str limit for its call, so no result depends on
+# PYTHONINTMAXSTRDIGITS.
+INT_DIGITS = 4300
+
 # Most digits of an integer that ``sign`` and ``dim`` read.  Every sign kernel
 # and ``virtual_dimension`` is a polynomial of degree <= 4 in its inputs, so
-# every integer they print stays under CPython's 4,300-digit str limit.
+# every integer they print stays under ``INT_DIGITS``.
 MAX_INT_DIGITS = 1000
 
 
@@ -39,7 +44,11 @@ def _capped(name: str, value: int) -> int:
 
 
 def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2)
+    except ValueError:  # CPython's refusal to write an int past the limit main sets
+        raise ValueError(f"a result integer has more than {INT_DIGITS} digits") from None
+    sys.stdout.write(text + "\n")
 
 
 def _fail(doc) -> int:
@@ -58,13 +67,6 @@ def _object_without_repeats(pairs: list) -> dict:
     return doc
 
 
-def _document_int(text: str) -> int:
-    """A JSON integer of an input document, refused past CPython's 4,300-digit ``int(str)``."""
-    if len(text.lstrip("-")) > 4300:
-        raise ValueError(f"input document integers must have at most 4300 digits, got {_shown(text)}")
-    return int(text)
-
-
 def _read_input_doc(args):
     if getattr(args, "infile", None) is not None:
         with open(args.infile, "r", encoding="utf-8") as handle:
@@ -72,22 +74,26 @@ def _read_input_doc(args):
     else:
         text = sys.stdin.read()
     try:
-        return json.loads(text, object_pairs_hook=_object_without_repeats, parse_int=_document_int)
+        return json.loads(text, object_pairs_hook=_object_without_repeats,
+                          parse_int=lambda digits: integer(digits, "input document integers"))
     except RecursionError:
         raise ValueError("input document is nested too deeply")
 
 
 def integer(text: str, what: str = "value") -> int:
-    """Parse an integer written as an optional leading ``-`` and at most 4,300
-    ASCII digits; anything else is refused as ``what`` not being an integer.
+    """Parse an integer written as an optional leading ``-`` and ASCII
+    digits, at most ``INT_DIGITS`` of them; ``what`` names it in a refusal.
 
     ``int()`` alone also takes ``+3``, surrounding spaces, ``1_0`` and
-    Unicode digits such as ``١``.  The ``coeff`` and ``dim`` options,
-    ``sign --params`` and ``graph-check --bounds`` all read integers here.
+    Unicode digits such as ``١``.  Every integer the CLI reads from text is
+    read here: options, ``--params``, ``--bounds``, ``--seeds`` and input
+    documents.
     """
     digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()) or len(digits) > 4300:
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"{what} must be an integer, got {_shown(text)}")
+    if len(digits) > INT_DIGITS:
+        raise ValueError(f"{what} must have at most {INT_DIGITS} digits, got {_shown(text)}")
     return int(text)
 
 
@@ -255,9 +261,7 @@ def _parse_seed_range(text: str) -> range:
     if not all(part.isascii() and part.isdigit() for part in (lo, hi)):
         shape = "A..B" if dots else "A..B or N"
         raise ValueError(f"--seeds must look like {shape} (ASCII digits), got {_shown(text)}")
-    if len(lo) > 4300 or len(hi) > 4300:  # where CPython's int(str) stops, in its own words
-        raise ValueError(f"--seeds numbers must have at most 4300 digits, got {_shown(text)}")
-    first, last = int(lo), int(hi)
+    first, last = (integer(part, "--seeds numbers") for part in (lo, hi))
     if last < first:
         raise ValueError(f"--seeds range {_shown(text)} is empty")
     if last - first + 1 > realgw.graphs.MAX_SEEDS:
@@ -400,13 +404,13 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
+    caller_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(INT_DIGITS)  # for this call, whatever the caller's limit
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except json.JSONDecodeError as exc:
         return _fail(
             {
@@ -421,6 +425,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail({"error": f"cannot read input: {text}"})
     except (ValueError, ZeroDivisionError) as exc:
         return _fail({"error": str(exc)})
+    finally:
+        sys.set_int_max_str_digits(caller_limit)
 
 
 if __name__ == "__main__":  # pragma: no cover

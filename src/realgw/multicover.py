@@ -77,8 +77,8 @@ MAX_C1B = 10**6
 
 #: The digit budget of a wire genus map: no value string longer than
 #: ``MAX_DIGITS`` characters, and lcm(denominators) * max |numerator| below
-#: 10**MAX_DIGITS, so that transform outputs stay within the 4,300 digits
-#: CPython writes as a ``str`` by default (at most 3,441 measured at the caps).
+#: 10**MAX_DIGITS, so that transform outputs stay within ``cli.INT_DIGITS``
+#: (4,300), the most digits the CLI writes (at most 3,441 measured at the caps).
 MAX_DIGITS = 3000
 _DIGIT_BOUND = 10**MAX_DIGITS
 
@@ -257,7 +257,7 @@ class InvariantVector(namedtuple("InvariantVector", "entries c1b max_genus")):
             raise ValueError(f"max_genus must be <= {MAX_GENUS}, got {_shown(max_genus)}")
         bad = [g for g in entries if type(g) is not int or not 0 <= g <= max_genus]
         if bad:
-            raise ValueError(f"genera {bad} outside [0, {max_genus}]")
+            raise ValueError(f"genera {_shown(bad)} outside [0, {max_genus}]")
         dense = {g: entries.get(g, 0) for g in range(max_genus + 1)}
         for g, value in dense.items():
             if type(value) is not Fraction:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import realgw
 from realgw import schemas, signs
 from realgw.cli import (
-    _PARAM_KEYS, EXIT_CHECK_FAILED, MAX_INT_DIGITS, _parse_seed_range, integer, main,
+    _PARAM_KEYS, EXIT_CHECK_FAILED, INT_DIGITS, MAX_INT_DIGITS, _parse_seed_range, integer, main,
 )
 from realgw.graphs import BOUND_CAPS, MAX_SEEDS, CongruenceResult
 from realgw.multicover import MAX_C1B, MAX_DIGITS, MAX_GENUS
@@ -520,8 +520,8 @@ class TestDigitBudget:
     """A genus map is refused, exit 1 with an error naming the digit
     budget, when a value has more than ``MAX_DIGITS`` characters or its
     lcm(denominators) * max |numerator| reaches 10**MAX_DIGITS: no
-    document that is accepted fails at output on CPython's 4,300-digit
-    limit for writing an int."""
+    document that is accepted fails at output on the ``INT_DIGITS`` limit
+    for writing an int."""
 
     @pytest.mark.parametrize("digits", [80, 60])
     @pytest.mark.parametrize("command,key", [("transform", "E"), ("invert", "gw")])
@@ -593,7 +593,7 @@ class TestDigitBudget:
         outputs = [Fraction(v) for v in json.loads(out)[out_key].values()]
         assert outputs[1] == 0 and outputs[0] != 0
         digits = max(len(str(part)) for v in outputs for part in v.as_integer_ratio())
-        assert MAX_DIGITS < digits < 4300
+        assert MAX_DIGITS < digits < INT_DIGITS
 
     def test_library_reads_the_same_budget(self):
         with pytest.raises(ValueError, match="digit budget"):
@@ -1245,10 +1245,9 @@ class TestIntegers:
             integer(text, "g")
 
     def test_digit_limit(self):
-        # CPython's int(str) stops after 4,300 digits; integer says so in its own words
-        assert integer("-" + "9" * 4300) == -int("9" * 4300)
-        with pytest.raises(ValueError, match=r"^--h must be an integer, got '9{59}\.\.\.$"):
-            integer("9" * 4301, "--h")
+        assert integer("-" + "9" * INT_DIGITS) == -int("9" * INT_DIGITS)
+        with pytest.raises(ValueError, match=rf"^--h must have at most {INT_DIGITS} digits, got '9{{59}}\.\.\.$"):
+            integer("9" * (INT_DIGITS + 1), "--h")
 
     @pytest.mark.parametrize(
         "argv,name",
@@ -1322,7 +1321,7 @@ class TestIntegerCap:
     """``sign`` and ``dim`` read integers of at most ``MAX_INT_DIGITS``
     digits.  Every kernel and ``virtual_dimension`` is a polynomial of
     degree <= 4 in its inputs, so at the cap every printed integer stays
-    under CPython's 4,300-digit limit; past it, the command exits 1 before
+    under ``INT_DIGITS``; past it, the command exits 1 before
     any kernel runs, naming the parameter and showing at most 60 characters."""
 
     @pytest.mark.parametrize("predicate,params,wrapper,args", VALID_SIGN_CALLS)
@@ -1380,7 +1379,7 @@ class TestIntegerCap:
 
 
 LONG = "9" * 5000
-HUGE = 10**4000  # 4,001 digits: under CPython's int(str) limit
+HUGE = 10**4000  # 4,001 digits: under INT_DIGITS
 
 
 def _graph_doc(**changes) -> str:
@@ -1407,11 +1406,12 @@ class TestBoundedEcho:
              "cvc-parity: unknown params"),
             (["graph-check", "--bounds", f"z{LONG}=1"], None, "unknown bound"),
             (["sign", "cvc-parity", "--params", f"g={LONG},k=1,d=1"], None,
-             "cvc-parity: g must be an integer"),
-            (["graph-check", "--bounds", f"max_n={LONG}"], None, "bound max_n must be an integer"),
+             f"cvc-parity: g must have at most {INT_DIGITS} digits"),
+            (["graph-check", "--bounds", f"max_n={LONG}"], None,
+             f"bound max_n must have at most {INT_DIGITS} digits"),
             (["graph-check", "--bounds", f"max_n={LONG[:4000]}"], None, "bound max_n="),
-            (["graph-check", "--seeds", f"1..{LONG}"], None, "--seeds numbers must have at most 4300"),
-            (["graph-check", "--seeds", LONG], None, "--seeds numbers must have at most 4300"),
+            (["graph-check", "--seeds", f"1..{LONG}"], None, f"--seeds numbers must have at most {INT_DIGITS}"),
+            (["graph-check", "--seeds", LONG], None, f"--seeds numbers must have at most {INT_DIGITS}"),
             (["graph-check", "--seeds", f"x{LONG}"], None, "--seeds must look like"),
             (["graph-check", "--seeds", f"{LONG[:4000]}..1"], None, "--seeds range"),
             (["graph-check", "--seeds", f"1..{LONG[:4000]}"], None, "--seeds range"),
@@ -1444,9 +1444,12 @@ class TestBoundedEcho:
             (["graph-check", "--bounds", f"max_n=-{LONG[:4000]}"], None, "infeasible bounds: "),
             (["transform", "--in", f"/nonexistent/{LONG[:4000]}"], None, "cannot read input: "),
             (["transform"], f'{{"c1B": {LONG}, "convention": "sinh", "E": {{"0": "1"}}}}',
-             "input document integers must have at most 4300 digits"),
+             f"input document integers must have at most {INT_DIGITS} digits"),
             (["graph-check", "--in", "{path}"], _graph_doc().replace('"n": 5', f'"n": {LONG}'),
-             "input document integers must have at most 4300 digits"),
+             f"input document integers must have at most {INT_DIGITS} digits"),
+            (["transform"], json.dumps({"c1B": 0, "convention": "sinh", "max_genus": 0,
+                                        "E": {str(g): "1" for g in range(MAX_GENUS + 1)}}),
+             "genera [1, 2, 3"),
         ],
         ids=["predicate", "identity", "variant", "conv", "params-chunk", "bounds-chunk",
              "params-twice", "params-key", "bounds-key", "params-integer", "bounds-integer",
@@ -1455,7 +1458,7 @@ class TestBoundedEcho:
              "dim-c1b", "sign-rank", "sign-s-minus", "sign-deg-v", "graph-unknown-vertex",
              "graph-real-ends", "graph-n-k", "graph-a-residue", "graph-even-degree",
              "bounds-infeasible", "unreadable-path", "document-int-digits",
-             "graph-int-digits"],
+             "graph-int-digits", "genera-outside"],
     )
     def test_long_value_short_message(self, capsys, monkeypatch, tmp_path, argv, stdin, error):
         if "{path}" in argv:  # the document is read from a file
@@ -1483,11 +1486,11 @@ class TestBoundedEcho:
         code, out, err = run_cli(capsys, [command], doc, monkeypatch)
         assert (code, out) == (1, "")
         assert json.loads(err) == {
-            "error": "input document integers must have at most 4300 digits, got '-"
+            "error": f"input document integers must have at most {INT_DIGITS} digits, got '-"
             + "9" * 58 + "..."
         }
-        # 4,300 digits are read, and the schema refuses the value
-        code, out, err = run_cli(capsys, [command], doc.replace(LONG, LONG[:4300]), monkeypatch)
+        # INT_DIGITS digits are read, and the schema refuses the value
+        code, out, err = run_cli(capsys, [command], doc.replace(LONG, LONG[:INT_DIGITS]), monkeypatch)
         assert (code, out) == (1, "")
         assert json.loads(err)["error"].startswith("max_genus must be >= 0, got -999")
 
@@ -1497,18 +1500,92 @@ class TestBoundedEcho:
         assert getattr(realgw, module)._shown is realgw._shown
 
 
+NINES = "9" * 999
+# Commands inside every realgw cap whose result once depended on the
+# interpreter's int/str limit; "{path}" is a file holding the stdin text.
+LIMIT_CASES = {
+    "coeff-at-the-caps": (["coeff", "--h", "128", "--c1b", str(MAX_C1B), "--g", "128"], None),
+    "sign-999-digits": (["sign", "cvc-parity", "--params", f"g={NINES},k=1,d=1"], None),
+    "dim-1000-digits": (["dim", "--g", "0", "--ell", "0", "--n", "3", "--c1b", NINES + "8"], None),
+    "document-1000-digits": (["transform"], f'{{"c1B": {NINES}9, "convention": "sinh", "E": {{"0": "1"}}}}'),
+    "graph-genus-4300-digits": (
+        ["graph-check", "--in", "{path}"], _graph_doc().replace('"genus": 0', f'"genus": {"9" * INT_DIGITS}')),
+    "sparse-transform": (["transform"], json.dumps(
+        {"c1B": MAX_C1B, "convention": "sinh", "E": {"0": "1", str(MAX_GENUS): "0"}})),
+}
+
+
+def _child_env() -> dict[str, str]:
+    """This process's environment with the imported realgw's source
+    directory first on PYTHONPATH, for a new interpreter."""
+    env = dict(os.environ)
+    src = str(Path(realgw.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _realgw_process(argv, stdin, limit):
+    """(exit code, stdout, stderr) of ``python -m realgw argv`` run with
+    PYTHONINTMAXSTRDIGITS set to ``limit``, or unset for None."""
+    env = _child_env()
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    if limit is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = limit
+    proc = subprocess.run([sys.executable, "-m", "realgw", *argv], input=stdin, env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestIntLimit:
+    """``main`` reads and writes integers under its own limit,
+    ``INT_DIGITS``, whatever the interpreter's: PYTHONINTMAXSTRDIGITS
+    changes no output, and the caller's limit is restored on return."""
+
+    @pytest.mark.parametrize("case", sorted(LIMIT_CASES))
+    def test_same_output_under_any_limit(self, tmp_path, case):
+        argv, stdin = LIMIT_CASES[case]
+        if "{path}" in argv:
+            (tmp_path / "doc.json").write_text(stdin)
+            argv, stdin = [arg.format(path=tmp_path / "doc.json") for arg in argv], None
+        unset = _realgw_process(argv, stdin, None)
+        assert unset[0] in (0, 1) and "set_int_max_str_digits" not in unset[2]
+        for limit in ("640", "0"):
+            assert _realgw_process(argv, stdin, limit) == unset, limit
+
+    def test_result_past_the_limit(self, capsys, tmp_path):
+        argv, doc = LIMIT_CASES["graph-genus-4300-digits"]
+        (tmp_path / "doc.json").write_text(doc)
+        code, out, err = run_cli(capsys, [arg.format(path=tmp_path / "doc.json") for arg in argv])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": f"a result integer has more than {INT_DIGITS} digits"}
+
+    @pytest.mark.parametrize("limit", [640, 0, 10 * INT_DIGITS])
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [(["sign", "cvc-parity", "--params", "g=0,k=1,d=1"], 0),
+         (["coeff", "--h", "129", "--c1b", "0", "--g", "0"], 1),
+         (["coeff", "--h", "x"], 2)],
+        ids=["exit-0", "exit-1", "exit-2"],
+    )
+    def test_main_restores_the_limit(self, capsys, argv, expected, limit):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            code = run_cli(capsys, argv)[0]
+            assert (code, sys.get_int_max_str_digits()) == (expected, limit)
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+
 def _fresh_interpreter(code: str) -> list[str]:
     """Run ``code`` in a new interpreter; return the modules it loaded that
     are realgw modules, ``dataclasses`` or ``inspect``."""
-    src = str(Path(realgw.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = (
         "import sys\n_preloaded = set(sys.modules)\n" + code + "\nimport json\n"
         "print(json.dumps(sorted(m for m in set(sys.modules) - _preloaded\n"
         "    if m.startswith('realgw') or m in ('dataclasses', 'inspect'))))"
     )
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=_child_env(),
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 

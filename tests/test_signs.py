@@ -1,6 +1,8 @@
 """Sign-calculus predicates: every worked example, the parity invariants,
 and the stated error conditions."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,9 @@ from realgw.signs import (
     union_induced,
     union_determinant,
     union_moduli,
+    union_determinant_exponent,
+    union_induced_exponent,
+    union_moduli_exponent,
     virtual_dimension,
 )
 
@@ -325,3 +330,42 @@ class TestDimensionAndFriends:
             assert _choice("variant", member.value.capitalize(), Route) is member
         with pytest.raises(ValueError, match=r"^variant must be 'projection' or 'canonical', got 'Middle'$"):
             _choice("variant", "Middle", Route)
+
+
+# Each union exponent as u(p, route, A, B) over components A = (genus,
+# degree or c1B), with the values of its other parameter p and the charges
+# (degrees or pairings) a component takes.
+UNION_EXPONENTS = {
+    "union_determinant": (range(1, 4), range(-2, 3), lambda k, route, a, b:
+                          union_determinant_exponent(a[0], b[0], k, a[1], b[1], route)),
+    "union_induced": ((None,), range(-2, 3), lambda _, route, a, b:
+                      union_induced_exponent(a[0], b[0], a[1], b[1], route)),
+    "union_moduli": ((1, 3, 5, 7), range(-4, 5, 2), lambda n, route, a, b:
+                     union_moduli_exponent(n, a[0], b[0], a[1], b[1], route)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNION_EXPONENTS))
+def test_union_exponents_associate(name):
+    """u(A, B) + u(A ⊔ B, C) ≡ u(B, C) + u(A, B ⊔ C) mod 2, where A ⊔ B has
+    genus g1 + g2 - 1 and the summed degree or c1B, on both routes.
+
+    It holds because both orientations over A ⊔ B ⊔ C do not depend on the
+    grouping; in the formulas it shows as each exponent being bilinear mod 2
+    in quantities additive under ⊔ (g - 1, the index, g - 1 + c1B/2).  It
+    checks each union kernel alone, where the ``verify`` identities compare
+    it with another predicate."""
+    params, charges, u = UNION_EXPONENTS[name]
+    components = list(product(range(-2, 4), charges))
+
+    def union(a, b):
+        return a[0] + b[0] - 1, a[1] + b[1]
+
+    failures = [
+        (p, route, a, b, c)
+        for p, route in product(params, Route)
+        for a, b, c in product(components, repeat=3)
+        if (u(p, route, a, b) + u(p, route, union(a, b), c)
+            - u(p, route, b, c) - u(p, route, a, union(b, c))) % 2
+    ]
+    assert failures == []
