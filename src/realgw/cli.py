@@ -61,18 +61,25 @@ def _object_without_repeats(pairs: list) -> dict:
     (plain ``json.loads`` keeps the last value without notice)."""
     doc = dict(pairs)
     if len(doc) < len(pairs):
-        keys = [key for key, _ in pairs]
-        repeated = next(key for key in keys if keys.count(key) > 1)
+        counts = dict.fromkeys(doc, 0)  # in order of first appearance, as in doc
+        for key, _ in pairs:
+            counts[key] += 1
+        repeated = next(key for key, count in counts.items() if count > 1)
         raise ValueError(f"input document gives the key {_shown(repeated)} twice")
     return doc
 
 
 def _read_input_doc(args):
-    if getattr(args, "infile", None) is not None:
-        with open(args.infile, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    else:
-        text = sys.stdin.read()
+    try:
+        if getattr(args, "infile", None) is not None:
+            with open(args.infile, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        else:
+            text = sys.stdin.read()
+    except OSError as exc:
+        # str(exc) would quote the whole file name
+        shown = exc if exc.filename is None else f"[Errno {exc.errno}] {exc.strerror}: {_shown(exc.filename)}"
+        raise ValueError(f"cannot read input: {shown}") from None
     try:
         return json.loads(text, object_pairs_hook=_object_without_repeats,
                           parse_int=lambda digits: integer(digits, "input document integers"))
@@ -419,10 +426,8 @@ def main(argv: list[str] | None = None) -> int:
                 "column": exc.colno,
             }
         )
-    except OSError as exc:
-        # str(exc) would quote the whole file name
-        text = exc if exc.filename is None else f"[Errno {exc.errno}] {exc.strerror}: {_shown(exc.filename)}"
-        return _fail({"error": f"cannot read input: {text}"})
+    except OSError as exc:  # an input read is worded by _read_input_doc
+        return _fail({"error": f"cannot write output: {exc}"})
     except (ValueError, ZeroDivisionError) as exc:
         return _fail({"error": str(exc)})
     finally:

@@ -1,6 +1,7 @@
 """CLI contract: JSON output shapes, determinism, exit codes."""
 
 import contextlib
+import errno
 import functools
 import hashlib
 import io
@@ -10,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -225,6 +227,10 @@ class TestSignRegistry:
         assert json.loads(err) == {"error": error}
 
 
+# 100,000 keys, the last one given twice.
+MANY_KEYS = json.dumps(dict.fromkeys(map(str, range(100_000)), 0))[:-1] + ', "99999": 1}'
+
+
 class TestTransformInvert:
     GW_DOC = '{"c1B":0,"convention":"sinh","gw":{"0":"1","2":"-1/24"}}'
 
@@ -346,10 +352,15 @@ class TestTransformInvert:
                          "E", id="E-twice"),
             pytest.param(["invert"], '{"c1B":0,"convention":"sin","convention":"sinh","gw":{"0":"1"}}',
                          "convention", id="convention-twice"),
+            # the first key, in order of first appearance, that is given twice
+            pytest.param(["transform"], '{"a":1,"b":1,"b":2,"a":2}', "a", id="first-appearance"),
+            pytest.param(["transform"], MANY_KEYS, "99999", id="100000-keys"),
         ],
     )
     def test_repeated_json_key(self, capsys, monkeypatch, argv, stdin, key):
+        start = time.perf_counter()
         code, out, err = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+        assert time.perf_counter() - start < 5  # found in time linear in the keys
         assert code == 1 and out == ""
         assert json.loads(err) == {"error": f"input document gives the key {key!r} twice"}
 
@@ -447,20 +458,34 @@ class TestC1bCap:
         assert error.startswith("c1B must be")
         assert shown == str(c1b) if len(str(c1b)) <= 60 else shown == str(c1b)[:60] + "..."
 
-    @pytest.mark.parametrize("c1b", [MAX_C1B, -MAX_C1B])
+    COUNTS = {str(h): str((-1) ** h * (h + 1)) for h in range(MAX_GENUS + 1)}
+
+    @pytest.mark.parametrize(
+        "c1b,counts",
+        [
+            pytest.param(MAX_C1B, COUNTS, id=str(MAX_C1B)),
+            pytest.param(-MAX_C1B, COUNTS, id=str(-MAX_C1B)),
+            # zero entries up to the cap: the transform's cold column index
+            # is built over them, and the round trip gives them back
+            pytest.param(0, {"0": "1", str(MAX_GENUS): "0"}, id="0-sparse"),
+        ],
+    )
     @pytest.mark.parametrize("conv", ["sinh", "sin"])
-    def test_at_the_cap(self, conv, c1b):
+    def test_at_the_cap(self, monkeypatch, conv, c1b, counts):
+        # empty coefficient tables, as in a new CLI process
+        monkeypatch.setattr(realgw.multicover, "_TABLES", {})
+        monkeypatch.setattr(realgw.multicover, "_COLUMNS", {})
         code, out, err = run_in_process(
             ["coeff", "--h", "128", "--c1b", str(c1b), "--g", "128", "--conv", conv], "")
         assert (code, err) == (0, "") and json.loads(out)["value"]
-        counts = {str(h): str((-1) ** h * (h + 1)) for h in range(MAX_GENUS + 1)}
         doc = json.dumps({"c1B": c1b, "convention": conv, "E": counts})
         code, gw, err = run_in_process(["transform"], doc)
         assert (code, err) == (0, "")
         code, out, err = run_in_process(["invert"], gw)
         assert (code, err) == (0, "")
         back = json.loads(out)
-        assert back["E"] == counts and back["integral"] is True
+        dense = {str(h): counts.get(str(h), "0") for h in range(MAX_GENUS + 1)}
+        assert back["E"] == dense and back["integral"] is True
 
 
 class TestEmbeddedGenusCap:
@@ -1193,6 +1218,18 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
         assert (code, out) == (1, "")
         assert json.loads(err)["error"].startswith(error)
+
+    def test_failed_write(self, capsys, monkeypatch):
+        # a write that fails is not worded as a read
+        class BrokenPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        assert main(["graph-check", "--seeds", "1..3"]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"cannot write output: [Errno {errno.EPIPE}] Broken pipe"
+        }
 
     def test_determinism_in_process(self, capsys):
         first = run_cli(capsys, ["coeff", "--h", "3", "--c1b", "2", "--g", "4"])

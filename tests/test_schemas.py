@@ -1,9 +1,12 @@
 """``schemas.check``: the draft-07 keywords it reads, the paths its errors
 name, and the depth of its recursion."""
 
+import json
+
 import pytest
 
 from realgw import schemas
+from realgw.cli import main
 from realgw.schemas import GRAPH_SCHEMA, INVARIANTS_SCHEMA, REPORT_SCHEMA, SCHEMAS, check
 
 # The keywords ``check`` interprets, and those it may skip as annotations.
@@ -47,6 +50,14 @@ def test_every_pattern_has_a_description(kind):
                  if not isinstance(schema, bool) and "pattern" in schema]
     assert all(type(schema.get("description")) is str for schema in patterned)
     assert patterned or kind != "invariants"
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMAS))
+def test_printed_schema_is_valid_draft7(kind, capsys):
+    # other readers validate with the schema `realgw schema` prints
+    jsonschema = pytest.importorskip("jsonschema")
+    assert main(["schema", kind]) == 0
+    jsonschema.Draft7Validator.check_schema(json.loads(capsys.readouterr().out))
 
 
 def graph_doc(**flag):
