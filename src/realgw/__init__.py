@@ -15,7 +15,8 @@ Subpackages by concern:
 
 A rational is written to the wire as ``str(Fraction)`` (``"p/q"``, or
 ``"p"`` when q = 1) and read back by ``schemas.check`` and ``Fraction``;
-``realgw.series`` holds no code.  Every layer words a refused value by :func:`_shown`.
+``realgw.series`` holds no code.  Every layer words a refused value by
+:func:`_shown`; the size caps below are stated once, for every layer.
 """
 
 from importlib import import_module
@@ -48,6 +49,21 @@ def __getattr__(name: str):
         globals()[name] = value
         return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+#: Largest genus accepted (a coefficient's h and g, an ``InvariantVector``'s
+#: ``max_genus``): a larger one is refused before any work, which bounds the
+#: coefficient tables and dense vectors.
+MAX_GENUS = 128
+
+#: Largest |c1B| accepted where a pairing meets the coefficient tables: a
+#: larger one is refused before any work, which bounds every table value.
+MAX_C1B = 10**6
+
+#: The digit budget of a wire genus map: no value longer than ``MAX_DIGITS``
+#: characters, and lcm(denominators) * max |numerator| below 10**MAX_DIGITS,
+#: so that outputs stay within ``cli.INT_DIGITS`` (the caps give at most 3,441).
+MAX_DIGITS = 3000
 
 
 def _shown(value) -> str:

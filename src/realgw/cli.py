@@ -70,16 +70,19 @@ def _object_without_repeats(pairs: list) -> dict:
 
 
 def _read_input_doc(args):
+    # read as bytes and decoded here, so stdin's encoding plays no part
     try:
         if getattr(args, "infile", None) is not None:
-            with open(args.infile, "r", encoding="utf-8") as handle:
-                text = handle.read()
+            with open(args.infile, "rb") as handle:
+                text = handle.read().decode("utf-8")
         else:
-            text = sys.stdin.read()
+            text = sys.stdin.buffer.read().decode("utf-8")
     except OSError as exc:
         # str(exc) would quote the whole file name
         shown = exc if exc.filename is None else f"[Errno {exc.errno}] {exc.strerror}: {_shown(exc.filename)}"
         raise ValueError(f"cannot read input: {shown}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read input: not UTF-8 at byte {exc.start}") from None
     try:
         return json.loads(text, object_pairs_hook=_object_without_repeats,
                           parse_int=lambda digits: integer(digits, "input document integers"))

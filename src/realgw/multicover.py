@@ -61,25 +61,8 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
-from . import _shown
+from . import MAX_C1B, MAX_DIGITS, MAX_GENUS, _shown
 
-#: Largest genus accepted as a coefficient's embedded genus h and cover
-#: genus g and as an ``InvariantVector``'s ``max_genus``; past it a
-#: ``ValueError`` is raised before any work, which bounds the coefficient
-#: tables and dense vectors.
-MAX_GENUS = 128
-
-#: Largest |c1B| accepted wherever a pairing meets the coefficient tables
-#: (a coefficient's c1b, an ``InvariantVector``'s c1b); past it a
-#: ``ValueError`` is raised before any work, which bounds the exponents the
-#: tables are built for and the size of every value they hold.
-MAX_C1B = 10**6
-
-#: The digit budget of a wire genus map: no value string longer than
-#: ``MAX_DIGITS`` characters, and lcm(denominators) * max |numerator| below
-#: 10**MAX_DIGITS, so that transform outputs stay within ``cli.INT_DIGITS``
-#: (4,300), the most digits the CLI writes (at most 3,441 measured at the caps).
-MAX_DIGITS = 3000
 _DIGIT_BOUND = 10**MAX_DIGITS
 
 

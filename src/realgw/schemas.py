@@ -9,7 +9,7 @@ are static data and byte-stable across runs.  Of the rules the schemas do
 not state, ``check`` refuses an integral float such as ``2.0``, and
 ``InvariantVector`` a genus key above the document's ``max_genus``, an
 empty genus map without one and a genus map over the digit budget
-(``realgw.multicover.MAX_DIGITS``).
+(``realgw.MAX_DIGITS``).
 """
 
 from __future__ import annotations
@@ -17,19 +17,13 @@ from __future__ import annotations
 import functools
 import re
 
-from . import _shown
+from . import MAX_C1B, MAX_DIGITS, MAX_GENUS, _shown
 
 #: A ``p/q`` string: optional sign, ASCII digits, a nonzero denominator, no
 #: whitespace.  ``[0-9]`` and ``(?!\n)$`` keep it exact under Python ``re``
 #: as well as ECMA-262, where ``\d`` may match any Unicode digit and ``$`` a
 #: final newline.
 RATIONAL_PATTERN = r"^[+-]?[0-9]+(/0*[1-9][0-9]*)?(?!\n)$"
-
-#: ``realgw.multicover.MAX_GENUS``, written out so that this module imports
-#: no layer; a test keeps the two equal.
-_MAX_GENUS = 128
-#: ``realgw.multicover.MAX_C1B``, likewise.
-_MAX_C1B = 10**6
 
 # A ``pattern``'s ``description`` is the rule a mismatch error names.
 _RATIONAL = {
@@ -39,7 +33,7 @@ _RATIONAL = {
 }
 _GENUS_MAP = {
     "type": "object",
-    # canonical decimal genera 0.._MAX_GENUS: no sign, no leading zero
+    # canonical decimal genera 0..MAX_GENUS (128): no sign, no leading zero
     "patternProperties": {r"^(0|[1-9][0-9]?|1[01][0-9]|12[0-8])(?!\n)$": _RATIONAL},
     "additionalProperties": False,
 }
@@ -115,18 +109,18 @@ INVARIANTS_SCHEMA = {
         "checked by the CLI only, as draft-07 cannot state them: an integer "
         "field must not be written as an integral float such as 2.0, no "
         "genus key may exceed the document's max_genus, and a genus map keeps "
-        "to the digit budget: no value longer than 3000 characters, and "
-        "lcm(denominators) * max |numerator| below 10^3000."
+        f"to the digit budget: no value longer than {MAX_DIGITS} characters, and "
+        f"lcm(denominators) * max |numerator| below 10^{MAX_DIGITS}."
     ),
     "type": "object",
     "required": ["c1B", "convention"],
     "anyOf": [{"required": ["gw"]}, {"required": ["E"]}],
     "properties": {
-        "c1B": {"type": "integer", "multipleOf": 2, "minimum": -_MAX_C1B, "maximum": _MAX_C1B},
+        "c1B": {"type": "integer", "multipleOf": 2, "minimum": -MAX_C1B, "maximum": MAX_C1B},
         "convention": {"enum": ["sinh", "sin"]},
         "gw": _GENUS_MAP,
         "E": _GENUS_MAP,
-        "max_genus": {"type": "integer", "minimum": 0, "maximum": _MAX_GENUS},
+        "max_genus": {"type": "integer", "minimum": 0, "maximum": MAX_GENUS},
         "integral": {"type": "boolean"},
         "violations": {
             "type": "array",

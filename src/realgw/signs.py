@@ -19,7 +19,8 @@ and carries the kernel's docstring and its name without ``_exponent``.
 The factory also records each predicate in :data:`PREDICATES`, the
 registry of predicate ids in definition order, from which ``realgw sign``
 reads the ids and, through each kernel's signature, their parameters.
-Sweeps (:mod:`realgw.verify`) call the kernels.
+Sweeps (:mod:`realgw.verify`) call the kernels, and the two convention
+exponents ``eps_conv(g, c1b)`` and ``eps_factor(g, n)``, int kernels too.
 
 Two stabilization routes orient the moduli side: PROJECTION stabilizes by
 the summand pair L + conj(L)-bar with its projection orientation, CANONICAL
@@ -428,20 +429,17 @@ def virtual_dimension(m: ModuliDescriptor) -> int:
     return (1 - m.g) * (m.n - 3) + 2 * m.ell + m.c1b
 
 
-OrientationEpsilons = namedtuple("OrientationEpsilons", "eps_conv eps_factor")
-
-
-def orientcomp_epsilons(g: int, c1b: int, n: int) -> OrientationEpsilons:
-    """Sign exponents separating the orientation conventions.
-
-    ``eps_conv`` = parity of (g + c1b/2)(g - 1 + c1b/2)/2 separates the two
-    stabilization routes; ``eps_factor`` = parity of (n-1)/2 * g(g-1)/2
-    separates canonical vs projection orientation of the doubled trivial
-    factors.
-    """
+def eps_conv(g: int, c1b: int) -> int:
+    """Convention exponent separating the two stabilization routes:
+    (g + c1B/2)(g - 1 + c1B/2)/2, whose parity is the bit."""
     _require_even("c1B", c1b)
-    _require_odd_dim(n)
     u = g + c1b // 2
-    eps_conv = (u * (u - 1) // 2) % 2
-    eps_factor = ((n - 1) // 2 * (g * (g - 1) // 2)) % 2
-    return OrientationEpsilons(eps_conv=eps_conv, eps_factor=eps_factor)
+    return u * (u - 1) // 2
+
+
+def eps_factor(g: int, n: int) -> int:
+    """Convention exponent separating the canonical and projection
+    orientations of the doubled trivial factors: (n-1)/2 * g(g-1)/2, whose
+    parity is the bit."""
+    _require_odd_dim(n)
+    return (n - 1) // 2 * (g * (g - 1) // 2)

@@ -14,8 +14,9 @@ by rewriting one into the other, and an XOR of flips is the parity of a sum
 of exponents.  An empty failure list on the default grid is the regression
 contract for the sign calculus.  The disjoint-union moduli sign -- the
 orientation of the moduli space of maps from a disjoint union is not the
-product orientation -- is derived from the convention exponents
-``signs.orientcomp_epsilons``.
+product orientation -- is the coboundary of the convention exponents
+``signs.eps_factor`` and ``signs.eps_conv``, two int kernels summed like
+the others.
 
 Each identity is written once, as ``_identity(*ranges)`` over a generator
 ``check_<id>(grid)`` that loops over the grid's tuples and yields each
@@ -45,7 +46,8 @@ from .signs import (
     doublet_determinant_exponent,
     e_node_determinant_exponent,
     e_node_induced_exponent,
-    orientcomp_epsilons,
+    eps_conv,
+    eps_factor,
     relspin_determinant_exponent,
     union_determinant_exponent,
     union_induced_exponent,
@@ -193,19 +195,17 @@ def check_e_node_induced_vs_determinant(grid):
 @_identity(ODD_DIM_RANGE, GENUS_RANGE, GENUS_RANGE, PAIRING_RANGE, PAIRING_RANGE)
 def check_union_moduli_vs_epsilons(grid):
     """The disjoint-union moduli sign is the coboundary of the convention
-    exponents: with d eps = eps(g1+g2-1, c1B1+c1B2, n) + eps(g1, c1B1, n)
-    + eps(g2, c1B2, n), the projection-route exponent is d eps_factor, and
-    the canonical route exceeds it by d eps_conv."""
+    exponents: with d q = q(union) + q(first) + q(second), each at its
+    surface's genus (g1 + g2 - 1, g1, g2) and pairing (c1B1 + c1B2, c1B1,
+    c1B2), or the target's n, the projection-route exponent is d eps_factor
+    and the canonical route exceeds it by d eps_conv."""
     for n, g1, g2, c1b1, c1b2 in grid:
-        # The union surface has genus g1 + g2 - 1 and pairing c1B1 + c1B2.
-        union = orientcomp_epsilons(g1 + g2 - 1, c1b1 + c1b2, n)
-        first = orientcomp_epsilons(g1, c1b1, n)
-        second = orientcomp_epsilons(g2, c1b2, n)
+        g = g1 + g2 - 1
         proj = union_moduli_exponent(n, g1, g2, c1b1, c1b2, _P)
-        if (proj - union.eps_factor - first.eps_factor - second.eps_factor) % 2:
+        if (proj - eps_factor(g, n) - eps_factor(g1, n) - eps_factor(g2, n)) % 2:
             yield (n, g1, g2, c1b1, c1b2, _P.value)
         can = union_moduli_exponent(n, g1, g2, c1b1, c1b2, _C)
-        if (can - proj - union.eps_conv - first.eps_conv - second.eps_conv) % 2:
+        if (can - proj - eps_conv(g, c1b1 + c1b2) - eps_conv(g1, c1b1) - eps_conv(g2, c1b2)) % 2:
             yield (n, g1, g2, c1b1, c1b2, _C.value)
 
 

@@ -30,12 +30,16 @@ from realgw.signs import PREDICATES
 from realgw.verify import ALL_CHECKS, IdentityReport
 
 
+def stdin_of(data):
+    """A stand-in for ``sys.stdin`` holding ``data`` (text is written as
+    UTF-8); the CLI reads its ``buffer``, as it does a real stdin."""
+    raw = data.encode("utf-8") if isinstance(data, str) else data
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+
+
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
-        import io
-        import sys
-
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        monkeypatch.setattr(sys, "stdin", stdin_of(stdin))
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -411,7 +415,7 @@ def run_in_process(argv, stdin):
     """main(argv) with stdin fed from a string; returns (code, stdout, stderr).
     Usable inside @given, where function-scoped fixtures are not."""
     out, err = io.StringIO(), io.StringIO()
-    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    saved, sys.stdin = sys.stdin, stdin_of(stdin)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -1182,6 +1186,18 @@ class TestVerifyAndSchema:
         assert code == 1
         assert "unknown identity" in json.loads(err)["error"]
 
+    def test_verify_all_stdout_bytes(self, capsys):
+        # pinned while the convention exponents were one record per (g, c1B, n)
+        code, out, err = run_cli(capsys, ["verify", "--all"])
+        assert (code, err) == (0, "")
+        raw = out.encode()
+        assert (len(raw), hashlib.sha256(raw).hexdigest()[:16]) == (876, "b71bebecff0d2bd7")
+
+    def test_invariants_schema_bytes(self, capsys):
+        # pinned while schemas wrote the size caps out by hand
+        code, out, _ = run_cli(capsys, ["schema", "invariants"])
+        assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == (0, "42bfa7801682a363")
+
     @pytest.mark.parametrize("kind", ["graph", "invariants", "report"])
     def test_schema_stable(self, capsys, kind):
         code1, out1, _ = run_cli(capsys, ["schema", kind])
@@ -1235,6 +1251,60 @@ class TestExitCodes:
         first = run_cli(capsys, ["coeff", "--h", "3", "--c1b", "2", "--g", "4"])
         second = run_cli(capsys, ["coeff", "--h", "3", "--c1b", "2", "--g", "4"])
         assert first == second
+
+
+class TestUndecodableInput:
+    """A document that is not UTF-8 is refused before it is parsed, in
+    realgw's words and at the offset of its first bad byte, whether it
+    comes from ``--in``, ``--in /dev/stdin`` or plain stdin, and whatever
+    encoding the locale gives stdin."""
+
+    DOCS = {
+        "first-byte": (b"\xff{}", 0),
+        "inside-a-string": (b'{"c1B":0,"convention":"si\xffn","E":{"0":"1"}}', 25),
+        "cut-sequence": ('{"c1B":0,"convention":"sinh","E":{"0":"\u00e9'.encode()[:-1], 39),
+    }
+
+    @staticmethod
+    def refusal(offset):
+        return json.dumps({"error": f"cannot read input: not UTF-8 at byte {offset}"}) + "\n"
+
+    @pytest.mark.parametrize("command", ["transform", "invert", "graph-check"])
+    @pytest.mark.parametrize("doc", sorted(DOCS))
+    def test_file(self, capsys, tmp_path, command, doc):
+        data, offset = self.DOCS[doc]
+        (tmp_path / "doc.json").write_bytes(data)
+        code_out_err = run_cli(capsys, [command, "--in", str(tmp_path / "doc.json")])
+        assert code_out_err == (1, "", self.refusal(offset))
+
+    @pytest.mark.parametrize("command", ["transform", "invert"])
+    @pytest.mark.parametrize("doc", sorted(DOCS))
+    def test_stdin_in_process(self, capsys, monkeypatch, command, doc):
+        data, offset = self.DOCS[doc]
+        code_out_err = run_cli(capsys, [command], stdin=data, monkeypatch=monkeypatch)
+        assert code_out_err == (1, "", self.refusal(offset))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    @pytest.mark.parametrize("encoding", [None, "utf-8:strict", "latin-1"])
+    @pytest.mark.parametrize("argv", [["transform"], ["graph-check", "--in", "/dev/stdin"]],
+                             ids=["stdin", "dev-stdin"])
+    @pytest.mark.parametrize("doc", sorted(DOCS))
+    def test_stdin_in_a_process(self, argv, encoding, doc):
+        data, offset = self.DOCS[doc]
+        env = _child_env()
+        env.pop("PYTHONIOENCODING", None)
+        if encoding is not None:
+            env["PYTHONIOENCODING"] = encoding
+        proc = subprocess.run([sys.executable, "-m", "realgw", *argv], input=data, env=env,
+                              capture_output=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", self.refusal(offset).encode())
+
+    def test_utf8_text_is_read(self, capsys, monkeypatch):
+        # a non-ASCII character that is valid UTF-8 reaches the schema, shown escaped
+        stdin = '{"c1B":0,"convention":"s\u00efnh","E":{"0":"1"}}'.encode()
+        code, out, err = run_cli(capsys, ["transform"], stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "convention must be 'sinh' or 'sin', got 's\u00efnh'"}
 
 
 COMMANDS = ("coeff", "dim", "sign", "transform", "invert", "graph-check", "verify", "schema")

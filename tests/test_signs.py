@@ -1,6 +1,8 @@
 """Sign-calculus predicates: every worked example, the parity invariants,
 and the stated error conditions."""
 
+import hashlib
+import json
 from itertools import product
 
 import pytest
@@ -23,8 +25,9 @@ from realgw.signs import (
     e_node_induced,
     e_node_determinant,
     e_node_moduli,
+    eps_conv,
+    eps_factor,
     forget_boundary_sign,
-    orientcomp_epsilons,
     relspin_determinant,
     relspin_moduli,
     union_induced,
@@ -316,9 +319,34 @@ class TestDimensionAndFriends:
         "g,c1b,n,conv,factor",
         [(0, 0, 3, 0, 0), (2, 0, 3, 1, 1), (2, 0, 5, 1, 0)],
     )
-    def test_orientcomp_epsilons(self, g, c1b, n, conv, factor):
-        eps = orientcomp_epsilons(g, c1b, n)
-        assert (eps.eps_conv, eps.eps_factor) == (conv, factor)
+    def test_convention_exponents(self, g, c1b, n, conv, factor):
+        assert (eps_conv(g, c1b) % 2, eps_factor(g, n) % 2) == (conv, factor)
+
+    def test_convention_exponents_keep_their_bits(self):
+        # (g, c1B, n, eps_conv bit, eps_factor bit) over the grid, digested
+        # from the single (g, c1b, n) function these two kernels replace
+        rows = [[g, c1b, n, eps_conv(g, c1b) % 2, eps_factor(g, n) % 2]
+                for g, c1b, n in product(range(-6, 10), range(-16, 17, 2), (1, 3, 5, 7, 9))]
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+        assert (len(rows), digest) == (1360, "74b095388cc26697")
+
+    def test_convention_exponents_are_ints(self):
+        assert (eps_conv(3, -2), eps_factor(3, 5)) == (1, 6)
+        assert type(eps_conv(3, -2)) is int and type(eps_factor(3, 5)) is int
+
+    @pytest.mark.parametrize(
+        "call,error",
+        [
+            (lambda: eps_conv(0, 3), "c1B must be even, got 3"),
+            (lambda: eps_factor(0, 2), "complex dimension n must be odd and positive, got 2"),
+            (lambda: eps_factor(0, -1), "complex dimension n must be odd and positive, got -1"),
+        ],
+        ids=["conv-odd-c1b", "factor-even-n", "factor-negative-n"],
+    )
+    def test_convention_exponent_refusals(self, call, error):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == error
 
     def test_route_from_string(self):
         # the library reads a route by its exact value; the CLI's one

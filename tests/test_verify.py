@@ -9,11 +9,9 @@ import pytest
 
 from realgw import verify
 from realgw.signs import (
-    OrientationEpsilons,
     Route,
     cr_index,
     e_node_determinant_exponent,
-    orientcomp_epsilons,
     union_determinant_exponent,
 )
 from realgw.verify import (
@@ -136,8 +134,8 @@ def test_mutated_cvc_kernel_is_caught(monkeypatch):
          lambda g, d, route: d),
         ("union_moduli_vs_epsilons", "union_moduli_exponent",
          lambda n, g1, g2, c1b1, c1b2, route: (n - 1) * (g1 - 1) * (g2 - 1) // 2),
-        ("union_moduli_vs_epsilons", "orientcomp_epsilons",
-         lambda g, c1b, n: OrientationEpsilons(orientcomp_epsilons(g, c1b, n).eps_conv, 0)),
+        ("union_moduli_vs_epsilons", "eps_factor", lambda g, n: 0),
+        ("union_moduli_vs_epsilons", "eps_conv", lambda g, c1b: 0),
     ],
 )
 def test_mutated_kernel_is_caught(monkeypatch, identity_id, kernel, mutant):
