@@ -5,7 +5,8 @@ schema.  All numeric output is exact (rationals as p/q strings), JSON goes
 to stdout with sorted keys so identical inputs give byte-identical output.
 Exit codes: 0 success, 1 domain or input error (structured JSON on stderr),
 2 usage error, 3 a check ran and found a failure (``graph-check`` found a
-congruence counterexample, or a ``verify`` identity has failures).
+congruence counterexample, or a ``verify`` identity has failures).  A
+verdict (``sign``, ``verify``, ``graph-check --in``) is its record's ``_asdict()``.
 
 A process builds only the invoked subcommand's arguments (``build_parser``)
 and imports only the layers it runs; ``realgw.schemas`` only where a
@@ -133,6 +134,11 @@ _CHOICES = {
 }
 
 
+def _param_key(name: str) -> str:
+    """The ``sign --params`` key of the kernel parameter ``name``."""
+    return _PARAM_KEYS.get(name, name.replace("_", ""))
+
+
 def _choice(what: str, text: str, choices):
     """The value that ``text``, ignoring case, spells in ``choices``: a dict
     from each spelling to its value, or an enum, spelled by its members'
@@ -163,7 +169,7 @@ def _sign_args(predicate: str, raw: dict[str, str]) -> list:
     args = []
     for name in names:
         kind = kernel.__annotations__[name]
-        key = _PARAM_KEYS.get(name, name.replace("_", ""))
+        key = _param_key(name)
         if key not in raw:
             if kind == "Route":
                 args.append(signs.Route.PROJECTION)
@@ -207,14 +213,12 @@ def _cmd_sign(args) -> int:
             f"unknown predicate {_shown(args.predicate)}; known: " + ", ".join(sorted(predicates))
         )
     raw = _parse_kv(args.params, "--params")
-    comparison = predicates[args.predicate](*_sign_args(args.predicate, raw))
-    _emit(
-        {
-            "preserves": comparison.preserves,
-            "sign": comparison.sign,
-            "condition": comparison.condition,
-        }
-    )
+    try:
+        comparison = predicates[args.predicate](*_sign_args(args.predicate, raw))
+    except realgw.signs.NeedsArgument as exc:  # named by its --params key, spelled as read
+        key = _param_key(exc.name)
+        raise ValueError(f"{exc.why}; pass --params {key}={exc.shape.lower()}") from None
+    _emit(comparison._asdict())
     return 0
 
 
@@ -306,14 +310,12 @@ def _cmd_graph_check(args) -> int:
 
     seeds = _parse_seed_range("1..1000" if args.seeds is None else args.seeds)
     bounds = _bounds_from_kv(args.bounds)
-    passed = failed = 0
+    failed = 0
     first_counterexample = None
     for seed in seeds:
         graph = realgw.graphs.generate_random_graph(seed, bounds)
         result = realgw.graphs.congruence_identity_check(graph)
-        if result.holds:
-            passed += 1
-        else:
+        if not result.holds:
             failed += 1
             if first_counterexample is None:
                 first_counterexample = {
@@ -325,7 +327,7 @@ def _cmd_graph_check(args) -> int:
     _emit(
         {
             "checked": len(seeds),
-            "passed": passed,
+            "passed": len(seeds) - failed,
             "failed": failed,
             "first_counterexample": first_counterexample,
         }
@@ -338,7 +340,7 @@ def _cmd_verify(args) -> int:
         raise ValueError("pass either --all or one identity id, not both")
     identity_ids = None if args.identity is None else [args.identity]
     reports = realgw.verify.run_checks(identity_ids)
-    _emit([r.to_json_dict() for r in reports])
+    _emit([r._asdict() for r in reports])
     return 0 if all(r.holds for r in reports) else EXIT_CHECK_FAILED
 
 

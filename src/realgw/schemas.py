@@ -31,10 +31,24 @@ _RATIONAL = {
     "pattern": RATIONAL_PATTERN,
     "description": "a rational p/q or p in ASCII digits, with a nonzero q and no whitespace",
 }
+
+
+def _genus_key_pattern(cap: int) -> str:
+    """A pattern for the canonical decimals 0..cap (no sign, no leading
+    zero): 0, every shorter length, then cap's length digit by digit."""
+    top = str(cap)
+    alternatives = ["0"] + ["[1-9]" + "[0-9]?" * (len(top) - 2)] * (len(top) > 1)
+    for i, d in enumerate(top):
+        lo, hi = int(i == 0), int(d) - (i < len(top) - 1)  # the last digit may equal cap's
+        if lo <= hi:  # one digit, a pair [01] or a range [0-8]
+            digit = str(lo) if lo == hi else f"[{lo}{'-' * (hi > lo + 1)}{hi}]"
+            alternatives.append(top[:i] + digit + "[0-9]" * (len(top) - 1 - i))
+    return "^(" + "|".join(alternatives) + r")(?!\n)$"
+
+
 _GENUS_MAP = {
     "type": "object",
-    # canonical decimal genera 0..MAX_GENUS (128): no sign, no leading zero
-    "patternProperties": {r"^(0|[1-9][0-9]?|1[01][0-9]|12[0-8])(?!\n)$": _RATIONAL},
+    "patternProperties": {_genus_key_pattern(MAX_GENUS): _RATIONAL},
     "additionalProperties": False,
 }
 

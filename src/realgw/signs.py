@@ -5,8 +5,9 @@ determinants of real Cauchy-Riemann operators, intrinsic vs pullback on
 nodal strata, relative-spin vs stabilization, ...) depends only on a handful
 of integers: genus, rank, degree, the pairing <c1,B>.  This module encodes
 every such comparison as a total pure predicate returning a
-:class:`Comparison` -- ``preserves`` means the two orientations agree (the
-relevant diagram commutes), and ``sign`` is the derived +-1 factor.
+:class:`Comparison`, whose fields are the keys ``realgw sign`` prints:
+``preserves`` means the two orientations agree (the relevant diagram
+commutes), ``sign`` is the +-1 factor, ``condition`` the evaluated formula.
 
 Each comparison ``p`` is stated once, as its kernel ``p_exponent``: it
 takes the comparison's arguments, makes its checks and returns an int whose
@@ -56,19 +57,17 @@ class RelSpinVariant(enum.Enum):
     SPIN_VS_CANONICAL = "spin-vs-canonical"
 
 
-class Comparison(namedtuple("Comparison", "preserves condition")):
-    """Outcome of an orientation comparison.
+#: Outcome of an orientation comparison (see the module doc).
+Comparison = namedtuple("Comparison", "preserves sign condition")
 
-    ``preserves`` is the canonical boolean (orientations agree / diagram
-    commutes); ``sign`` is +1 exactly when it holds.  ``condition`` is the
-    evaluated parity expression, for humans and the CLI.
-    """
 
-    __slots__ = ()
+class NeedsArgument(ValueError):
+    """Refusal of a call that left out an argument its branch needs: ``why``,
+    then the keyword ``name`` and the ``shape`` of the value to pass."""
 
-    @property
-    def sign(self) -> int:
-        return 1 if self.preserves else -1
+    def __init__(self, why: str, name: str, shape: str):
+        super().__init__(f"{why}; pass {name}={shape}")
+        self.why, self.name, self.shape = why, name, shape
 
 
 def _parity(value: int, formula: str) -> str:
@@ -95,7 +94,8 @@ def _predicate(kernel, condition, predicate_id=None):
 
     def predicate(*args, **kwargs) -> Comparison:
         value = kernel(*args, **kwargs)
-        return Comparison(value % 2 == 0, condition(value, *args, **kwargs))
+        preserves = value % 2 == 0
+        return Comparison(preserves, 1 if preserves else -1, condition(value, *args, **kwargs))
 
     predicate.__name__ = predicate.__qualname__ = kernel.__name__[: -len("_exponent")]
     predicate.__doc__ = kernel.__doc__
@@ -318,9 +318,8 @@ def doublet_moduli_exponent(
         raise ValueError(f"|S^-| must be >= 0, got {_shown(s_minus)}")
     if route is _P:
         if c1l_phi_b is None:
-            raise ValueError(
-                "projection-route doubling comparison needs c1l_phi_b"
-            )
+            raise NeedsArgument("projection-route doubling comparison needs the pairing "
+                                "<c1(L), phi_* B>", "c1l_phi_b", "<int>")
         return c1l_phi_b + s_minus
     return g - 1 + s_minus
 
@@ -370,11 +369,9 @@ def relspin_moduli_exponent(
     if variant is RelSpinVariant.RELSPIN_VS_CANONICAL:
         return 0 if c1b % 8 in (2, 4) else 1
     if not orientable_fixed_line:
-        raise ValueError(
-            "spin-vs-canonical moduli comparison is only stated when the "
-            "fixed-locus line bundle is orientable; pass "
-            "orientable_fixed_line=True to assert it"
-        )
+        raise NeedsArgument("spin-vs-canonical moduli comparison is only stated when the "
+                            "fixed-locus line bundle is orientable",
+                            "orientable_fixed_line", "True")
     return 1
 
 relspin_moduli = _predicate(

@@ -25,10 +25,11 @@ routes: the route's value.  The routes are read once, into ``_ROUTES``
 (projection, then canonical), and an identity that holds on each route
 alike is stated once, in a loop over that pair after its route-free terms.
 The decorator makes it the public ``check_<id>(grid=None)``, which returns
-an ``IdentityReport`` named ``<id>``, and registers it in ``ALL_CHECKS`` in
-the order the checks are defined.  The default grid is the
-product of the ranges, read lazily, and its size is the product of their
-lengths; a grid passed in is read into a list once.
+an ``IdentityReport``, a plain record whose fields are the keys ``realgw
+verify`` prints (``identity`` is ``<id>``; ``holds`` means no failure), and
+registers it in ``ALL_CHECKS`` in the order the checks are defined.  The
+default grid is the product of the ranges, read lazily, and its size is the
+product of their lengths; a grid passed in is read into a list once.
 """
 
 from __future__ import annotations
@@ -68,20 +69,8 @@ PAIRING_RANGE = range(-8, 9, 2)
 _ROUTES = _P, _C = tuple(Route)
 
 
-class IdentityReport(namedtuple("IdentityReport", "identity_id grid_size failures")):
-    __slots__ = ()
-
-    @property
-    def holds(self) -> bool:
-        return not self.failures
-
-    def to_json_dict(self) -> dict:
-        return {
-            "identity": self.identity_id,
-            "grid_size": self.grid_size,
-            "holds": self.holds,
-            "failures": [list(f) for f in self.failures],
-        }
+#: Outcome of one identity's sweep (see the module doc); ``schemas.REPORT_SCHEMA`` states it.
+IdentityReport = namedtuple("IdentityReport", "identity grid_size holds failures")
 
 
 # Identity id -> its check, in the order the checks are defined.
@@ -93,7 +82,7 @@ def _identity(*ranges: Sequence):
     ``ALL_CHECKS`` (see the module doc)."""
 
     def decorate(sweep: Callable[[Iterable[tuple]], Iterator[tuple]]):
-        identity_id = sweep.__name__[len("check_"):]
+        identity = sweep.__name__[len("check_"):]
 
         def check(grid: Iterable[tuple] | None = None) -> IdentityReport:
             if grid is None:
@@ -101,11 +90,12 @@ def _identity(*ranges: Sequence):
             else:
                 grid = list(grid)
                 size = len(grid)
-            return IdentityReport(identity_id, size, tuple(sweep(grid)))
+            failures = tuple(sweep(grid))
+            return IdentityReport(identity, size, not failures, failures)
 
         check.__name__ = check.__qualname__ = sweep.__name__
         check.__doc__ = sweep.__doc__
-        ALL_CHECKS[identity_id] = check
+        ALL_CHECKS[identity] = check
         return check
 
     return decorate
@@ -226,11 +216,7 @@ def run_checks(identity_ids: Sequence[str] | None = None) -> list[IdentityReport
     """Run the named checks (all of them by default), in registry order."""
     if identity_ids is None:
         identity_ids = list(ALL_CHECKS)
-    reports = []
-    for identity_id in identity_ids:
-        if identity_id not in ALL_CHECKS:
-            raise ValueError(
-                f"unknown identity {_shown(identity_id)}; known: {', '.join(ALL_CHECKS)}"
-            )
-        reports.append(ALL_CHECKS[identity_id]())
-    return reports
+    for identity in identity_ids:
+        if identity not in ALL_CHECKS:
+            raise ValueError(f"unknown identity {_shown(identity)}; known: {', '.join(ALL_CHECKS)}")
+    return [ALL_CHECKS[identity]() for identity in identity_ids]

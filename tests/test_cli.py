@@ -230,6 +230,34 @@ class TestSignRegistry:
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": error}
 
+    @pytest.mark.parametrize(
+        "predicate,params",
+        [("doublet-moduli", "g=1,sminus=0"), ("relspin-moduli", "c1b=4,variant=spin-vs-canonical")],
+    )
+    def test_following_the_refusal_hint_exits_zero(self, capsys, predicate, params):
+        # a kernel that needs an argument its caller left out names the --params key
+        code, out, err = run_cli(capsys, ["sign", predicate, "--params", params])
+        assert (code, out) == (1, "")
+        hint = re.fullmatch(r".*; pass --params (\w+=\S+)", json.loads(err)["error"]).group(1)
+        params += "," + hint.replace("=<int>", "=2")
+        code, out, err = run_cli(capsys, ["sign", predicate, "--params", params])
+        assert (code, err) == (0, "")
+
+    def test_valid_calls_stdout_bytes(self, capsys):
+        # pinned while the CLI built each sign document by hand
+        out = ""
+        for predicate, params, _, _ in VALID_SIGN_CALLS:
+            code, text, err = run_cli(capsys, ["sign", predicate, "--params", params])
+            assert (code, err) == (0, "")
+            out += text
+        raw = out.encode()
+        assert (len(raw), hashlib.sha256(raw).hexdigest()[:16]) == (1842, "0cb20543eb200857")
+
+    def test_printed_keys_are_the_comparison_fields(self, capsys):
+        code, out, _ = run_cli(capsys, ["sign", "conj-node-induced"])
+        assert code == 0
+        assert list(json.loads(out)) == sorted(signs.Comparison._fields)
+
 
 # 100,000 keys, the last one given twice.
 MANY_KEYS = json.dumps(dict.fromkeys(map(str, range(100_000)), 0))[:-1] + ', "99999": 1}'
@@ -875,6 +903,13 @@ class TestInvariantsSchema:
             assert code == 1 and out == ""
             assert not validator.is_valid(sent), sent
 
+    @pytest.mark.parametrize("cap", [0, 1, 9, 10, 99, 100, 128, 199, 200, 999])
+    def test_genus_key_pattern_of_a_cap(self, cap):
+        pattern = schemas._genus_key_pattern(cap)
+        assert [i for i in range(1201) if re.search(pattern, str(i))] == list(range(cap + 1))
+        for key in ("00", "01", "+1", "1\n"):
+            assert not re.search(pattern, key)
+
     def test_genus_bound_is_max_genus(self):
         schema = schemas.INVARIANTS_SCHEMA
         assert schema["properties"]["max_genus"]["maximum"] == MAX_GENUS
@@ -1167,7 +1202,7 @@ class TestVerifyAndSchema:
     def test_failed_identity_exit_code(self, capsys, monkeypatch):
         monkeypatch.setitem(
             realgw.verify.ALL_CHECKS, "binomial_parity",
-            lambda: IdentityReport("binomial_parity", 1, ((0, 0),)),
+            lambda: IdentityReport("binomial_parity", 1, False, ((0, 0),)),
         )
         code, out, _ = run_cli(capsys, ["verify", "binomial_parity"])
         assert code == EXIT_CHECK_FAILED
@@ -1192,6 +1227,12 @@ class TestVerifyAndSchema:
         assert (code, err) == (0, "")
         raw = out.encode()
         assert (len(raw), hashlib.sha256(raw).hexdigest()[:16]) == (876, "b71bebecff0d2bd7")
+
+    def test_printed_keys_are_the_report_fields(self, capsys):
+        assert schemas.REPORT_SCHEMA["required"] == list(IdentityReport._fields)
+        code, out, _ = run_cli(capsys, ["verify", "binomial_parity"])
+        assert code == 0
+        assert list(json.loads(out)[0]) == sorted(IdentityReport._fields)
 
     def test_invariants_schema_bytes(self, capsys):
         # pinned while schemas wrote the size caps out by hand

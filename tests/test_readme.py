@@ -43,11 +43,10 @@ def test_quick_start_results():
     assert checked == 5
 
 
-def test_signs_row_names_what_verify_reaches():
-    row = next(
-        line for line in README.read_text(encoding="utf-8").splitlines()
-        if line.startswith("| `realgw.signs` |")
-    )
+def test_signs_row_names_what_verify_reaches(monkeypatch):
+    rows = README.read_text(encoding="utf-8").splitlines()
+    row = next(line for line in rows if line.startswith("| `realgw.signs` |"))
+    verify_row = next(line for line in rows if line.startswith("| `realgw.verify` |"))
     match = re.search(
         r"evaluate the kernels of (\d+) predicates: (.*?); "
         r"no identity reaches the other (\d+): (.*?) \|$",
@@ -61,15 +60,26 @@ def test_signs_row_names_what_verify_reaches():
     def predicates(names) -> set:
         return {name[: -len("_exponent")] for name in names if name.endswith("_exponent")}
 
-    # a predicate is reached when some identity's own sweep calls its kernel
-    swept = {
-        name
-        for check in verify.ALL_CHECKS.values()
-        for name in inspect.getclosurevars(check).nonlocals["sweep"].__code__.co_names
-    }
+    # a predicate is reached when some identity's sweep calls its kernel, on
+    # the first point of its default grid; a kernel it only names is not
+    swept = set()
+
+    def recorded(name, kernel):
+        def call(*args, **kwargs):
+            swept.add(name)
+            return kernel(*args, **kwargs)
+        return call
+
+    for name, value in list(vars(verify).items()):
+        if name.endswith("_exponent") or name in ("eps_conv", "eps_factor"):
+            monkeypatch.setattr(verify, name, recorded(name, value))
+    for check in verify.ALL_CHECKS.values():
+        check([tuple(values[0] for values in inspect.getclosurevars(check).nonlocals["ranges"])])
     assert set(reached) == predicates(swept)
     assert set(unreached) == predicates(vars(signs)) - predicates(swept)
     assert (int(n_reached), int(n_unreached)) == (len(reached), len(unreached))
+    # and the verify row names the convention exponents the sweeps call
+    assert set(re.findall(r"`(eps_\w+)`", verify_row)) == {n for n in swept if n.startswith("eps_")}
 
 
 def cli_examples() -> list[tuple[list[str], str]]:

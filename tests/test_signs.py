@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from realgw.cli import _choice
 from realgw.signs import (
     ModuliDescriptor,
+    NeedsArgument,
     RelSpinVariant,
     Route,
     conj_node_induced,
@@ -272,6 +273,19 @@ class TestModuliComparisons:
         assert not cmp.preserves
         with pytest.raises(ValueError):
             relspin_moduli(0, S_C)
+
+    @pytest.mark.parametrize(
+        "call,hint,keyword,value",
+        [(lambda **kw: doublet_moduli(1, 0, P, **kw), "c1l_phi_b=<int>", "c1l_phi_b", 2),
+         (lambda **kw: relspin_moduli(4, S_C, **kw), "orientable_fixed_line=True",
+          "orientable_fixed_line", True)],
+    )
+    def test_refusal_names_the_keyword(self, call, hint, keyword, value):
+        # a library caller is told the keyword; realgw sign rewords it with its key
+        with pytest.raises(NeedsArgument, match=f"; pass {hint}$") as info:
+            call()
+        assert info.value.name == keyword
+        call(**{keyword: value})
 
     def test_forget_boundary(self):
         for route in (P, C):

@@ -30,7 +30,7 @@ from realgw.verify import (
 @pytest.mark.parametrize("identity_id", sorted(ALL_CHECKS))
 def test_default_grid_holds(identity_id):
     report = ALL_CHECKS[identity_id]()
-    assert report.identity_id == identity_id
+    assert report.identity == identity_id
     assert report.holds, report.failures[:5]
     assert report.grid_size > 0
 
@@ -87,15 +87,15 @@ def test_registry_order():
 
 def test_run_checks_all_and_selection():
     reports = run_checks()
-    assert [r.identity_id for r in reports] == list(ALL_CHECKS)
+    assert [r.identity for r in reports] == list(ALL_CHECKS)
     only = run_checks(["doublet_vs_cvc"])
-    assert len(only) == 1 and only[0].identity_id == "doublet_vs_cvc"
+    assert len(only) == 1 and only[0].identity == "doublet_vs_cvc"
     with pytest.raises(ValueError):
         run_checks(["no_such_identity"])
 
 
 def test_report_json_shape():
-    doc = check_binomial_parity([(1, 1)]).to_json_dict()
+    doc = json.loads(json.dumps(check_binomial_parity([(1, 1)])._asdict()))
     assert doc == {
         "identity": "binomial_parity",
         "grid_size": 1,
@@ -117,7 +117,7 @@ def test_mutated_cvc_kernel_is_caught(monkeypatch):
     # The failure lists themselves, in order: what `verify` prints on exit 3.
     reports = run_checks()
     assert sum(len(r.failures) for r in reports) == 27_344
-    doc = json.dumps([r.to_json_dict() for r in reports])
+    doc = json.dumps([r._asdict() for r in reports])
     assert hashlib.sha256(doc.encode()).hexdigest()[:16] == "bc677ac5701d6172"
 
 
