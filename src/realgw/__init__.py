@@ -17,8 +17,11 @@ A rational is written to the wire as ``str(Fraction)`` (``"p/q"``, or
 ``"p"`` when q = 1) and read back by ``schemas.check`` and ``Fraction``;
 ``realgw.series`` holds no code.  Every layer words a refused value by
 :func:`_shown`; the size caps below are stated once, for every layer.
+Every value the CLI prints is written by :func:`_wire`, so each record that
+crosses the wire, a verdict or a graph, has its document's keys as fields.
 """
 
+import enum
 from importlib import import_module
 
 # Public name -> the submodule that defines it.  Nothing is imported until a
@@ -75,6 +78,19 @@ def _shown(value) -> str:
         text = (f"an integer of {value.bit_length()} bits" if type(value) is int
                 else "a value too long to write")
     return text if len(text) <= 60 else text[:60] + "..."
+
+
+def _wire(value):
+    """``value`` as JSON data: a record (anything with ``_asdict``) becomes an
+    object of its fields, a dict is walked, a tuple or list becomes an array,
+    an ``enum.Enum`` member its ``.value``, and anything else stays as it is."""
+    if hasattr(value, "_asdict"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {key: _wire(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_wire(item) for item in value]
+    return value.value if isinstance(value, enum.Enum) else value
 
 
 __version__ = "0.1.0"

@@ -5,8 +5,9 @@ schema.  All numeric output is exact (rationals as p/q strings), JSON goes
 to stdout with sorted keys so identical inputs give byte-identical output.
 Exit codes: 0 success, 1 domain or input error (structured JSON on stderr),
 2 usage error, 3 a check ran and found a failure (``graph-check`` found a
-congruence counterexample, or a ``verify`` identity has failures).  A
-verdict (``sign``, ``verify``, ``graph-check --in``) is its record's ``_asdict()``.
+congruence counterexample, or a ``verify`` identity has failures).  Every
+document goes to stdout through ``realgw._wire``, so a verdict (``sign``,
+``verify``, ``graph-check --in``) or a graph prints as its record's fields.
 
 A process builds only the invoked subcommand's arguments (``build_parser``)
 and imports only the layers it runs; ``realgw.schemas`` only where a
@@ -20,7 +21,7 @@ import json
 import sys
 
 import realgw  # each layer is imported on first use, see realgw.__getattr__
-from realgw import _shown
+from realgw import _shown, _wire
 
 
 # Exit code of a check that ran and found a failure.
@@ -46,7 +47,7 @@ def _capped(name: str, value: int) -> int:
 
 def _emit(doc) -> None:
     try:
-        text = json.dumps(doc, sort_keys=True, indent=2)
+        text = json.dumps(_wire(doc), sort_keys=True, indent=2)
     except ValueError:  # CPython's refusal to write an int past the limit main sets
         raise ValueError(f"a result integer has more than {INT_DIGITS} digits") from None
     sys.stdout.write(text + "\n")
@@ -215,10 +216,12 @@ def _cmd_sign(args) -> int:
     raw = _parse_kv(args.params, "--params")
     try:
         comparison = predicates[args.predicate](*_sign_args(args.predicate, raw))
+    except realgw.signs.ArgumentError as exc:  # named by its --params key, as _sign_args does
+        raise ValueError(f"{args.predicate}: {_param_key(exc.name)} {exc.rule}") from None
     except realgw.signs.NeedsArgument as exc:  # named by its --params key, spelled as read
         key = _param_key(exc.name)
         raise ValueError(f"{exc.why}; pass --params {key}={exc.shape.lower()}") from None
-    _emit(comparison._asdict())
+    _emit(comparison)
     return 0
 
 
@@ -305,7 +308,7 @@ def _cmd_graph_check(args) -> int:
             raise ValueError("--in checks one graph; it takes no --seeds or --bounds")
         graph = realgw.graphs.graph_from_json_dict(_read_input_doc(args))
         result = realgw.graphs.congruence_identity_check(graph)
-        _emit(result._asdict())
+        _emit(result)
         return 0 if result.holds else EXIT_CHECK_FAILED
 
     seeds = _parse_seed_range("1..1000" if args.seeds is None else args.seeds)
@@ -319,10 +322,7 @@ def _cmd_graph_check(args) -> int:
             failed += 1
             if first_counterexample is None:
                 first_counterexample = {
-                    "seed": seed,
-                    "lhs": result.lhs,
-                    "rhs": result.rhs,
-                    "graph": realgw.graphs.graph_to_json_dict(graph),
+                    "seed": seed, "lhs": result.lhs, "rhs": result.rhs, "graph": graph
                 }
     _emit(
         {
@@ -340,7 +340,7 @@ def _cmd_verify(args) -> int:
         raise ValueError("pass either --all or one identity id, not both")
     identity_ids = None if args.identity is None else [args.identity]
     reports = realgw.verify.run_checks(identity_ids)
-    _emit([r._asdict() for r in reports])
+    _emit(reports)
     return 0 if all(r.holds for r in reports) else EXIT_CHECK_FAILED
 
 
@@ -433,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     except OSError as exc:  # an input read is worded by _read_input_doc
         return _fail({"error": f"cannot write output: {exc}"})
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         return _fail({"error": str(exc)})
     finally:
         sys.set_int_max_str_digits(caller_limit)

@@ -29,7 +29,8 @@ an integer and every quarter floored.  Its verdict is a ``CongruenceResult``
 (holds; lhs and rhs mod 2; genus and degree), whose five fields are the
 keys that ``realgw graph-check --in`` prints.  Localization weights (the
 rational-function contributions) are out of scope; only sign exponents live
-here.  A graph document, the JSON wire form, is read through ``schemas.check``
+here.  A graph document, the JSON wire form, has each record's fields as its
+keys (``realgw._wire`` writes it); it is read through ``schemas.check``
 against ``schemas.GRAPH_SCHEMA`` before any constructor runs.
 """
 
@@ -40,7 +41,7 @@ import random
 from collections import namedtuple
 from math import comb
 
-from . import _shown
+from . import _shown, _wire
 
 
 # Most seeds one ``graph-check --seeds`` run may name.
@@ -86,28 +87,28 @@ class InvolutionKind(enum.Enum):
     ETA = "eta"
 
 
-class FlagDecoration(namedtuple("FlagDecoration", "b p in_s_minus")):
+class FlagDecoration(namedtuple("FlagDecoration", "b p sminus")):
     """One edge-end at a vertex: indices b, p and whether it lies in S^-."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace runs __new__
 
-    def __new__(cls, b: int, p: int, in_s_minus: bool):
+    def __new__(cls, b: int, p: int, sminus: bool):
         if b < 0 or p < 0:
             raise GraphError(f"flag labels must be >= 0, got b={_shown(b)}, p={_shown(p)}")
-        return tuple.__new__(cls, (b, p, in_s_minus))
+        return tuple.__new__(cls, (b, p, sminus))
 
 
-class GraphVertex(namedtuple("GraphVertex", "genus_label theta flags")):
+class GraphVertex(namedtuple("GraphVertex", "genus theta flags")):
     __slots__ = ()
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace runs __new__
 
-    def __new__(cls, genus_label: int, theta: int, flags=()):
-        if genus_label < 0:
-            raise GraphError(f"vertex genus must be >= 0, got {_shown(genus_label)}")
+    def __new__(cls, genus: int, theta: int, flags=()):
+        if genus < 0:
+            raise GraphError(f"vertex genus must be >= 0, got {_shown(genus)}")
         if theta < 1:
             raise GraphError(f"fixed-point label theta must be >= 1, got {_shown(theta)}")
-        return tuple.__new__(cls, (genus_label, theta, tuple(flags)))
+        return tuple.__new__(cls, (genus, theta, tuple(flags)))
 
 
 class GraphEdge(namedtuple("GraphEdge", "kind degree ends")):
@@ -128,11 +129,11 @@ class GraphEdge(namedtuple("GraphEdge", "kind degree ends")):
         return tuple.__new__(cls, (kind, degree, ends))
 
 
-class DecoratedGraph(namedtuple("DecoratedGraph", "vertices edges n a phi_kind")):
+class DecoratedGraph(namedtuple("DecoratedGraph", "vertices edges n a phi")):
     __slots__ = ()
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace runs __new__
 
-    def __new__(cls, vertices, edges, n: int, a, phi_kind: InvolutionKind):
+    def __new__(cls, vertices, edges, n: int, a, phi: InvolutionKind):
         vertices = tuple(vertices)
         edges = tuple(edges)
         a = tuple(a)
@@ -158,7 +159,7 @@ class DecoratedGraph(namedtuple("DecoratedGraph", "vertices edges n a phi_kind")
                 f"edge-end count {edge_ends} (= |E_R| + 2|E_+|) does not "
                 f"match the stored flag count {flag_count}"
             )
-        return tuple.__new__(cls, (vertices, edges, n, a, phi_kind))
+        return tuple.__new__(cls, (vertices, edges, n, a, phi))
 
 
 def derive_genus_degree(graph: DecoratedGraph) -> tuple[int, int]:
@@ -167,7 +168,7 @@ def derive_genus_degree(graph: DecoratedGraph) -> tuple[int, int]:
     for e in graph.edges:
         d += e.degree if e.kind is _REAL else 2 * e.degree
     # |Edg| = sum_v |E_v|: the flags count the edge-ends (checked at construction)
-    g = 1 + sum(len(v.flags) + 2 * (v.genus_label - 1) for v in graph.vertices)
+    g = 1 + sum(len(v.flags) + 2 * (v.genus - 1) for v in graph.vertices)
     return g, d
 
 
@@ -220,7 +221,7 @@ def congruence_identity_check(graph: DecoratedGraph) -> CongruenceResult:
     for de in conj:
         lhs += _half(nu * de - 2, "(n-|a|)/2 d(e) - 1")
     for v in graph.vertices:
-        lhs += v.genus_label - 1 + len(v.flags)
+        lhs += v.genus - 1 + len(v.flags)
 
     g, d = derive_genus_degree(graph)
     m = _half(2 * g + nu * d, "g + (n-|a|)d/2")
@@ -309,9 +310,9 @@ def generate_random_graph(
         r = (k - sum(a)) % 4 or 4
         a.append(r + 4 * below((max(4, bounds.max_multidegree_entry) - r) // 4 + 1))
 
-    phi_kind = _PHI_KINDS[below(len(_PHI_KINDS))]
+    phi = _PHI_KINDS[below(len(_PHI_KINDS))]
     num_vertices = 1 + below(bounds.max_vertices)
-    genus_labels = [below(bounds.max_vertex_genus + 1) for _ in range(num_vertices)]
+    genera = [below(bounds.max_vertex_genus + 1) for _ in range(num_vertices)]
     thetas = [1 + below(n) for _ in range(num_vertices)]
 
     odd_degree_count = (bounds.max_edge_degree + 1) // 2
@@ -336,38 +337,17 @@ def generate_random_graph(
         incidences[u].append(new_flag())
         incidences[w].append(new_flag())
 
-    vertices = map(GraphVertex, genus_labels, thetas, incidences)
-    return DecoratedGraph(vertices, edges, n, a, phi_kind)
+    vertices = map(GraphVertex, genera, thetas, incidences)
+    return DecoratedGraph(vertices, edges, n, a, phi)
 
 
 # --- JSON wire format ---
 
 
 def graph_to_json_dict(graph: DecoratedGraph) -> dict:
-    """Graph document; edge ends are indices into the vertices array."""
-    return {
-        "n": graph.n,
-        "a": list(graph.a),
-        "phi": graph.phi_kind.value,
-        "vertices": [
-            {
-                "genus": v.genus_label,
-                "theta": v.theta,
-                "flags": [
-                    {"b": f.b, "p": f.p, "sminus": f.in_s_minus} for f in v.flags
-                ],
-            }
-            for v in graph.vertices
-        ],
-        "edges": [
-            {
-                "kind": e.kind.value,
-                "degree": e.degree,
-                "ends": list(e.ends),
-            }
-            for e in graph.edges
-        ],
-    }
+    """Graph document: each record's fields are its keys (``realgw._wire``),
+    and edge ends are indices into the vertices array."""
+    return _wire(graph)
 
 
 def graph_from_json_dict(doc: dict) -> DecoratedGraph:

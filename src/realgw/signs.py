@@ -20,6 +20,8 @@ and carries the kernel's docstring and its name without ``_exponent``.
 The factory also records each predicate in :data:`PREDICATES`, the
 registry of predicate ids in definition order, from which ``realgw sign``
 reads the ids and, through each kernel's signature, their parameters.
+A kernel that refuses an argument's value raises :class:`ArgumentError`,
+which carries the parameter's name, so ``realgw sign`` names its key.
 Sweeps (:mod:`realgw.verify`) call the kernels, and the two convention
 exponents ``eps_conv(g, c1b)`` and ``eps_factor(g, n)``, int kernels too.
 
@@ -59,6 +61,15 @@ class RelSpinVariant(enum.Enum):
 
 #: Outcome of an orientation comparison (see the module doc).
 Comparison = namedtuple("Comparison", "preserves sign condition")
+
+
+class ArgumentError(ValueError):
+    """Refusal of the value of the kernel parameter ``name``: its text is
+    ``label`` (the paper's word for it, else ``name``), then ``rule``."""
+
+    def __init__(self, name: str, rule: str, label: str | None = None):
+        super().__init__(f"{label or name} {rule}")
+        self.name, self.rule = name, rule
 
 
 class NeedsArgument(ValueError):
@@ -111,17 +122,18 @@ _P, _C = Route
 
 def _require_rank(k: int) -> None:
     if k < 1:
-        raise ValueError(f"rank must be >= 1, got {_shown(k)}")
+        raise ArgumentError("k", f"must be >= 1, got {_shown(k)}", "rank")
 
 
-def _require_even(name: str, value: int) -> None:
+def _require_even(name: str, value: int, label: str) -> None:
     if value % 2 != 0:
-        raise ValueError(f"{name} must be even, got {_shown(value)}")
+        raise ArgumentError(name, f"must be even, got {_shown(value)}", label)
 
 
 def _require_odd_dim(n: int) -> None:
     if n < 1 or n % 2 == 0:
-        raise ValueError(f"complex dimension n must be odd and positive, got {_shown(n)}")
+        raise ArgumentError("n", f"must be odd and positive, got {_shown(n)}",
+                            "complex dimension n")
 
 
 def cr_index(g: int, k: int, d: int) -> int:
@@ -270,7 +282,7 @@ def relspin_determinant_exponent(deg_v: int, variant: RelSpinVariant) -> int:
     it matches the canonical-route orientation.  The exponent is 0 where the
     orientations agree, 1 where they differ.
     """
-    _require_even("deg V", deg_v)
+    _require_even("deg_v", deg_v, "deg V")
     if variant is RelSpinVariant.RELSPIN_VS_PROJECTION:
         return 0 if deg_v % 4 == 0 else 1
     if variant is RelSpinVariant.RELSPIN_VS_CANONICAL:
@@ -295,8 +307,8 @@ def union_moduli_exponent(
 ) -> int:
     """Moduli-space product orientation vs the disjoint-union orientation."""
     _require_odd_dim(n)
-    _require_even("c1B1", c1b1)
-    _require_even("c1B2", c1b2)
+    _require_even("c1b1", c1b1, "c1B1")
+    _require_even("c1b2", c1b2, "c1B2")
     base = (n - 1) * (g1 - 1) * (g2 - 1) // 2
     return base if route is _P else base + (g1 - 1 + c1b1 // 2) * (g2 - 1 + c1b2 // 2)
 
@@ -315,7 +327,7 @@ def doublet_moduli_exponent(
     needs only the genus and |S^-|.
     """
     if s_minus < 0:
-        raise ValueError(f"|S^-| must be >= 0, got {_shown(s_minus)}")
+        raise ArgumentError("s_minus", f"must be >= 0, got {_shown(s_minus)}", "|S^-|")
     if route is _P:
         if c1l_phi_b is None:
             raise NeedsArgument("projection-route doubling comparison needs the pairing "
@@ -343,7 +355,7 @@ def e_node_moduli_exponent(g: int, c1b: int, route: Route) -> int:
 
     The exponent is 1 or g + c1B/2.
     """
-    _require_even("c1B", c1b)
+    _require_even("c1b", c1b, "c1B")
     return 1 if route is _P else g + c1b // 2
 
 e_node_moduli = _predicate(
@@ -363,7 +375,7 @@ def relspin_moduli_exponent(
     to assert that hypothesis (the comparison is an unconditional flip).
     The exponent is 0 where the orientations agree, 1 where they differ.
     """
-    _require_even("c1B", c1b)
+    _require_even("c1b", c1b, "c1B")
     if variant is RelSpinVariant.RELSPIN_VS_PROJECTION:
         return 0 if c1b % 4 != 0 else 1
     if variant is RelSpinVariant.RELSPIN_VS_CANONICAL:
@@ -391,7 +403,7 @@ def forget_boundary_sign_exponent(node_side: str, route: Route) -> int:
     exponent is 1 on the minus side.
     """
     if node_side not in ("plus", "minus"):
-        raise ValueError(f"node_side must be 'plus' or 'minus', got {_shown(node_side)}")
+        raise ArgumentError("node_side", f"must be 'plus' or 'minus', got {_shown(node_side)}")
     return 0 if node_side == "plus" else 1
 
 forget_boundary_sign = _predicate(
@@ -417,7 +429,7 @@ class ModuliDescriptor(namedtuple("ModuliDescriptor", "g ell n c1b")):
         if ell < 0:
             raise ValueError(f"marked-pair count ell must be >= 0, got {_shown(ell)}")
         _require_odd_dim(n)
-        _require_even("c1B", c1b)
+        _require_even("c1b", c1b, "c1B")
         return tuple.__new__(cls, (g, ell, n, c1b))
 
 
@@ -429,7 +441,7 @@ def virtual_dimension(m: ModuliDescriptor) -> int:
 def eps_conv(g: int, c1b: int) -> int:
     """Convention exponent separating the two stabilization routes:
     (g + c1B/2)(g - 1 + c1B/2)/2, whose parity is the bit."""
-    _require_even("c1B", c1b)
+    _require_even("c1b", c1b, "c1B")
     u = g + c1b // 2
     return u * (u - 1) // 2
 

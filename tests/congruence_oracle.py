@@ -35,9 +35,9 @@ def congruence(graph) -> tuple[int, int, int, int]:
     lhs = _integer(Fraction(n - 2 - k, 2) * comb(len(real), 2))
     lhs += sum(1 + floor(nu / 4 * de) for de in real)
     lhs += sum(_integer(nu / 2 * de - 1) for de in conj)
-    lhs += sum(v.genus_label - 1 + len(v.flags) for v in graph.vertices)
+    lhs += sum(v.genus - 1 + len(v.flags) for v in graph.vertices)
 
-    g = 1 + len(real) + 2 * len(conj) + 2 * sum(v.genus_label - 1 for v in graph.vertices)
+    g = 1 + len(real) + 2 * len(conj) + 2 * sum(v.genus - 1 for v in graph.vertices)
     d = sum(real) + 2 * sum(conj)
     m = _integer(g + nu / 2 * d)
     rhs = _integer(Fraction(m * (m - 1), 2)) + g - 1

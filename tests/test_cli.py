@@ -219,7 +219,18 @@ class TestSignRegistry:
              "relspin-moduli: unknown params ['zz']"),
             # unknown keys come before the wrapper's own domain errors
             ("cvc-parity", "g=0,k=0,d=0,zz=1", "cvc-parity: unknown params ['zz']"),
-            ("cvc-parity", "g=0,k=0,d=0", "rank must be >= 1, got 0"),
+            ("cvc-parity", "g=0,k=0,d=0", "cvc-parity: k must be >= 1, got 0"),
+            # a value a kernel refuses is named by its --params key too
+            ("e-node-determinant", "g=0,k=-2,d=0", "e-node-determinant: k must be >= 1, got -2"),
+            ("doublet-moduli", "g=1,sminus=-1,c1lphib=0", "doublet-moduli: sminus must be >= 0, got -1"),
+            ("relspin", "degv=3,variant=relspin-vs-projection", "relspin: degv must be even, got 3"),
+            ("union-moduli", "n=2,g1=0,g2=0,c1b1=0,c1b2=0",
+             "union-moduli: n must be odd and positive, got 2"),
+            ("union-moduli", "n=3,g1=0,g2=0,c1b1=1,c1b2=0", "union-moduli: c1b1 must be even, got 1"),
+            ("union-moduli", "n=3,g1=0,g2=0,c1b1=0,c1b2=1", "union-moduli: c1b2 must be even, got 1"),
+            ("e-node-moduli", "g=0,c1b=3", "e-node-moduli: c1b must be even, got 3"),
+            ("relspin-moduli", "c1b=3,variant=relspin-vs-canonical",
+             "relspin-moduli: c1b must be even, got 3"),
             # a key given twice is named before any parameter is read
             ("cvc-parity", "g=0,g=1,k=1,d=1", "--params gives 'g' twice"),
             ("cvc-parity", "zz=1,k=x,zz=2", "--params gives 'zz' twice"),
@@ -1013,6 +1024,11 @@ class TestGraphCheck:
         assert code == EXIT_CHECK_FAILED == 3
         doc = json.loads(out)
         assert doc["failed"] == 3 and doc["first_counterexample"]["seed"] == 1
+        # pinned while graph_to_json_dict built the graph document by hand
+        raw = out.encode()
+        assert (len(raw), hashlib.sha256(raw).hexdigest()[:16]) == (2688, "ec4edbb510ceb577")
+        graph = realgw.graphs.graph_from_json_dict(doc["first_counterexample"]["graph"])
+        assert graph == realgw.graphs.generate_random_graph(1)
         path = tmp_path / "graph.json"
         path.write_text(json.dumps(VALID_GRAPH))
         code, out, _ = run_cli(capsys, ["graph-check", "--in", str(path)])
@@ -1573,9 +1589,10 @@ class TestBoundedEcho:
              "marked-pair count ell must be >= 0"),
             (["dim", "--g", "0", "--ell", "0", "--n", "3", "--c1b", LONG[:1000]], None,
              "c1B must be even"),
-            (["sign", "cvc-parity", "--params", f"g=0,k=-{LONG[:1000]},d=1"], None, "rank must be"),
+            (["sign", "cvc-parity", "--params", f"g=0,k=-{LONG[:1000]},d=1"], None,
+             "cvc-parity: k must be"),
             (["sign", "doublet-moduli", "--params", f"g=0,sminus=-{LONG[:1000]},c1lphib=0"], None,
-             "|S^-| must be >= 0"),
+             "doublet-moduli: sminus must be >= 0"),
             (["sign", "relspin", "--params", f"degv={LONG[:998]}8,variant=spin-vs-canonical"],
              None, "spin-vs-canonical comparison is only stated"),
             (["graph-check", "--in", "{path}"],

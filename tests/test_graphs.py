@@ -50,16 +50,16 @@ LEAST_BOUNDS = {
 
 
 def flag(b=0, p=0, sminus=False):
-    return FlagDecoration(b=b, p=p, in_s_minus=sminus)
+    return FlagDecoration(b=b, p=p, sminus=sminus)
 
 
 def single_vertex_graph(genus, n=3, a=(3,), flags=(), edges=()):
     return DecoratedGraph(
-        vertices=(GraphVertex(genus_label=genus, theta=1, flags=flags),),
+        vertices=(GraphVertex(genus=genus, theta=1, flags=flags),),
         edges=edges,
         n=n,
         a=a,
-        phi_kind=TAU,
+        phi=TAU,
     )
 
 
@@ -81,7 +81,7 @@ class TestStructure:
             edges=(GraphEdge(EdgeKind.CONJ, 1, (0, 1)),),
             n=4,
             a=(2, 2),
-            phi_kind=ETA,
+            phi=ETA,
         )
         assert derive_genus_degree(graph) == (-1, 2)
 
@@ -151,7 +151,7 @@ class TestReplaceRunsChecks:
         graph = generate_random_graph(3)
         with pytest.raises(GraphError, match="edge-end count 0"):
             graph._replace(edges=())
-        replaced = graph._replace(a=list(graph.a), phi_kind=ETA)
+        replaced = graph._replace(a=list(graph.a), phi=ETA)
         assert replaced == DecoratedGraph(graph.vertices, graph.edges, graph.n, graph.a, ETA)
         assert type(replaced.a) is tuple
 
@@ -236,7 +236,7 @@ class TestReferenceCongruence:
             edges=(GraphEdge(EdgeKind.REAL, 1, (0, 0)),),
             n=1,
             a=(1, 1, 1),
-            phi_kind=TAU,
+            phi=TAU,
         )
         result = congruence_identity_check(graph)
         assert result.holds and (result.lhs, result.rhs) == (0, 0)
@@ -257,7 +257,7 @@ class TestReferenceCongruence:
             ),
             n=2,
             a=(1, 1, 1, 5),
-            phi_kind=ETA,
+            phi=ETA,
         )
         result = congruence_identity_check(graph)
         assert result.holds and (result.lhs, result.rhs) == (1, 1)
@@ -384,7 +384,7 @@ class TestGenerator:
             assert len(graph.vertices) <= 2
             assert len(graph.edges) <= 2
             assert graph.n <= 5
-            assert all(v.genus_label <= 1 for v in graph.vertices)
+            assert all(v.genus <= 1 for v in graph.vertices)
             # the residue-fixing last entry may use the mod-4 headroom
             assert all(x <= 4 for x in graph.a)
             congruence_identity_check(graph)
@@ -436,6 +436,18 @@ class TestGenerator:
 
 
 class TestJson:
+    def test_record_fields_are_the_document_keys(self):
+        # graph_to_json_dict writes each record's fields as its keys
+        vertex = GRAPH_SCHEMA["properties"]["vertices"]["items"]
+        levels = [
+            (DecoratedGraph, GRAPH_SCHEMA),
+            (GraphVertex, vertex),
+            (FlagDecoration, vertex["properties"]["flags"]["items"]),
+            (GraphEdge, GRAPH_SCHEMA["properties"]["edges"]["items"]),
+        ]
+        for record, schema in levels:
+            assert set(record._fields) == set(schema["required"]), record.__name__
+
     def test_round_trip(self):
         for seed in (1, 5, 9):
             graph = generate_random_graph(seed)

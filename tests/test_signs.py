@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from realgw.cli import _choice
 from realgw.signs import (
+    ArgumentError,
     ModuliDescriptor,
     NeedsArgument,
     RelSpinVariant,
@@ -286,6 +287,27 @@ class TestModuliComparisons:
             call()
         assert info.value.name == keyword
         call(**{keyword: value})
+
+    @pytest.mark.parametrize(
+        "call,name,error",
+        [
+            (lambda: cvc_parity(0, 0, 0), "k", "rank must be >= 1, got 0"),
+            (lambda: doublet_moduli(1, -1, P, 0), "s_minus", "|S^-| must be >= 0, got -1"),
+            (lambda: relspin_determinant(3, RS_P), "deg_v", "deg V must be even, got 3"),
+            (lambda: union_moduli(2, 0, 0, 0, 0, P), "n",
+             "complex dimension n must be odd and positive, got 2"),
+            (lambda: union_moduli(3, 0, 0, 0, 1, P), "c1b2", "c1B2 must be even, got 1"),
+            (lambda: e_node_moduli(0, 3, C), "c1b", "c1B must be even, got 3"),
+            (lambda: forget_boundary_sign("left", P), "node_side",
+             "node_side must be 'plus' or 'minus', got 'left'"),
+        ],
+        ids=["rank", "s-minus", "deg-v", "n", "c1b2", "c1b", "node-side"],
+    )
+    def test_refusal_names_the_parameter(self, call, name, error):
+        # the library's text names the paper's symbol; name is the kernel's parameter
+        with pytest.raises(ArgumentError) as info:
+            call()
+        assert (str(info.value), info.value.name) == (error, name)
 
     def test_forget_boundary(self):
         for route in (P, C):
