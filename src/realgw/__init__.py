@@ -4,7 +4,8 @@ Subpackages by concern:
 
 * :mod:`realgw.multicover` -- the cover coefficients and the multiple-cover
   transform between moduli invariants and integer curve counts (sinh and
-  sin flavors), inverted by the same sum over the arcsinh or arcsin series;
+  sin flavors, one table per exponent for both), inverted by forward
+  substitution through the same coefficients;
 * :mod:`realgw.signs` -- every orientation-comparison statement as a total
   parity predicate over integer descriptors;
 * :mod:`realgw.graphs` -- decorated fixed-point graphs and the closing

@@ -288,10 +288,8 @@ def relspin_determinant_exponent(deg_v: int, variant: RelSpinVariant) -> int:
     if variant is RelSpinVariant.RELSPIN_VS_CANONICAL:
         return 0 if deg_v % 8 in (0, 6) else 1
     if deg_v % 4 != 0:
-        raise ValueError(
-            "spin-vs-canonical comparison is only stated for deg V in 4Z, "
-            f"got {_shown(deg_v)}"
-        )
+        raise ArgumentError("deg_v", f"must be in 4Z for spin-vs-canonical, got {_shown(deg_v)}",
+                            "deg V")
     return 0
 
 relspin_determinant = _predicate(relspin_determinant_exponent, lambda v, deg_v, variant: (

@@ -202,13 +202,28 @@ def check_union_moduli_vs_epsilons(grid):
 @_identity(range(0, 7), (-4, -2, 0, 2, 4, 8), range(0, 9))
 def check_sin_vs_sinh(grid):
     """Sin-convention cover coefficients are (-1)^g times the sinh ones, over
-    (h, c1B, g)."""
-    from .multicover import Convention, multicover_coefficient
+    (h, c1B, g).  The sin side is built here from the sin series' own
+    coefficients s_k = (-1)^k / (4^k (2k+1)!), u = t^2, raised to the power
+    h - 1 + c1B/2 by J.C.P. Miller's recurrence in ``Fraction``;
+    ``multicover_coefficient`` must read it for sin, and the sinh side is
+    the library's table."""
+    from fractions import Fraction
 
+    from .multicover import Convention, cover_exponent, multicover_coefficient
+
+    series: list = []  # s_0, s_1, ...
+    powers: dict[int, list] = {}  # exponent -> u-coefficients of s^exponent
     for h, c1b, g in grid:
+        sinh_value = multicover_coefficient(h, c1b, g, Convention.SINH)  # checks h, c1B, g
+        for k in range(len(series), g + 1):
+            series.append(Fraction((-1) ** k, 4**k * math.factorial(2 * k + 1)))
+        exponent = cover_exponent(h, c1b)
+        power = powers.setdefault(exponent, [1])
+        for m in range(len(power), g + 1):
+            terms = (((exponent + 1) * k - m) * series[k] * power[m - k] for k in range(1, m + 1))
+            power.append(sum(terms) / m)
         sin_value = multicover_coefficient(h, c1b, g, Convention.SIN)
-        sinh_value = multicover_coefficient(h, c1b, g, Convention.SINH)
-        if sin_value != (-1) ** g * sinh_value:
+        if not power[g] == sin_value == (-1) ** g * sinh_value:
             yield (h, c1b, g)
 
 

@@ -224,6 +224,8 @@ class TestSignRegistry:
             ("e-node-determinant", "g=0,k=-2,d=0", "e-node-determinant: k must be >= 1, got -2"),
             ("doublet-moduli", "g=1,sminus=-1,c1lphib=0", "doublet-moduli: sminus must be >= 0, got -1"),
             ("relspin", "degv=3,variant=relspin-vs-projection", "relspin: degv must be even, got 3"),
+            ("relspin", "degv=2,variant=spin-vs-canonical",
+             "relspin: degv must be in 4Z for spin-vs-canonical, got 2"),
             ("union-moduli", "n=2,g1=0,g2=0,c1b1=0,c1b2=0",
              "union-moduli: n must be odd and positive, got 2"),
             ("union-moduli", "n=3,g1=0,g2=0,c1b1=1,c1b2=0", "union-moduli: c1b1 must be even, got 1"),
@@ -1594,7 +1596,7 @@ class TestBoundedEcho:
             (["sign", "doublet-moduli", "--params", f"g=0,sminus=-{LONG[:1000]},c1lphib=0"], None,
              "doublet-moduli: sminus must be >= 0"),
             (["sign", "relspin", "--params", f"degv={LONG[:998]}8,variant=spin-vs-canonical"],
-             None, "spin-vs-canonical comparison is only stated"),
+             None, "relspin: degv must be in 4Z for spin-vs-canonical, got 999"),
             (["graph-check", "--in", "{path}"],
              _graph_doc(edges=[{"kind": "real", "degree": 1, "ends": [HUGE, HUGE]}]),
              "edge 0 references unknown vertex"),

@@ -26,6 +26,7 @@ from realgw.graphs import (
     graph_to_json_dict,
 )
 from realgw.schemas import GRAPH_SCHEMA, check
+from realgw.signs import eps_conv
 
 TAU, ETA = InvolutionKind.TAU, InvolutionKind.ETA
 
@@ -227,6 +228,17 @@ class TestReferenceCongruence:
         if bounds is NEGATIVE_NU_BOUNDS:
             # both floor cases are exercised with nu < 0
             assert {(True, 0), (True, 2)} <= residues
+
+    @pytest.mark.parametrize("bounds", [GraphBounds(), LARGE_BOUNDS], ids=["default", "large"])
+    def test_rhs_is_the_convention_exponent(self, bounds):
+        # RHS = eps_conv(g, c1B) + (g - 1) at c1B = (n - |a|) d, the pairing
+        # of c1 of a degree-a complete intersection in P^(n-1) with a
+        # degree-d curve; cross-linked here, so graphs imports no signs
+        for seed in range(1, 10_001):
+            graph = generate_random_graph(seed, bounds)
+            result = congruence_identity_check(graph)
+            g, c1b = result.genus, (graph.n - sum(graph.a)) * result.degree
+            assert result.rhs == (eps_conv(g, c1b) + g - 1) % 2, f"seed {seed}"
 
     def test_negative_nu_single_real_edge(self):
         # n=1, a=(1,1,1): nu = -2 = 2 mod 4.  The real edge term is

@@ -88,15 +88,15 @@ class TestCoefficient:
                         ) == cover_power(conv, 31, h - 1 + c1b // 2)[g]
 
     def test_growth_order_does_not_matter(self):
-        # exponent 3 - 1 + 4/2 = 4
+        # exponent 3 - 1 + 4/2 = 4, one table for both conventions
         for conv in (SINH, SIN):
-            multicover._TABLES.pop((4, conv), None)
+            multicover._TABLES.pop(4, None)
             multicover_coefficient(3, 4, 30, conv)
-            jumped = list(multicover._TABLES[4, conv])
-            multicover._TABLES.pop((4, conv))
+            jumped = list(multicover._TABLES[4])
+            multicover._TABLES.pop(4)
             for g in range(31):
                 multicover_coefficient(3, 4, g, conv)
-            assert multicover._TABLES[4, conv] == jumped
+            assert multicover._TABLES[4] == jumped
             assert all(type(n) is int for n in jumped)
 
     def test_genus_cap(self):
@@ -150,18 +150,21 @@ class TestCoefficient:
 
 def cap_table(exponent, conv, inverse=False):
     """u^0..u^MAX_GENUS coefficients of b(u)^exponent, read from the library;
-    with ``inverse``, those of the inverse series a(u)^exponent, read from
-    its table of numerators over 4^m (3m)!."""
-    if inverse:
-        table = multicover._table(exponent, conv, MAX_GENUS, inverse=True)
-        return [F(n, 4**m * factorial(3 * m)) for m, n in enumerate(table)]
+    with ``inverse``, the u^0..u^(MAX_GENUS/2) coefficients (u = y^2) of the
+    inverse series a(u)^exponent, read off the library's inverse: E(y) =
+    a^(c1B/2 - 1) GW(t) with t = y a, so the inverse of the genus-0 unit
+    vector at c1B = 2 (exponent + 1) has E_2j = [y^2j] a^exponent."""
     c1b = 2 * (exponent + 1)  # h = 0
+    if inverse:
+        unit = InvariantVector({0: F(1)}, c1b=c1b, max_genus=MAX_GENUS)
+        return list(invert_transform(unit, conv).entries.values())[::2]
     multicover_coefficient(0, c1b, MAX_GENUS, conv)
     return [multicover_coefficient(0, c1b, j, conv) for j in range(MAX_GENUS + 1)]
 
 
-# The cover series b for each convention, then the inverse series a:
-# 2 arcsinh(y/2)/y for sinh and 2 arcsin(y/2)/y for sin.
+# The cover series b for each convention, then the inverse series a, whose
+# powers the inverse transform sums: 2 arcsinh(y/2)/y for sinh and
+# 2 arcsin(y/2)/y for sin.
 SERIES = (
     pytest.param(SINH, False, id="Convention.SINH"),
     pytest.param(SIN, False, id="Convention.SIN"),
@@ -183,17 +186,21 @@ def truncated_product(a, b):
 
 
 class TestTablesToCap:
-    """Every table through u^MAX_GENUS, checked by identities of the power
-    series b(u)^e and a(u)^e that need no oracle run at the cap."""
+    """Every table through u^MAX_GENUS, and the inverse transform through
+    genus MAX_GENUS, checked by identities of the power series b(u)^e and
+    a(u)^e that need no oracle run at the cap."""
 
-    ONE = [F(1)] + [F(0)] * MAX_GENUS
+    @staticmethod
+    def one(length):
+        return [F(1)] + [F(0)] * (length - 1)
 
     @pytest.mark.parametrize("conv,inverse", SERIES)
     def test_inverse_powers(self, conv, inverse):
         for e in (-5, 12):
-            product = truncated_product(cap_table(e, conv, inverse), cap_table(-e, conv, inverse))
-            assert product == self.ONE
-        assert cap_table(0, conv, inverse) == self.ONE
+            power = cap_table(e, conv, inverse)
+            assert truncated_product(power, cap_table(-e, conv, inverse)) == self.one(len(power))
+        power = cap_table(0, conv, inverse)
+        assert power == self.one(len(power))
 
     @pytest.mark.parametrize("conv,inverse", SERIES)
     def test_exponents_add(self, conv, inverse):
@@ -207,7 +214,7 @@ class TestTablesToCap:
         if inverse:
             expected = [
                 F((-sign) ** k * comb(2 * k, k), 16**k * (2 * k + 1))
-                for k in range(MAX_GENUS + 1)
+                for k in range(MAX_GENUS // 2 + 1)
             ]
         else:
             expected = [F(sign**k, 4**k * factorial(2 * k + 1)) for k in range(MAX_GENUS + 1)]
@@ -234,7 +241,15 @@ class TestTablesToCap:
     def test_non_integer_numerator_raises(self):
         # a half-integer exponent has no integer numerators over 4^m (3m)!
         with pytest.raises(ArithmeticError):
-            multicover._extend([1], F(1, 2), SINH, 3)
+            multicover._extend([1], F(1, 2), 3)
+
+    def test_substitution_remainder_raises(self, monkeypatch):
+        # the inverse's sums are multiples of 4^J (3J)! only for integer
+        # tables: a table entry of 1/2 leaves a remainder at genus 2
+        monkeypatch.setattr(multicover, "_TABLES", {-1: [1, F(1, 2)]})
+        monkeypatch.setattr(multicover, "_COLUMNS", {})
+        with pytest.raises(ArithmeticError, match="genus 2"):
+            invert_transform(InvariantVector({0: F(1)}, c1b=0, max_genus=2))
 
 
 class TestVector:
@@ -439,9 +454,10 @@ class TestAgainstReference:
 
 class TestTableGrowth:
     """Which tables a transform creates and extends.  A transform reads one
-    column index per (c1B, convention, direction): on a miss it looks up
-    the table of every genus up to max_genus, zero entries included, and a
-    call at or below the index's reach touches no table at all."""
+    column index per c1B, shared by both conventions and both directions:
+    on a miss it looks up the table of every genus up to max_genus, zero
+    entries included, and a call at or below the index's reach touches no
+    table at all."""
 
     @pytest.fixture
     def tables(self, monkeypatch):
@@ -452,18 +468,17 @@ class TestTableGrowth:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """(function, exponent, inverse) of every ``_table`` and ``_extend``
-        call, in order."""
+        """(function, exponent) of every ``_table`` and ``_extend`` call, in order."""
         seen: list = []
         table, extend = multicover._table, multicover._extend
 
-        def counting_table(exponent, convention, j, inverse=False):
-            seen.append(("table", exponent, inverse))
-            return table(exponent, convention, j, inverse)
+        def counting_table(exponent, j):
+            seen.append(("table", exponent))
+            return table(exponent, j)
 
-        def counting_extend(table, exponent, convention, j, inverse=False):
-            seen.append(("extend", exponent, inverse))
-            extend(table, exponent, convention, j, inverse)
+        def counting_extend(table, exponent, j):
+            seen.append(("extend", exponent))
+            extend(table, exponent, j)
 
         monkeypatch.setattr(multicover, "_table", counting_table)
         monkeypatch.setattr(multicover, "_extend", counting_extend)
@@ -474,15 +489,27 @@ class TestTableGrowth:
         nonzero = {0: F(2), 3: F(-1, 24), 8: F(5)}
         vec = InvariantVector(nonzero, c1b=4, max_genus=11)
         gw = forward_transform(vec, conv)
-        assert set(tables) == {(cover_exponent(h, 4), conv) for h in range(12)}
-        reach, column = multicover._COLUMNS[cover_exponent(0, 4), conv, False]
+        assert set(tables) == {cover_exponent(h, 4) for h in range(12)}
+        reach, column = multicover._COLUMNS[cover_exponent(0, 4)]
         assert reach == 11
-        assert all(column[h] is tables[cover_exponent(h, 4), conv] for h in range(12))
-        tables.clear()
+        assert all(column[h] is tables[cover_exponent(h, 4)] for h in range(12))
+        sizes = {exponent: len(table) for exponent, table in tables.items()}
         assert invert_transform(gw, conv) == vec
         assert gw.entries[1] == 0  # below the odd tower's first count
-        assert set(tables) == {(cover_exponent(g, 4), conv, "inverse") for g in range(12)}
-        assert multicover._COLUMNS[cover_exponent(0, 4), conv, True][0] == 11
+        # the inverse reads the same column: no table is added or grown
+        assert {exponent: len(table) for exponent, table in tables.items()} == sizes
+        assert list(multicover._COLUMNS) == [cover_exponent(0, 4)]
+
+    def test_one_store_for_both_conventions_and_directions(self, tables):
+        vec = InvariantVector({h: F(h % 5 - 2, 1 + h % 2) for h in range(21)}, c1b=-2)
+        for conv in (SINH, SIN):
+            gw = forward_transform(vec, conv)
+            assert invert_transform(gw, conv) == vec
+            assert gw == oracle_forward(vec, conv)
+        # one table per exponent h - 2 and one column index: no key carries
+        # a convention or a direction
+        assert sorted(tables) == [cover_exponent(h, -2) for h in range(21)]
+        assert list(multicover._COLUMNS) == [cover_exponent(0, -2)]
 
     @pytest.mark.parametrize("conv", [SINH, SIN])
     def test_one_extend_per_table(self, tables, calls, conv):
@@ -491,22 +518,19 @@ class TestTableGrowth:
         gw = forward_transform(vec, conv)
         # h = 45 and 46 read only C_0, which a new table already holds
         assert sorted(call for call in calls if call[0] == "extend") == [
-            ("extend", cover_exponent(h, 4), False) for h in range(45)
+            ("extend", cover_exponent(h, 4)) for h in range(45)
         ]
         assert sorted(call for call in calls if call[0] == "table") == [
-            ("table", cover_exponent(h, 4), False) for h in range(47)
+            ("table", cover_exponent(h, 4)) for h in range(47)
         ]
         calls.clear()
         assert invert_transform(gw, conv) == vec
-        assert sorted(call for call in calls if call[0] == "extend") == [
-            ("extend", cover_exponent(g, 4), True) for g in range(45)
-        ]
+        assert calls == []  # the forward transform's index serves the inverse
 
     @pytest.mark.parametrize("conv", [SINH, SIN])
     @pytest.mark.parametrize("transform", [forward_transform, invert_transform])
     def test_warm_equals_cold(self, tables, calls, conv, transform):
-        inverse = transform is invert_transform
-        extends = [("extend", cover_exponent(h, 4), inverse) for h in range(19)]
+        extends = [("extend", cover_exponent(h, 4)) for h in range(19)]
         entries = {h: F((-1) ** h * (h + 2), (1, 7, 24, 5760)[h % 4]) for h in range(21)}
         vec = InvariantVector(entries, c1b=4, max_genus=20)
         cold = transform(vec, conv)
@@ -520,14 +544,14 @@ class TestTableGrowth:
         tables.clear()
         multicover._COLUMNS.clear()
         transform(InvariantVector({h: entries[h] for h in range(19)}, c1b=4), conv)
-        column = multicover._COLUMNS[cover_exponent(0, 4), conv, inverse][1]
+        column = multicover._COLUMNS[cover_exponent(0, 4)][1]
         # genus 18 grows each table one entry short of what genus 20 reads
         assert [len(table) for table in column] == [(20 - h) // 2 for h in range(19)]
         calls.clear()
         assert transform(vec, conv) == cold
         assert [call for call in calls if call[0] == "extend"] == extends
         assert [len(table) for table in column] == [(20 - h) // 2 + 1 for h in range(19)]
-        reference = oracle_invert if inverse else oracle_forward
+        reference = oracle_invert if transform is invert_transform else oracle_forward
         assert cold == reference(vec, conv)
 
     @pytest.mark.parametrize("conv", [SINH, SIN])
@@ -541,8 +565,7 @@ class TestTableGrowth:
             entries = {h: F(h % 4 - 1, (1, 3)[h % 2]) for h in range(max_genus + 1)}
             vec = InvariantVector(entries, c1b=c1b, max_genus=max_genus)
             assert transform(vec, conv) == reference(vec, conv)
-            inverse = transform is invert_transform
-            assert multicover._COLUMNS[cover_exponent(0, c1b), conv, inverse][0] == max_genus
+            assert multicover._COLUMNS[cover_exponent(0, c1b)][0] == max_genus
 
     def test_entries_order_does_not_matter(self):
         # entries are stored in genus order, whatever order they are given in

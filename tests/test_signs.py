@@ -294,6 +294,8 @@ class TestModuliComparisons:
             (lambda: cvc_parity(0, 0, 0), "k", "rank must be >= 1, got 0"),
             (lambda: doublet_moduli(1, -1, P, 0), "s_minus", "|S^-| must be >= 0, got -1"),
             (lambda: relspin_determinant(3, RS_P), "deg_v", "deg V must be even, got 3"),
+            (lambda: relspin_determinant(-6, S_C), "deg_v",
+             "deg V must be in 4Z for spin-vs-canonical, got -6"),
             (lambda: union_moduli(2, 0, 0, 0, 0, P), "n",
              "complex dimension n must be odd and positive, got 2"),
             (lambda: union_moduli(3, 0, 0, 0, 1, P), "c1b2", "c1B2 must be even, got 1"),
@@ -301,7 +303,7 @@ class TestModuliComparisons:
             (lambda: forget_boundary_sign("left", P), "node_side",
              "node_side must be 'plus' or 'minus', got 'left'"),
         ],
-        ids=["rank", "s-minus", "deg-v", "n", "c1b2", "c1b", "node-side"],
+        ids=["rank", "s-minus", "deg-v", "deg-v-spin", "n", "c1b2", "c1b", "node-side"],
     )
     def test_refusal_names_the_parameter(self, call, name, error):
         # the library's text names the paper's symbol; name is the kernel's parameter

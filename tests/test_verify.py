@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from realgw import verify
+from realgw import multicover, verify
 from realgw.signs import (
     Route,
     cr_index,
@@ -141,6 +141,37 @@ def test_mutated_cvc_kernel_is_caught(monkeypatch):
 def test_mutated_kernel_is_caught(monkeypatch, identity_id, kernel, mutant):
     monkeypatch.setattr(verify, kernel, mutant)
     assert not ALL_CHECKS[identity_id]().holds
+
+
+SIN_VS_SINH_GRID = list(itertools.product(range(0, 7), (-4, -2, 0, 2, 4, 8), range(0, 9)))
+
+
+def test_sin_read_with_a_wrong_sign_is_caught(monkeypatch):
+    # sin read with (-1)^(g+1): every point whose coefficient is nonzero
+    # fails, that is all but exponent 0 (b^0 = 1) at g >= 1
+    coefficient = multicover.multicover_coefficient
+
+    def planted(h, c1b, g, convention=multicover.Convention.SINH):
+        value = coefficient(h, c1b, g, convention)
+        return -value if convention is multicover.Convention.SIN else value
+
+    monkeypatch.setattr(multicover, "multicover_coefficient", planted)
+    report = check_sin_vs_sinh()
+    zero = {(h, c1b, g) for h, c1b, g in SIN_VS_SINH_GRID if h - 1 + c1b // 2 == 0 and g}
+    assert set(report.failures) == set(SIN_VS_SINH_GRID) - zero
+    assert len(report.failures) == 378 - 4 * 8
+
+
+def test_wrong_shared_table_entry_is_caught(monkeypatch):
+    # sin and sinh read one table, so one wrong entry moves both alike; the
+    # check's sin side is the sin series' own power, so it still fails
+    tables: dict = {}
+    monkeypatch.setattr(multicover, "_TABLES", tables)
+    monkeypatch.setattr(multicover, "_COLUMNS", {})
+    multicover.multicover_coefficient(2, 0, 8)  # exponent 1 through u^8
+    tables[1][3] += 1
+    failures = check_sin_vs_sinh().failures
+    assert failures == ((0, 4, 3), (1, 2, 3), (2, 0, 3), (3, -2, 3), (4, -4, 3))
 
 
 def test_union_moduli_vs_epsilons_grid():

@@ -9,8 +9,9 @@ needs and cached per (convention, exponent) here.  Nothing here
 reads ``multicover_coefficient`` or the library's tables, so the library's
 integer sums and its Miller recurrence are checked against arithmetic that
 shares neither.  ``oracle_invert`` solves the forward relation by
-back-substitution, while the library's inverse sums powers of the inverse
-series 2 arcsinh(y/2)/y (or 2 arcsin(y/2)/y): the two share no algorithm.
+back-substitution, and so does the library's inverse: the two share that
+step, but not its arithmetic (``Fraction`` here, ``int`` there) nor its
+coefficients.
 Nothing here imports ``forward_transform`` or ``invert_transform``.
 """
 
