@@ -32,7 +32,6 @@ _EXPORTS = {
     "Comparison": "signs",
     "Convention": "multicover",
     "InvariantVector": "multicover",
-    "ModuliDescriptor": "signs",
     "Route": "signs",
     "forward_transform": "multicover",
     "integrality_check": "multicover",

@@ -200,10 +200,9 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_dim(args) -> int:
-    descriptor = realgw.signs.ModuliDescriptor(
+    _emit({"dim": realgw.signs.virtual_dimension(
         *(_capped(f"--{name}", getattr(args, name)) for name in ("g", "ell", "n", "c1b"))
-    )
-    _emit({"dim": realgw.signs.virtual_dimension(descriptor)})
+    )})
     return 0
 
 
@@ -232,8 +231,9 @@ def _vector_from_doc(
     # the schema asks for 'gw' or 'E'; each command reads one of them
     if key not in doc:
         raise ValueError(f"input document is missing {key!r}")
-    # checked above: skip from_string_map's second check of the same map
-    vector = realgw.multicover.InvariantVector._from_checked_map(
+    # from_string_map checks the map and max_genus again, as it does for any
+    # caller; the whole-document check above has refused anything it would
+    vector = realgw.multicover.InvariantVector.from_string_map(
         doc[key], doc["c1B"], doc.get("max_genus")
     )
     return vector, realgw.multicover.Convention(doc["convention"])

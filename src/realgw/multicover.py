@@ -21,6 +21,8 @@ directions.  It grows on demand by J.C.P. Miller's power recurrence and
 stores integers: the u^m coefficient times D_m = 4^m (3m)! (see
 ``_extend``).  A lookup through ``multicover_coefficient`` builds one
 ``Fraction``.  Genera are capped at ``MAX_GENUS`` and |c1B| at ``MAX_C1B``.
+A wire genus map has one reader, ``InvariantVector.from_string_map``,
+which checks its own arguments, the digit budget ``MAX_DIGITS`` included.
 
 Both transforms are one integer summation, ``_compose``, with one
 ``Fraction`` per output.  The tables a transform reads are found through
@@ -233,27 +235,19 @@ class InvariantVector(namedtuple("InvariantVector", "entries c1b max_genus")):
         cls, data: Mapping[str, str], c1b: int, max_genus: int | None = None
     ) -> "InvariantVector":
         """Read the wire form: a genus map and max_genus (default: the
-        largest key) as ``schemas.INVARIANTS_SCHEMA`` states them, checked
-        by ``schemas.check``, and an int c1b.  Each value is matched there
-        once, then parsed once by ``_from_checked_map``."""
+        largest key) as ``schemas.INVARIANTS_SCHEMA`` states them, and an
+        int c1b.  This is the one reader of a genus map, so it checks its
+        own arguments, whoever has checked them before: each value is
+        matched by ``schemas.check`` against ``schemas.RATIONAL_PATTERN``
+        (nonzero denominator included), then parsed once, by ``Fraction``.
+        The digit budget is checked here: a value's length before it is
+        parsed, then the running lcm of the denominators times the largest
+        |numerator|."""
         from .schemas import INVARIANTS_SCHEMA, check  # only a document reader loads it
 
         check(data, INVARIANTS_SCHEMA["properties"]["gw"], "genus map")
         if max_genus is not None:
             check(max_genus, INVARIANTS_SCHEMA["properties"]["max_genus"], "max_genus")
-        return cls._from_checked_map(data, c1b, max_genus)
-
-    @classmethod
-    def _from_checked_map(
-        cls, data: Mapping[str, str], c1b: int, max_genus: int | None = None
-    ) -> "InvariantVector":
-        """``from_string_map`` without its two ``check`` calls, for a genus
-        map and max_genus that have passed them, such as those of a whole
-        document checked against ``schemas.INVARIANTS_SCHEMA``.  Each value
-        has then matched ``schemas.RATIONAL_PATTERN``, nonzero denominator
-        included, so it is parsed once, by ``Fraction``, and not matched
-        again.  It checks the digit budget: a value's length before it is
-        parsed, then the running lcm times the largest |numerator|."""
         entries, scale, largest = {}, 1, 0
         for key, raw in data.items():
             if len(raw) > MAX_DIGITS:

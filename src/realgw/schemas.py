@@ -4,8 +4,8 @@
 Rationals travel as ``"p/q"`` strings (plain ``"p"`` for integers) so that
 no downstream tool can coerce them to floats.  A string that passes
 ``check`` against ``RATIONAL_PATTERN`` is a valid ``fractions.Fraction``
-argument, so each is matched once, here, and then parsed once.  Schemas
-are static data and byte-stable across runs.  Of the rules the schemas do
+argument, so each is matched here, by ``check``, and then parsed once.
+Schemas are static data and byte-stable across runs.  Of the rules the schemas do
 not state, ``check`` refuses an integral float such as ``2.0``, and
 ``InvariantVector`` a genus key above the document's ``max_genus``, an
 empty genus map without one and a genus map over the digit budget
@@ -146,6 +146,7 @@ INVARIANTS_SCHEMA = {
             },
         },
     },
+    "additionalProperties": False,
 }
 
 REPORT_SCHEMA = {

@@ -24,6 +24,8 @@ A kernel that refuses an argument's value raises :class:`ArgumentError`,
 which carries the parameter's name, so ``realgw sign`` names its key.
 Sweeps (:mod:`realgw.verify`) call the kernels, and the two convention
 exponents ``eps_conv(g, c1b)`` and ``eps_factor(g, n)``, int kernels too.
+So is ``virtual_dimension(g, ell, n, c1b)``, which ``realgw dim`` prints:
+every statement here takes integers and checks them itself.
 
 Two stabilization routes orient the moduli side: PROJECTION stabilizes by
 the summand pair L + conj(L)-bar with its projection orientation, CANONICAL
@@ -413,27 +415,15 @@ forget_boundary_sign = _predicate(
 # --- dimension and the convention exponents ---
 
 
-class ModuliDescriptor(namedtuple("ModuliDescriptor", "g ell n c1b")):
-    """Integer shadow of a real map moduli problem.
-
-    ``n`` is the odd complex dimension of the target, ``c1b`` the even
-    pairing <c1(X,omega), B>.
-    """
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace runs __new__
-
-    def __new__(cls, g: int, ell: int, n: int, c1b: int):
-        if ell < 0:
-            raise ValueError(f"marked-pair count ell must be >= 0, got {_shown(ell)}")
-        _require_odd_dim(n)
-        _require_even("c1b", c1b, "c1B")
-        return tuple.__new__(cls, (g, ell, n, c1b))
-
-
-def virtual_dimension(m: ModuliDescriptor) -> int:
-    """Expected dimension (1-g)(n-3) + 2*ell + <c1,B>; always even here."""
-    return (1 - m.g) * (m.n - 3) + 2 * m.ell + m.c1b
+def virtual_dimension(g: int, ell: int, n: int, c1b: int) -> int:
+    """Expected dimension (1-g)(n-3) + 2*ell + <c1,B> of the real map moduli
+    space with ``ell`` marked pairs, the odd complex target dimension ``n``
+    and the even pairing ``c1b`` = <c1(X,omega), B>; always even."""
+    if ell < 0:
+        raise ArgumentError("ell", f"must be >= 0, got {_shown(ell)}", "marked-pair count ell")
+    _require_odd_dim(n)
+    _require_even("c1b", c1b, "c1B")
+    return (1 - g) * (n - 3) + 2 * ell + c1b
 
 
 def eps_conv(g: int, c1b: int) -> int:

@@ -26,7 +26,6 @@ from realgw.multicover import (
     multicover_coefficient,
 )
 from realgw.signs import (
-    ModuliDescriptor,
     RelSpinVariant,
     relspin_determinant,
     virtual_dimension,
@@ -164,13 +163,13 @@ def test_criterion_7_dimension_evenness():
     rng = random.Random(777)
     bad = 0
     for _ in range(10_000):
-        descriptor = ModuliDescriptor(
+        dim = virtual_dimension(
             g=rng.randint(-20, 20),
             ell=rng.randint(0, 20),
             n=2 * rng.randint(0, 10) + 1,
             c1b=2 * rng.randint(-25, 25),
         )
-        if virtual_dimension(descriptor) % 2 != 0:
+        if dim % 2 != 0:
             bad += 1
     _report(7, "dimension evenness", bad == 0, f"10000 descriptors, {bad} odd")
 

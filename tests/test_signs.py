@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from realgw.cli import _choice
 from realgw.signs import (
     ArgumentError,
-    ModuliDescriptor,
     NeedsArgument,
     RelSpinVariant,
     Route,
@@ -302,8 +301,13 @@ class TestModuliComparisons:
             (lambda: e_node_moduli(0, 3, C), "c1b", "c1B must be even, got 3"),
             (lambda: forget_boundary_sign("left", P), "node_side",
              "node_side must be 'plus' or 'minus', got 'left'"),
+            (lambda: virtual_dimension(0, -1, 3, 0), "ell", "marked-pair count ell must be >= 0, got -1"),
+            (lambda: virtual_dimension(0, 0, 2, 0), "n",
+             "complex dimension n must be odd and positive, got 2"),
+            (lambda: virtual_dimension(0, 0, 3, 3), "c1b", "c1B must be even, got 3"),
         ],
-        ids=["rank", "s-minus", "deg-v", "deg-v-spin", "n", "c1b2", "c1b", "node-side"],
+        ids=["rank", "s-minus", "deg-v", "deg-v-spin", "n", "c1b2", "c1b", "node-side",
+             "dim-ell", "dim-n", "dim-c1b"],
     )
     def test_refusal_names_the_parameter(self, call, name, error):
         # the library's text names the paper's symbol; name is the kernel's parameter
@@ -325,7 +329,7 @@ class TestDimensionAndFriends:
         [(0, 1, 3, 4, 6), (1, 0, 3, 0, 0), (0, 0, 5, 2, 4)],
     )
     def test_virtual_dimension(self, g, ell, n, c1b, dim):
-        assert virtual_dimension(ModuliDescriptor(g, ell, n, c1b)) == dim
+        assert virtual_dimension(g, ell, n, c1b) == dim
 
     @given(
         st.integers(-10, 10),
@@ -335,23 +339,15 @@ class TestDimensionAndFriends:
     )
     @settings(max_examples=200)
     def test_dimension_always_even(self, g, ell, n, c1b):
-        assert virtual_dimension(ModuliDescriptor(g, ell, n, c1b)) % 2 == 0
+        assert virtual_dimension(g, ell, n, c1b) % 2 == 0
 
     def test_descriptor_validation(self):
         with pytest.raises(ValueError):
-            ModuliDescriptor(0, -1, 3, 0)
+            virtual_dimension(0, -1, 3, 0)
         with pytest.raises(ValueError):
-            ModuliDescriptor(0, 0, 2, 0)
+            virtual_dimension(0, 0, 2, 0)
         with pytest.raises(ValueError):
-            ModuliDescriptor(0, 0, 3, 3)
-
-    def test_descriptor_replace_runs_checks(self):
-        descriptor = ModuliDescriptor(0, 1, 3, 4)
-        with pytest.raises(ValueError, match="must be odd"):
-            descriptor._replace(n=2)
-        with pytest.raises(ValueError, match="c1B"):
-            descriptor._replace(c1b=3)
-        assert descriptor._replace(g=2) == ModuliDescriptor(2, 1, 3, 4)
+            virtual_dimension(0, 0, 3, 3)
 
     @pytest.mark.parametrize(
         "g,c1b,n,conv,factor",
